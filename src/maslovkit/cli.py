@@ -204,6 +204,8 @@ def _cmd_handle_index(args):
         payload = {"schema": "v1", "rows": [dict(zip(rows[0], r)) for r in rows[1:]]}
         _emit(payload, args, csv_rows=rows)
         return 0
+    if args.aCz is None:
+        raise MaslovkitError("handle-index needs --aCz or --sweep")
     idx = handle_rs_index(args.n, args.k, 1.0, args.aCz)
     _emit({"schema": "v1", "halves": idx.halves}, args)
     return 0

@@ -11,6 +11,19 @@ where G(t) is the crossing form on the intersection, obtained by writing the
 moving Lagrangian as a graph over itself at the crossing time and
 differentiating the induced quadratic form.
 
+Crossings come from d(t) = det[moving frame | reference], scanned on
+``scan + 1`` points.  Every path evaluation is one batched ``frames(ts)``
+call, so an index costs a fixed dozen or so calls whatever its crossing
+count.  The start t0 is checked before the scan, so a pair irregular there
+fails fast.  A scan cell where d changes sign is refined to its root; a scan
+point where |d| < 1e-3 is a local minimum is refined to the minimum of |d|
+(even-dimensional or tangential crossings), but only if neither cell next to
+it changes sign, so each crossing takes one route and is counted once.  All
+brackets refine together: each step puts `REFINE_POINTS` points into every
+live bracket, in one call, down to a width of 1e-13.  The crossing forms at
+the merged candidates and t1 take two more calls (candidates, then all
+finite-difference stencils); the first irregular crossing in time order raises.
+
 Floating point appears only in crossing detection and in the finite-difference
 derivative of the graph representation; every index is returned as an exact
 `HalfInt`.
@@ -41,6 +54,14 @@ TIME_TOL = 1e-10
 FD_STEP = 1e-6
 REGULARITY_TOL = 1e-8
 DEFAULT_SCAN = 2048
+REFINE_POINTS = 32  # points put into every live bracket per refinement step
+STOP_WIDTH = 1e-13
+DIP_TOL = 1e-3
+
+# Richardson-extrapolated difference quotients with steps h/2 and h: sample
+# offsets in units of the signed step, and weights over 6 * step.
+_CENTRAL = (np.array([0.5, -0.5, 1.0, -1.0]), np.array([8.0, -8.0, -1.0, 1.0]))
+_ONE_SIDED = (np.array([0.0, 0.5, 1.0, 2.0]), np.array([-21.0, 32.0, -12.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -97,113 +118,105 @@ class _ProductPath:
         out[:, n2:, n:] = f1
         return out
 
-    def frame(self, t: float) -> np.ndarray:
-        return self.frames(np.array([t]))[0]
-
 
 class _CrossingEngine:
     """Signature-weighted crossing count of a moving frame against a fixed one."""
 
     def __init__(self, moving, ref, domain, form, jmat, scan=DEFAULT_SCAN):
-        self.moving = moving  # object with frames(ts) / frame(t)
+        self.moving = moving  # object with frames(ts)
         self.ref = ref / np.linalg.norm(ref, axis=0, keepdims=True)
         self.domain = domain
         self.form = form
         self.jmat = jmat
         self.scan = scan
 
-    # -- determinant scan ----------------------------------------------------
+    # -- determinant scan and refinement ---------------------------------------
 
     def _dets(self, ts) -> np.ndarray:
+        step = self.scan + 1  # bounded memory: at most scan + 1 frames per call
+        if len(ts) > step:
+            return np.concatenate([self._dets(ts[i : i + step])
+                                   for i in range(0, len(ts), step)])
         f = self.moving.frames(ts)
         f = f / np.linalg.norm(f, axis=1, keepdims=True)
-        t = f.shape[0]
-        ref = np.broadcast_to(self.ref, (t,) + self.ref.shape)
+        ref = np.broadcast_to(self.ref, (len(ts),) + self.ref.shape)
         return np.linalg.det(np.concatenate([f, ref], axis=2))
 
-    def _det(self, t: float) -> float:
-        return float(self._dets(np.array([t]))[0])
+    def _refine(self, lo, hi, dlo, dhi, root):
+        """Refine brackets [lo, hi] to a root of det (``root``) or a |det| minimum.
 
-    def _bisect(self, a, b, da, db) -> float:
-        while b - a > 1e-13:
-            m = 0.5 * (a + b)
-            dm = self._det(m)
-            if dm == 0.0:
-                return m
-            if (da < 0) != (dm < 0):
-                b, db = m, dm
-            else:
-                a, da = m, dm
-        return 0.5 * (a + b)
-
-    def _golden_min(self, a, b) -> float:
-        phi = (np.sqrt(5.0) - 1) / 2
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1, f2 = abs(self._det(x1)), abs(self._det(x2))
-        while b - a > 1e-13:
-            if f1 < f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = abs(self._det(x1))
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = abs(self._det(x2))
-        return 0.5 * (a + b)
-
-    def _intersection(self, t: float):
-        f = self.moving.frame(t)
-        basis = intersection_basis(f, self.ref)
-        return basis.shape[1], basis
+        A root bracket keeps its first sub-cell with a sign change, and an
+        exact zero ends it; a minimum bracket keeps the two sub-cells around
+        its smallest |det|.  Returns the refined times and |det| at each.
+        """
+        k = REFINE_POINTS
+        t, val = 0.5 * (lo + hi), np.zeros(len(lo))
+        live = np.arange(len(lo))
+        while live.size:
+            a, b, rows = lo[live], hi[live], np.arange(live.size)
+            nodes = a[:, None] + (b - a)[:, None] * (np.arange(k + 2) / (k + 1))
+            d = np.empty_like(nodes)
+            d[:, 1:-1] = self._dets(nodes[:, 1:-1].ravel()).reshape(-1, k)
+            nodes[:, -1], d[:, 0], d[:, -1] = b, dlo[live], dhi[live]
+            flip = np.argmax(np.sign(d[:, 1:]) != np.sign(d[:, :1]), axis=1) + 1
+            low = np.argmin(np.abs(d), axis=1)
+            r = root[live]
+            best = np.where(r, flip, low)
+            i = np.where(r, flip - 1, np.maximum(low - 1, 0))
+            j = np.where(r, flip, np.minimum(low + 1, k + 1))
+            val[live] = np.abs(d[rows, best])
+            done = r & (val[live] == 0.0)
+            lo[live], dlo[live] = nodes[rows, i], d[rows, i]
+            hi[live], dhi[live] = nodes[rows, j], d[rows, j]
+            t[live] = np.where(r & ~done, 0.5 * (lo[live] + hi[live]), nodes[rows, best])
+            width = hi[live] - lo[live]
+            # stop at STOP_WIDTH, or where floating point no longer splits a bracket
+            live = live[~done & (width > STOP_WIDTH) & (width < b - a)]
+        return t, val
 
     # -- crossing form ---------------------------------------------------------
 
-    def _graph_matrix(self, b: np.ndarray, w: np.ndarray, t: float) -> np.ndarray:
-        f = self.moving.frame(t)
-        p = b.T @ f
-        q = w.T @ f
-        return q @ np.linalg.inv(p)
-
-    def _form_derivative(self, t_star: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Symmetrized d/dt of the graph representation over the crossing frame."""
-        f_star = self.moving.frame(t_star)
-        b, _ = np.linalg.qr(f_star)
-        w = self.jmat @ b
+    def _crossings_at(self, ts) -> List[Crossing]:
+        """The crossings among candidate times ``ts``, in order; two `frames` calls."""
         t0, t1 = self.domain
+        hits = []
+        for t, f in zip(ts, self.moving.frames(np.asarray(ts, dtype=float))):
+            basis = intersection_basis(f, self.ref)
+            if basis.shape[1] > 0:
+                hits.append((float(t), f, basis))
+        if not hits:
+            return []
         h = min(FD_STEP, (t1 - t0) / 16.0)
-        s = lambda t: self._graph_matrix(b, w, t)
+        rules = [
+            (_ONE_SIDED, h) if t - t0 < 4 * h
+            else (_ONE_SIDED, -h) if t1 - t < 4 * h
+            else (_CENTRAL, h)
+            for t, _, _ in hits
+        ]
+        pts = np.concatenate(
+            [t + rule[0] * step for (t, _, _), (rule, step) in zip(hits, rules)])
+        stencils = self.moving.frames(pts).reshape((len(hits), 4) + hits[0][1].shape)
+        return [
+            self._crossing(t, f, basis, g, rule[1], step)
+            for (t, f, basis), (rule, step), g in zip(hits, rules, stencils)
+        ]
 
-        def central(hh):
-            return (s(t_star + hh) - s(t_star - hh)) / (2 * hh)
-
-        def forward(hh):
-            return (-3 * s(t_star) + 4 * s(t_star + hh) - s(t_star + 2 * hh)) / (2 * hh)
-
-        def backward(hh):
-            return (3 * s(t_star) - 4 * s(t_star - hh) + s(t_star - 2 * hh)) / (2 * hh)
-
-        if t_star - t0 < 4 * h:
-            d = forward
-        elif t1 - t_star < 4 * h:
-            d = backward
-        else:
-            d = central
-        ds = (4 * d(h / 2) - d(h)) / 3.0  # Richardson extrapolation
-        return b, (ds + ds.T) / 2.0
-
-    def _crossing(self, t: float, boundary: bool) -> Crossing:
-        dim, basis = self._intersection(t)
-        b, gamma_full = self._form_derivative(t)
+    def _crossing(self, t, f, basis, stencil, weights, step) -> Crossing:
+        """Crossing at t with frame f, from the frames at its stencil points."""
+        # symmetrized d/dt of the moving frame written as a graph over itself
+        b, _ = np.linalg.qr(f)
+        w = self.jmat @ b
+        s = (w.T @ stencil) @ np.linalg.inv(b.T @ stencil)
+        ds = np.tensordot(weights, s, axes=1) / (6.0 * step)
         u = b.T @ basis
-        gamma = u.T @ gamma_full @ u
+        gamma = u.T @ ((ds + ds.T) / 2.0) @ u
         gamma = (gamma + gamma.T) / 2.0
         eig = np.linalg.eigvalsh(gamma)
         scale = max(1.0, float(np.max(np.abs(eig)))) if eig.size else 1.0
         if eig.size and np.min(np.abs(eig)) <= REGULARITY_TOL * scale:
             raise IrregularCrossingError(t)
         sig = int(np.sum(eig > 0) - np.sum(eig < 0))
-        c = Crossing(t, dim, sig, True, boundary)
+        c = Crossing(t, basis.shape[1], sig, True, t in self.domain)
         c.check_invariants()
         return c
 
@@ -211,46 +224,33 @@ class _CrossingEngine:
 
     def crossings(self) -> List[Crossing]:
         t0, t1 = self.domain
+        out = self._crossings_at([t0])  # before the scan: an irregular start fails fast
         ts = np.linspace(t0, t1, self.scan + 1)
         dets = self._dets(ts)
-        interior_times: List[float] = []
+        signs, absd = np.sign(dets), np.abs(dets)
+        flip = signs[:-1] * signs[1:] < 0  # cell [ts[i], ts[i+1]] has a sign change
+        # dips without a sign change (even-dimensional or tangential crossings);
+        # a scan point next to a sign change is left to the root search
+        mid = absd[1:-1]
+        dip = (mid > 0) & (mid < DIP_TOL) & (mid <= absd[:-2]) & (mid <= absd[2:])
+        r = np.nonzero(flip)[0]
+        m = np.nonzero(dip & ~flip[:-1] & ~flip[1:])[0] + 1
+        lo, hi = np.concatenate([r, m - 1]), np.concatenate([r + 1, m + 1])
+        root = np.arange(len(lo)) < len(r)
+        found, val = self._refine(ts[lo], ts[hi], dets[lo], dets[hi], root)
+        interior_times = sorted(
+            list(found[root | (val < DIP_TOL)]) + list(ts[1:-1][signs[1:-1] == 0])
+        )
 
-        signs = np.sign(dets)
-        for i in range(len(ts) - 1):
-            if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-                interior_times.append(
-                    self._bisect(ts[i], ts[i + 1], dets[i], dets[i + 1])
-                )
-            elif signs[i + 1] == 0 and 0 < i + 1 < len(ts) - 1:
-                interior_times.append(float(ts[i + 1]))
-
-        # dips without a sign change (even-dimensional or tangential crossings)
-        absd = np.abs(dets)
-        for i in range(1, len(ts) - 1):
-            if absd[i] < 1e-3 and absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1]:
-                t = self._golden_min(ts[i - 1], ts[i + 1])
-                if abs(self._det(t)) < 1e-3:
-                    interior_times.append(t)
-
-        # merge, drop boundary hits, verify a genuine intersection
-        interior_times.sort()
+        # merge, drop boundary hits
         merged: List[float] = []
         for t in interior_times:
             if merged and abs(t - merged[-1]) < 50 * TIME_TOL:
                 continue
             if t - t0 < 50 * TIME_TOL or t1 - t < 50 * TIME_TOL:
                 continue
-            merged.append(t)
-
-        out: List[Crossing] = []
-        if self._intersection(t0)[0] > 0:
-            out.append(self._crossing(t0, boundary=True))
-        for t in merged:
-            if self._intersection(t)[0] > 0:
-                out.append(self._crossing(t, boundary=False))
-        if self._intersection(t1)[0] > 0:
-            out.append(self._crossing(t1, boundary=True))
-        return out
+            merged.append(float(t))
+        return out + self._crossings_at(merged + [t1])
 
     def index(self) -> Tuple[HalfInt, List[Crossing]]:
         halves = 0

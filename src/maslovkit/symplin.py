@@ -279,7 +279,13 @@ class LagrangianPath:
         raise NotImplementedError
 
     def frames(self, ts: np.ndarray) -> np.ndarray:
-        """Stacked frames, shape (len(ts), 2n, n)."""
+        """Frames at any 1-D array of times in the domain, shape (len(ts), 2n, n).
+
+        Every concrete path evaluates all of ``ts`` in one batch, except a
+        `FunctionPath` built without ``frames_fn``, which falls back to one
+        `frame_array` call per t.  The crossing engine passes at most
+        ``scan + 1`` times per call.
+        """
         return np.stack([self.frame_array(float(t)) for t in np.asarray(ts)])
 
     def frame(self, t: float) -> LagrangianFrame:
@@ -310,22 +316,22 @@ class LagrangianPath:
     def transformed(self, mat_path) -> "LagrangianPath":
         """Apply a (time-dependent) symplectic matrix to every frame.
 
-        ``mat_path`` is a callable ``t -> 2n x 2n`` matrix; a `GeneratorPath`
-        may be passed directly, in which case evaluation is batched.
+        ``mat_path`` is a callable ``t -> 2n x 2n`` matrix or a `GeneratorPath`.
+        Frames are batched: a callable's matrices are stacked, the path's
+        frames evaluated in one call.
         """
         if isinstance(mat_path, GeneratorPath):
-            return FunctionPath(
-                self.n,
-                lambda t: mat_path.matrix(t) @ self.frame_array(t),
-                self.domain,
-                self.sample_resolution,
-                frames_fn=lambda ts: mat_path.matrices(ts) @ self.frames(ts),
-            )
+            mat, mats = mat_path.matrix, mat_path.matrices
+        else:
+            mat = mat_path
+            mats = lambda ts: np.stack(
+                [np.asarray(mat_path(float(t)), dtype=float) for t in ts])
         return FunctionPath(
             self.n,
-            lambda t: mat_path(t) @ self.frame_array(t),
+            lambda t: mat(t) @ self.frame_array(t),
             self.domain,
             self.sample_resolution,
+            frames_fn=lambda ts: mats(ts) @ self.frames(ts),
         )
 
     def validate(self, samples: int = 7) -> None:
@@ -431,9 +437,13 @@ class GeneratorPath(LagrangianPath):
         psis = np.empty((self._grid_n + 1, dim, dim))
         psis[0] = np.eye(dim)
         if self._s_const is not None:
-            step = self._advance(dt)
-            for i in range(self._grid_n):
-                psis[i + 1] = step @ psis[i]
+            # doubling: Psi(t_{m+j}) = Psi(t_m) Psi(t_j) for a constant generator
+            psis[1] = self._advance(dt)
+            m = 1
+            while m < self._grid_n:
+                k = min(m, self._grid_n - m)
+                psis[m + 1 : m + 1 + k] = psis[m] @ psis[1 : 1 + k]
+                m += k
         else:
             for i in range(self._grid_n):
                 psis[i + 1] = self._rk4(psis[i], ts[i], dt)
@@ -470,18 +480,14 @@ class GeneratorPath(LagrangianPath):
         ts = np.clip(np.asarray(ts, dtype=float), self.domain[0], self.domain[1])
         idx = np.clip(np.searchsorted(self._ts, ts, side="right") - 1, 0, self._grid_n)
         dts = ts - self._ts[idx]
-        base = self._psis[idx]
-        on_node = np.abs(dts) < 1e-15
-        if np.all(on_node):
-            return base
+        out = self._psis[idx]
+        off = np.abs(dts) >= 1e-15  # grid nodes are returned exactly, as by `matrix`
         if self._eig is not None:
             lam, v, vinv = self._eig
-            steps = np.einsum(
-                "ij,tj,jk->tik", v, np.exp(np.outer(dts, lam)), vinv
-            ).real
-            return steps @ base
-        out = base.copy()
-        for i in np.nonzero(~on_node)[0]:
+            steps = ((v * np.exp(np.outer(dts[off], lam))[:, None, :]) @ vinv).real
+            out[off] = steps @ out[off]
+            return out
+        for i in np.nonzero(off)[0]:
             out[i] = self.matrix(float(ts[i]))
         return out
 
@@ -532,6 +538,13 @@ class SampledPath(LagrangianPath):
         i = int(np.searchsorted(ts, t, side="right")) - 1
         i = min(max(i, 0), len(ts) - 2)
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
+        return (1 - w) * self._frames[i] + w * self._frames[i + 1]
+
+    def frames(self, ts):
+        times = self._times
+        ts = np.clip(np.asarray(ts, dtype=float), times[0], times[-1])
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+        w = ((ts - times[i]) / (times[i + 1] - times[i]))[:, None, None]
         return (1 - w) * self._frames[i] + w * self._frames[i + 1]
 
     def to_json(self) -> dict:
@@ -592,14 +605,17 @@ def canonical_short_path(l0: LagrangianFrame, l1: LagrangianFrame) -> GeneratorP
 
 
 def direct_sum_frames(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Direct sum of frames, re-interleaved into (x..., y...) coordinate order."""
-    n1, n2 = f1.shape[1], f2.shape[1]
+    """Direct sum of frames, re-interleaved into (x..., y...) coordinate order.
+
+    Accepts single (2n, n) frames or stacks of shape (..., 2n, n).
+    """
+    n1, n2 = f1.shape[-1], f2.shape[-1]
     n = n1 + n2
-    out = np.zeros((2 * n, n))
-    out[:n1, :n1] = f1[:n1]
-    out[n : n + n1, :n1] = f1[n1:]
-    out[n1:n, n1:] = f2[:n2]
-    out[n + n1 :, n1:] = f2[n2:]
+    out = np.zeros(f1.shape[:-2] + (2 * n, n))
+    out[..., :n1, :n1] = f1[..., :n1, :]
+    out[..., n : n + n1, :n1] = f1[..., n1:, :]
+    out[..., n1:n, n1:] = f2[..., :n2, :]
+    out[..., n + n1 :, n1:] = f2[..., n2:, :]
     return out
 
 
@@ -611,6 +627,7 @@ def direct_sum_paths(p1: LagrangianPath, p2: LagrangianPath) -> FunctionPath:
         lambda t: direct_sum_frames(p1.frame_array(t), p2.frame_array(t)),
         p1.domain,
         max(p1.sample_resolution, p2.sample_resolution),
+        frames_fn=lambda ts: direct_sum_frames(p1.frames(ts), p2.frames(ts)),
     )
 
 

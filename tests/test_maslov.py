@@ -6,6 +6,7 @@ axiom gets a small smoke run plus the closed-form anchor examples.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from maslovkit.errors import (
     DimensionMismatchError,
@@ -18,13 +19,34 @@ from maslovkit.suites import maslov_axiom_suites
 from maslovkit.symplin import (
     ConstantPath,
     FunctionPath,
+    GeneratorPath,
     LagrangianFrame,
+    LagrangianPath,
+    complex_structure,
     rotation_path,
 )
 
 
 def horizontal_ref(n):
     return ConstantPath(LagrangianFrame.horizontal(n))
+
+
+class CountingPath(LagrangianPath):
+    """Passes evaluations through to ``inner`` and counts them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n, self.domain = inner.n, inner.domain
+        self.sample_resolution = inner.sample_resolution
+        self.calls = 0
+
+    def frame_array(self, t):
+        self.calls += 1
+        return self.inner.frame_array(t)
+
+    def frames(self, ts):
+        self.calls += 1
+        return self.inner.frames(ts)
 
 
 class TestRsIndexAnchors:
@@ -84,6 +106,45 @@ class TestCrossingDiagnostics:
         cs2 = rs_crossings((p2, ref))
         assert any(c.intersection_dim == 2 and not c.boundary for c in cs2)
         assert rs_index((p2, ref)) == HalfInt(4)
+
+
+class TestBatchedEngine:
+    def test_call_count_independent_of_crossings(self):
+        counts = []
+        for speed, halves in ((1.5 * np.pi, 3), (3.5 * np.pi, 7)):
+            p = CountingPath(rotation_path(1, speed))
+            ref = CountingPath(horizontal_ref(1))
+            assert rs_index((p, ref)) == HalfInt(halves)
+            assert p.calls == ref.calls
+            counts.append(p.calls)
+        # one crossing against three: the same fixed dozen or so batched calls
+        assert counts[0] == counts[1] <= 16
+
+    def test_degenerate_start_fails_fast(self):
+        p = CountingPath(ConstantPath(LagrangianFrame.horizontal(2)))
+        with pytest.raises(IrregularCrossingError) as exc:
+            rs_index((p, p))
+        assert exc.value.time == 0.0
+        assert p.calls <= 8  # both factors of the start check, before the scan
+
+    def test_crossing_counted_once(self):
+        # ill-conditioned n=6 draw whose crossing near t = 0.709029 was once
+        # refined both as a root and as a dip, and listed twice
+        n = 6
+        rng = np.random.default_rng([21, 5, 5, 11])
+        horizontal = LagrangianFrame.horizontal(n).columns
+
+        def draw():
+            a = rng.normal(size=(2 * n, 2 * n), scale=8)
+            b = rng.normal(size=(2 * n, 2 * n))
+            frame = expm(complex_structure(n) @ ((b + b.T) / 2)) @ horizontal
+            return GeneratorPath((a + a.T) / 2, LagrangianFrame.from_columns(frame))
+
+        p0, p1 = draw(), draw()
+        c = rng.uniform(0.25, 0.75)
+        for pair in ((p0, p1), (p0.restricted(c, 1.0), p1.restricted(c, 1.0))):
+            near = [x for x in rs_crossings(pair) if abs(x.time - 0.709029) < 1e-5]
+            assert len(near) == 1
 
 
 class TestDet2Winding:

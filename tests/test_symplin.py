@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from maslovkit.errors import (
     DegenerateFrameError,
@@ -20,6 +21,7 @@ from maslovkit.symplin import (
     complex_structure,
     det_squared,
     direct_sum_frames,
+    direct_sum_paths,
     is_symplectic,
     lagrangian_intersection_dim,
     omega_matrix,
@@ -224,6 +226,73 @@ class TestPaths:
         LagrangianFrame.from_columns(f).validate()
         # x block first, then y block
         assert np.allclose(f, np.array([[1, 0], [0, 0], [0, 0], [0, 1]]))
+
+
+def _random_generator_path(n, rng, scale=1.0):
+    a = rng.normal(size=(2 * n, 2 * n), scale=scale)
+    return GeneratorPath((a + a.T) / 2, random_lagrangian_frame(n, rng))
+
+
+class TestBatchedFrames:
+    """``frames(ts)`` agrees with the scalar reference ``frame_array`` per t."""
+
+    TS = np.array([0.0, 1e-9, 0.1234567, 0.5, 0.77777, 1.0 - 1e-9, 1.0])
+
+    @staticmethod
+    def assert_close(batched, scalar):
+        assert batched.shape == scalar.shape
+        scale = np.max(np.abs(scalar))
+        assert np.allclose(batched, scalar, rtol=1e-12, atol=1e-12 * scale)
+
+    def assert_batched(self, path, ts=TS):
+        scalar = np.stack([path.frame_array(float(t)) for t in ts])
+        self.assert_close(path.frames(ts), scalar)
+
+    def test_sampled(self):
+        grid = np.linspace(0.0, 1.0, 37)
+        base = rotation_path(2, [np.pi, -2.0])
+        self.assert_batched(SampledPath(grid, base.frames(grid)))
+
+    def test_direct_sum(self):
+        rng = np.random.default_rng(3)
+        self.assert_batched(direct_sum_paths(
+            _random_generator_path(1, rng), _random_generator_path(2, rng)))
+
+    def test_transformed(self):
+        rng = np.random.default_rng(4)
+        base, psi = _random_generator_path(2, rng), _random_generator_path(2, rng)
+        self.assert_batched(base.transformed(psi))
+        self.assert_batched(base.transformed(lambda t: psi.matrix(t)))
+
+    def test_reparametrized_and_restricted(self):
+        rng = np.random.default_rng(5)
+        base = _random_generator_path(3, rng)
+        self.assert_batched(base.reparametrized(lambda t: t * t))
+        self.assert_batched(base.restricted(0.25, 0.75), 0.25 + 0.5 * self.TS)
+
+    def test_generator_matrices(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 4):
+            p = _random_generator_path(n, rng, scale=2.0)
+            scalar = np.stack([p.matrix(float(t)) for t in self.TS])
+            batched = p.matrices(self.TS)
+            self.assert_close(batched, scalar)
+            # grid nodes (0, 1/2, 1) come back exactly, whatever else is in the batch
+            nodes = np.isin(self.TS, (0.0, 0.5, 1.0))
+            assert np.array_equal(batched[nodes], scalar[nodes])
+
+    def test_generator_grid_matches_expm(self):
+        # the constant-S grid is built by doubling, Psi(t_{m+j}) = Psi(t_m) Psi(t_j)
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 4, 6):
+            a = rng.normal(size=(2 * n, 2 * n))
+            s = (a + a.T) / 2
+            p = GeneratorPath(s, LagrangianFrame.horizontal(n))
+            nodes = np.array([1, 7, 1000, 2047, 2048])
+            ts = nodes / 2048.0
+            for t, m in zip(ts, p.matrices(ts)):
+                exact = expm(complex_structure(n) @ s * t)
+                assert np.linalg.norm(m - exact) <= 1e-11 * np.linalg.norm(exact)
 
 
 @settings(max_examples=40, deadline=None)

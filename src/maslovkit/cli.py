@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -37,7 +38,6 @@ from .homalg import (
     direct_limit,
     identity_system,
     model_flow_system,
-    validate_complex,
     zero_map_system,
 )
 from .maslov import chord_maslov, det2_winding, rs_index
@@ -53,7 +53,6 @@ from .spectrum import (
     CoefficientProfile,
     chord_levels,
     handle_rs_index,
-    handle_rs_index_ode,
     perturbation_cluster_bounds,
     sweep_rows,
 )
@@ -293,14 +292,14 @@ def _cmd_beta_build(args):
 
 def _cmd_complex_validate(args):
     c = FilteredZ2Complex.from_json(_load_json_input(args))
-    rep = validate_complex(c)
+    rep = c.validate()
     _emit(rep.to_json(), args)
     return 0 if rep.ok else 1
 
 
 def _cmd_homology(args):
     c = FilteredZ2Complex.from_json(_load_json_input(args))
-    rep = validate_complex(c)
+    rep = c.validate()
     if not rep.ok:
         _emit(rep.to_json(), args)
         return 1
@@ -344,30 +343,12 @@ def _cmd_diagram_check(args):
     return 0 if ok else 1
 
 
-_SUITE_BUILDERS = {
-    "maslov.naturality": lambda seed, cases: suites_mod.naturality_suite(seed, cases),
-    "maslov.concatenation": lambda seed, cases: suites_mod.concatenation_suite(seed + 1, cases),
-    "maslov.product": lambda seed, cases: suites_mod.product_suite(seed + 2, cases),
-    "maslov.localization": lambda seed, cases: suites_mod.localization_suite(seed + 3, cases),
-    "maslov.reparametrization": lambda seed, cases: suites_mod.reparametrization_suite(seed + 4, cases),
-    "maslov.loop_consistency": lambda seed, cases: suites_mod.loop_consistency_suite(seed + 5, max(50, cases // 2)),
-    "handle.identities": lambda seed, cases: suites_mod.handle_identity_suite(seed + 10),
-    "handle.certification": lambda seed, cases: suites_mod.handle_certification_suite(),
-    "handle.radial_slope": lambda seed, cases: suites_mod.slope_identity_suite(),
-    "profiles.transfer_ledger": lambda seed, cases: suites_mod.profile_ledger_suite(),
-    "profiles.beta_envelope": lambda seed, cases: suites_mod.beta_envelope_suite(),
-    "spectrum.agreement": lambda seed, cases: suites_mod.spectrum_agreement_suite(),
-    "homalg.checks": lambda seed, cases: suites_mod.homalg_suite(seed + 20),
-}
-
-
 def _run_one_suite(name_seed_cases):
-    name, seed, cases = name_seed_cases
-    return _SUITE_BUILDERS[name](seed, cases).to_json()
+    return suites_mod.run_suite(*name_seed_cases).to_json()
 
 
 def _cmd_verify_all(args):
-    names = sorted(_SUITE_BUILDERS)
+    names = sorted(suites_mod.SUITES)
     jobs = args.jobs if args.jobs else min(len(names), os.cpu_count() or 1)
     work = [(name, args.seed, args.cases) for name in names]
     if jobs > 1:
@@ -546,8 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

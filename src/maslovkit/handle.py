@@ -19,7 +19,7 @@ The Liouville field is X = 1/2 sum_{i<=k}(3 x_i d_{x_i} - y_i d_{y_i})
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,15 +27,21 @@ import numpy as np
 from .errors import DimensionMismatchError, MaslovkitError
 
 
-def _smoothstep(u):
+def smoothstep(u):
+    """The quintic smoothstep 6u^5 - 15u^4 + 10u^3, clamped to [0, 1]."""
     u = np.clip(u, 0.0, 1.0)
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def _smoothstep_integral(u):
+def smoothstep_integral(u):
     """Antiderivative of the quintic smoothstep, zero at 0."""
     u = np.clip(u, 0.0, 1.0)
     return u**4 * (2.5 + u * (-3.0 + u))
+
+
+def inner_z_slope(epsilon: float, delta: float) -> float:
+    """d(psi_delta)/dz on {x=y=0, z small}: 1 + (1+eps)/(delta (1+2eps))."""
+    return 1.0 + (1.0 + epsilon) / (delta * (1.0 + 2.0 * epsilon))
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,8 @@ class HandleParams:
         if self.epsilon <= 0 or self.delta <= 0:
             raise MaslovkitError("epsilon and delta must be positive")
         # {r <= 1} inside {z <= delta} on the x=y=0 locus: the radial slope
-        # there is epsilon, so the r=1 level sits at z = epsilon / c_lo.
-        c_lo = 1.0 + (1.0 + self.epsilon) / (self.delta * (1.0 + 2.0 * self.epsilon))
-        if self.epsilon / c_lo > self.delta:
+        # there is epsilon, so the r=1 level sits at z = epsilon / z_slope_low.
+        if self.epsilon / self.z_slope_low() > self.delta:
             raise MaslovkitError(
                 "epsilon too large: the unit radial level leaves {z <= delta}"
             )
@@ -67,8 +72,8 @@ class HandleParams:
         return CutoffG(self.epsilon)
 
     def z_slope_low(self) -> float:
-        """d(psi_delta)/dz on {x=y=0, z small}: 1 + (1+eps)/(delta (1+2eps))."""
-        return 1.0 + (1.0 + self.epsilon) / (self.delta * (1.0 + 2.0 * self.epsilon))
+        """`inner_z_slope` of these parameters."""
+        return inner_z_slope(self.epsilon, self.delta)
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ class CutoffG:
         lin = t * smax
         u = (t - 1.0 - e) / (2.0 * e)
         blend = (1.0 + e) * smax + 2.0 * e * smax * (
-            np.clip(u, 0.0, 1.0) - _smoothstep_integral(u)
+            np.clip(u, 0.0, 1.0) - smoothstep_integral(u)
         )
         out = np.where(t <= 1.0 + e, lin, np.where(t >= 1.0 + 3.0 * e, 1.0, blend))
         return out if out.ndim else float(out)
@@ -126,7 +131,7 @@ class CutoffG:
         smax = 1.0 / (1.0 + 2.0 * e)
         u = (t - 1.0 - e) / (2.0 * e)
         out = np.where(
-            t <= 1.0 + e, smax, np.where(t >= 1.0 + 3.0 * e, 0.0, smax * (1.0 - _smoothstep(u)))
+            t <= 1.0 + e, smax, np.where(t >= 1.0 + 3.0 * e, 0.0, smax * (1.0 - smoothstep(u)))
         )
         return out if out.ndim else float(out)
 
@@ -180,18 +185,6 @@ def liouville_form(p: HandlePoint, params: HandleParams) -> np.ndarray:
     out[k : 2 * k] = 1.5 * xk     # coefficient of dy_i, i <= k
     rest = np.stack([-0.5 * yr, 0.5 * xr], axis=1).reshape(-1)
     out[2 * k :] = rest
-    return out
-
-
-def phi_gradient(p: HandlePoint, params: HandleParams) -> np.ndarray:
-    """Euclidean gradient of phi; coincides with the Liouville field."""
-    c = p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float)
-    xk, yk, xr, yr = _split(c, params)
-    k = params.k
-    out = np.empty_like(c)
-    out[:k] = 1.5 * xk
-    out[k : 2 * k] = -0.5 * yk
-    out[2 * k :] = np.stack([0.5 * xr, 0.5 * yr], axis=1).reshape(-1)
     return out
 
 

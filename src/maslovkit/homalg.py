@@ -10,7 +10,7 @@ well-definedness of action-window subquotients).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -225,20 +225,11 @@ class FilteredZ2Complex:
         return c
 
 
-def validate_complex(c: FilteredZ2Complex) -> ValidationReport:
-    return c.validate()
-
-
 def homology(c: FilteredZ2Complex) -> Dict[int, int]:
     rep = c.validate()
     if not rep.ok:
-        raise DimensionMismatchError("complex fails validation; run validate_complex")
+        raise DimensionMismatchError("complex fails validation; see FilteredZ2Complex.validate")
     return c.homology()
-
-
-def filtration_subquotient(c: FilteredZ2Complex, a: float, b: float = np.inf
-                           ) -> FilteredZ2Complex:
-    return c.subquotient(a, b)
 
 
 # ---------------------------------------------------------------------------

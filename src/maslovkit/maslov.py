@@ -43,7 +43,6 @@ from .errors import (
 )
 from .halfint import HalfInt
 from .symplin import (
-    RANK_TOL,
     LagrangianPath,
     complex_structure,
     intersection_basis,

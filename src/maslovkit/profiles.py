@@ -25,7 +25,7 @@ a_n/C in the stored coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,16 +36,7 @@ from .errors import (
     ProfileConstraintError,
     SpectrumSearchError,
 )
-
-
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-def _smoothstep_integral(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u**4 * (2.5 + u * (-3.0 + u))
+from .handle import smoothstep, smoothstep_integral
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,7 @@ class RadialProfile:
                     )
             else:
                 u = (rr - (kn - w)) / (2 * w)
-                out = np.where(rr > kn - w, s0 + (s1 - s0) * _smoothstep(u), out)
+                out = np.where(rr > kn - w, s0 + (s1 - s0) * smoothstep(u), out)
                 out = np.where(rr >= kn + w, s1, out)
         return float(out[0]) if scalar else out
 
@@ -155,7 +146,7 @@ class RadialProfile:
                 out = out + np.where(rr > kn, ds * (rr - kn), 0.0)
             else:
                 u = np.clip((rr - (kn - w)) / (2 * w), 0.0, 1.0)
-                out = out + ds * 2 * w * _smoothstep_integral(u)
+                out = out + ds * 2 * w * smoothstep_integral(u)
                 out = out + np.where(rr > kn + w, ds * (rr - kn - w), 0.0)
         return out if np.asarray(r).ndim else float(out[0])
 
@@ -180,17 +171,6 @@ class RadialProfile:
     @property
     def segments(self) -> List[dict]:
         out = []
-        edges = [-math.inf]
-        kinds = []
-        for i, (kn, w) in enumerate(zip(self.knots, self.blend_widths)):
-            if w == 0.0:
-                edges.append(float(kn))
-            else:
-                edges.extend([float(kn - w), float(kn + w)])
-                kinds.append(i)
-        edges.append(math.inf)
-        i_seg = 0
-        pos = 0
         for i, (kn, w) in enumerate(zip(self.knots, self.blend_widths)):
             s = self.slopes[i]
             out.append(
@@ -673,18 +653,18 @@ class InterpolationBeta:
         """Integral of the window from 0 to v (window height = plateau)."""
         a, L, g = self.ramp, self.flat, self.plateau
         v = np.asarray(v, dtype=float)
-        up = g * a * _smoothstep_integral(np.clip(v / a, 0, 1))
+        up = g * a * smoothstep_integral(np.clip(v / a, 0, 1))
         mid = g * np.clip(v - a, 0, L)
         u2 = np.clip((v - a - L) / a, 0, 1)
-        down = g * a * (u2 - _smoothstep_integral(u2))
+        down = g * a * (u2 - smoothstep_integral(u2))
         return up + mid + down
 
     def _window(self, v):
         a, L, g = self.ramp, self.flat, self.plateau
         v = np.asarray(v, dtype=float)
         out = np.where(
-            v <= a, g * _smoothstep(v / a),
-            np.where(v <= a + L, g, g * (1.0 - _smoothstep((v - a - L) / a))),
+            v <= a, g * smoothstep(v / a),
+            np.where(v <= a + L, g, g * (1.0 - smoothstep((v - a - L) / a))),
         )
         return np.where((v < 0) | (v > 2 * a + L), 0.0, out)
 

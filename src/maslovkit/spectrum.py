@@ -35,6 +35,7 @@ from .errors import (
     NotAChordLevelError,
 )
 from .halfint import HalfInt
+from .handle import inner_z_slope
 
 CHORD_LEVEL_TOL = 1e-9
 BISECT_TOL = 1e-13
@@ -67,7 +68,7 @@ class CoefficientProfile:
                            ) -> "CoefficientProfile":
         """Default linear interpolation from the inner z-slope to its 1/eps
         multiple, the range the radial extension sweeps on {x=y=0}."""
-        c_lo = 1.0 + (1.0 + epsilon) / (delta * (1.0 + 2.0 * epsilon))
+        c_lo = inner_z_slope(epsilon, delta)
         c_hi = c_lo / epsilon
         zm = delta if z_max is None else z_max
         return CoefficientProfile.of(cx, cy, [[0.0, c_lo], [zm, c_hi]])

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import IrregularCrossingError
 from .halfint import HalfInt
 from .handle import (
+    GridSpec,
     HandleParams,
     HandlePoint,
     ambient_omega,
@@ -26,9 +27,8 @@ from .handle import (
     liouville_field,
     liouville_flow,
     liouville_form,
-    phi_gradient,
+    lyapunov_derivative,
     potentials,
-    quadratic_model_path,
     transversality_certificate,
 )
 from .homalg import (
@@ -37,18 +37,16 @@ from .homalg import (
     check_square,
     ChainMap,
     direct_limit,
-    gf2_rank,
     identity_system,
     model_flow_system,
     zero_map_system,
 )
-from .maslov import chord_maslov, det2_winding, rs_index
+from .maslov import det2_winding, rs_index
 from .profiles import (
     SpectrumSet,
     TransferSchedule,
     build_beta,
     build_transfer_family,
-    radial_action,
     verify_action_signs,
     verify_monotone,
 )
@@ -225,21 +223,13 @@ def loop_consistency_suite(seed: int = 0, cases: int = 50) -> SuiteResult:
     return _run_cases("maslov.loop_consistency", cases, case, seed)
 
 
-def maslov_axiom_suites(seed: int = 0, cases: int = 100,
-                        loop_cases: int = 50) -> List[SuiteResult]:
-    return [
-        naturality_suite(seed, cases),
-        concatenation_suite(seed + 1, cases),
-        product_suite(seed + 2, cases),
-        localization_suite(seed + 3, cases),
-        reparametrization_suite(seed + 4, cases),
-        loop_consistency_suite(seed + 5, loop_cases),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Handle identities
 # ---------------------------------------------------------------------------
+
+
+GRAD_STEP = 1e-5
+GRAD_TOL = 1e-8  # relative to max(1, |c|_inf); rounding reaches about 1.1e-10
 
 
 def handle_identity_suite(seed: int = 0, points: int = 1000) -> SuiteResult:
@@ -253,7 +243,14 @@ def handle_identity_suite(seed: int = 0, points: int = 1000) -> SuiteResult:
         x_field = liouville_field(c, params)
         if np.max(np.abs(x_field @ omega - liouville_form(c, params))) > 1e-9:
             failures.append(f"point {i}: i_X omega != lambda")
-        if np.max(np.abs(x_field - phi_gradient(c, params))) > 1e-12:
+        # X = grad phi, against central differences of phi from `potentials`;
+        # phi is quadratic, so they have no truncation error, only rounding
+        grad_phi = np.array([
+            potentials(HandlePoint(c + e), params)["phi"]
+            - potentials(HandlePoint(c - e), params)["phi"]
+            for e in GRAD_STEP * np.eye(2 * params.n)
+        ]) / (2 * GRAD_STEP)
+        if np.max(np.abs(x_field - grad_phi)) > GRAD_TOL * max(1.0, float(np.max(np.abs(c)))):
             failures.append(f"point {i}: X != grad phi")
         # flow pullback: lambda(dPhi v) at Phi(p) equals e^t lambda(v), with the
         # pushforward taken by central finite differences
@@ -286,8 +283,6 @@ def handle_identity_suite(seed: int = 0, points: int = 1000) -> SuiteResult:
         grad_l[:k] = c[k: 2 * k]
         grad_l[k: 2 * k] = c[:k]
         oracle = float(grad_l @ xh)
-        from .handle import lyapunov_derivative
-
         if abs(oracle - lyapunov_derivative(c, coeffs, params)) > 1e-12 * max(1.0, abs(oracle)):
             failures.append(f"point {i}: lyapunov derivative mismatch")
     return SuiteResult("handle.identities", points, failures, time.perf_counter() - t0)
@@ -301,8 +296,6 @@ def handle_certification_suite(resolution: int = 50) -> SuiteResult:
         for delta in (0.05, 0.01):
             cases += 1
             params = HandleParams(n=2, k=1, epsilon=eps, delta=delta)
-            from .handle import GridSpec
-
             cert = transversality_certificate(params, GridSpec(resolution=resolution))
             if not cert.passed or cert.min_value <= 0:
                 failures.append(
@@ -566,13 +559,49 @@ def homalg_suite(seed: int = 0, mutations: int = 50) -> SuiteResult:
     return SuiteResult("homalg.checks", mutations, failures, time.perf_counter() - t0)
 
 
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+
+def _same(cases: int) -> int:
+    return cases
+
+
+# name -> (suite, seed offset, case count from the requested count); a suite
+# with offset None takes no seed, one with count None takes no case count
+SUITES = {
+    "maslov.naturality": (naturality_suite, 0, _same),
+    "maslov.concatenation": (concatenation_suite, 1, _same),
+    "maslov.product": (product_suite, 2, _same),
+    "maslov.localization": (localization_suite, 3, _same),
+    "maslov.reparametrization": (reparametrization_suite, 4, _same),
+    "maslov.loop_consistency": (loop_consistency_suite, 5, lambda c: max(50, c // 2)),
+    "handle.identities": (handle_identity_suite, 10, None),
+    "handle.certification": (handle_certification_suite, None, None),
+    "handle.radial_slope": (slope_identity_suite, None, None),
+    "profiles.transfer_ledger": (profile_ledger_suite, None, None),
+    "profiles.beta_envelope": (beta_envelope_suite, None, None),
+    "spectrum.agreement": (spectrum_agreement_suite, None, None),
+    "homalg.checks": (homalg_suite, 20, None),
+}
+
+
+def suite_args(name: str, seed: int, cases: int) -> tuple:
+    """The named suite's arguments: its seed, then its case count, each where
+    the suite takes one."""
+    _, offset, count = SUITES[name]
+    args = () if offset is None else (seed + offset,)
+    return args if count is None else args + (count(cases),)
+
+
+def run_suite(name: str, seed: int = 0, cases: int = 100) -> SuiteResult:
+    return SUITES[name][0](*suite_args(name, seed, cases))
+
+
+def maslov_axiom_suites(seed: int = 0, cases: int = 100) -> List[SuiteResult]:
+    return [run_suite(name, seed, cases) for name in SUITES if name.startswith("maslov.")]
+
+
 def all_suites(seed: int = 0, cases: int = 100) -> List[SuiteResult]:
-    out = maslov_axiom_suites(seed, cases=cases, loop_cases=max(50, cases // 2))
-    out.append(handle_identity_suite(seed + 10))
-    out.append(handle_certification_suite())
-    out.append(slope_identity_suite())
-    out.append(profile_ledger_suite())
-    out.append(beta_envelope_suite())
-    out.append(spectrum_agreement_suite())
-    out.append(homalg_suite(seed + 20))
-    return out
+    return [run_suite(name, seed, cases) for name in SUITES]

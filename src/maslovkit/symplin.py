@@ -16,7 +16,7 @@ normalized columns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -265,52 +265,49 @@ def symplectic_gram_schmidt(l0: LagrangianFrame, l1: LagrangianFrame) -> Symplec
 class LagrangianPath:
     """A path of Lagrangian frames on a closed interval.
 
-    Concrete paths are `GeneratorPath` (a quadratic-Hamiltonian flow applied
-    to an initial frame), `SampledPath` (a dense table with linear frame
-    interpolation), or `FunctionPath` (an arbitrary closed form; not
-    serializable).
+    `frames` is the one evaluation primitive: every concrete path evaluates a
+    whole array of times in it, and `frame_array`, `frame`, `endpoint_frames`
+    and `validate` are derived from it.  Concrete paths are `GeneratorPath` (a
+    quadratic-Hamiltonian flow applied to an initial frame), `SampledPath` (a
+    dense table with linear frame interpolation), `ConstantPath`, or
+    `FunctionPath` (an arbitrary closed form; not serializable).
     """
 
     n: int
     domain: tuple
     sample_resolution: int
 
-    def frame_array(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def frames(self, ts: np.ndarray) -> np.ndarray:
+    def frames(self, ts) -> np.ndarray:
         """Frames at any 1-D array of times in the domain, shape (len(ts), 2n, n).
 
-        Every concrete path evaluates all of ``ts`` in one batch, except a
-        `FunctionPath` built without ``frames_fn``, which falls back to one
-        `frame_array` call per t.  The crossing engine passes at most
-        ``scan + 1`` times per call.
+        The crossing engine passes at most ``scan + 1`` times per call.
         """
-        return np.stack([self.frame_array(float(t)) for t in np.asarray(ts)])
+        raise NotImplementedError
+
+    def frame_array(self, t: float) -> np.ndarray:
+        """The frame at one time: a batch of one."""
+        return self.frames([t])[0]
 
     def frame(self, t: float) -> LagrangianFrame:
         return LagrangianFrame.from_columns(self.frame_array(t), validate=False)
 
     def endpoint_frames(self):
-        t0, t1 = self.domain
-        return self.frame(t0), self.frame(t1)
+        f0, f1 = self.frames(self.domain)
+        return (LagrangianFrame.from_columns(f0, validate=False),
+                LagrangianFrame.from_columns(f1, validate=False))
 
     def restricted(self, t0: float, t1: float) -> "LagrangianPath":
         lo, hi = self.domain
         if not (lo - 1e-12 <= t0 < t1 <= hi + 1e-12):
             raise DimensionMismatchError(f"[{t0}, {t1}] is not inside {self.domain}")
-        return FunctionPath(
-            self.n, self.frame_array, (t0, t1), self.sample_resolution,
-            frames_fn=self.frames,
-        )
+        return _DerivedPath(self.n, self.frames, (t0, t1), self.sample_resolution)
 
     def reparametrized(self, tau: Callable[[float], float],
                        domain: tuple = (0.0, 1.0)) -> "LagrangianPath":
         """Precompose with a monotone time change ``tau``."""
-        return FunctionPath(
-            self.n, lambda t: self.frame_array(tau(t)), domain,
+        return _DerivedPath(
+            self.n, lambda ts: self.frames([tau(float(t)) for t in ts]), domain,
             self.sample_resolution,
-            frames_fn=lambda ts: self.frames([tau(float(t)) for t in ts]),
         )
 
     def transformed(self, mat_path) -> "LagrangianPath":
@@ -321,51 +318,57 @@ class LagrangianPath:
         frames evaluated in one call.
         """
         if isinstance(mat_path, GeneratorPath):
-            mat, mats = mat_path.matrix, mat_path.matrices
+            mats = mat_path.matrices
         else:
-            mat = mat_path
             mats = lambda ts: np.stack(
                 [np.asarray(mat_path(float(t)), dtype=float) for t in ts])
-        return FunctionPath(
-            self.n,
-            lambda t: mat(t) @ self.frame_array(t),
-            self.domain,
-            self.sample_resolution,
-            frames_fn=lambda ts: mats(ts) @ self.frames(ts),
-        )
+        return _DerivedPath(self.n, lambda ts: mats(ts) @ self.frames(ts),
+                            self.domain, self.sample_resolution)
 
     def validate(self, samples: int = 7) -> None:
         t0, t1 = self.domain
-        for t in np.linspace(t0, t1, samples):
-            self.frame(float(t)).validate()
+        for f in self.frames(np.linspace(t0, t1, samples)):
+            LagrangianFrame.from_columns(f, validate=False).validate()
 
     def to_json(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} is not serializable")
 
 
-class FunctionPath(LagrangianPath):
-    """A path given by an arbitrary frame-valued callable (in-memory only)."""
+class _DerivedPath(LagrangianPath):
+    """A path built from other paths by a batched map ``ts -> frames``."""
 
-    def __init__(self, n, fn, domain=(0.0, 1.0), sample_resolution=512,
-                 frames_fn=None):
+    def __init__(self, n, frames_of, domain, sample_resolution):
         self.n = n
-        self._fn = fn
-        self._frames_fn = frames_fn
+        self._frames_of = frames_of
         self.domain = (float(domain[0]), float(domain[1]))
         self.sample_resolution = sample_resolution
 
-    def frame_array(self, t: float) -> np.ndarray:
-        return np.asarray(self._fn(t), dtype=float)
+    def frames(self, ts):
+        return self._frames_of(np.asarray(ts, dtype=float))
+
+
+class FunctionPath(LagrangianPath):
+    """A path given by a scalar frame-valued callable ``t -> (2n, n)`` array.
+
+    In-memory only.  The callable takes one time, so `frames` calls it once
+    per t: this is the one path type that is not evaluated in a batch.
+    """
+
+    def __init__(self, n, fn, domain=(0.0, 1.0), sample_resolution=512):
+        self.n = n
+        self._fn = fn
+        self.domain = (float(domain[0]), float(domain[1]))
+        self.sample_resolution = sample_resolution
 
     def frames(self, ts):
-        if self._frames_fn is not None:
-            return np.asarray(self._frames_fn(np.asarray(ts)), dtype=float)
-        return super().frames(ts)
+        return np.stack([np.asarray(self._fn(float(t)), dtype=float) for t in ts])
 
 
-class ConstantPath(FunctionPath):
+class ConstantPath(LagrangianPath):
     def __init__(self, frame: LagrangianFrame, domain=(0.0, 1.0)):
-        super().__init__(frame.n, lambda t: frame.columns, domain)
+        self.n = frame.n
+        self.domain = (float(domain[0]), float(domain[1]))
+        self.sample_resolution = 512
         self.base_frame = frame
 
     def frames(self, ts):
@@ -458,43 +461,39 @@ class GeneratorPath(LagrangianPath):
 
     def matrix(self, t: float) -> np.ndarray:
         """The fundamental solution Psi(t)."""
-        t0, t1 = self.domain
-        t = min(max(t, t0), t1)
-        i = int(np.searchsorted(self._ts, t, side="right")) - 1
-        i = min(max(i, 0), self._grid_n)
-        dt = t - self._ts[i]
-        if abs(dt) < 1e-15:
-            return self._psis[i]
-        if self._s_const is not None:
-            return self._advance(dt) @ self._psis[i]
-        sub = max(1, int(np.ceil(abs(dt) * self._grid_n / (t1 - t0) * 4)))
-        psi, tt = self._psis[i], self._ts[i]
-        h = dt / sub
-        for _ in range(sub):
-            psi = self._rk4(psi, tt, h)
-            tt += h
-        return psi
+        return self.matrices([t])[0]
 
     def matrices(self, ts) -> np.ndarray:
-        """Fundamental solutions at many times, shape (T, 2n, 2n)."""
-        ts = np.clip(np.asarray(ts, dtype=float), self.domain[0], self.domain[1])
+        """Fundamental solutions at many times, shape (T, 2n, 2n).
+
+        Each time is advanced from the grid node at or below it; grid nodes
+        themselves are returned exactly.
+        """
+        t0, t1 = self.domain
+        ts = np.clip(np.asarray(ts, dtype=float), t0, t1)
         idx = np.clip(np.searchsorted(self._ts, ts, side="right") - 1, 0, self._grid_n)
         dts = ts - self._ts[idx]
         out = self._psis[idx]
-        off = np.abs(dts) >= 1e-15  # grid nodes are returned exactly, as by `matrix`
+        off = np.nonzero(np.abs(dts) >= 1e-15)[0]
         if self._eig is not None:
             lam, v, vinv = self._eig
             steps = ((v * np.exp(np.outer(dts[off], lam))[:, None, :]) @ vinv).real
             out[off] = steps @ out[off]
-            return out
-        for i in np.nonzero(off)[0]:
-            out[i] = self.matrix(float(ts[i]))
+        elif self._s_const is not None:
+            for i in off:
+                out[i] = self._advance(dts[i]) @ out[i]
+        else:
+            # callable S: RK4 sub-steps of at most a quarter grid cell
+            for i in off:
+                dt, tt = dts[i], self._ts[idx[i]]
+                sub = max(1, int(np.ceil(abs(dt) * self._grid_n / (t1 - t0) * 4)))
+                h = dt / sub
+                for _ in range(sub):
+                    out[i] = self._rk4(out[i], tt, h)
+                    tt += h
         return out
 
     # -- path interface --------------------------------------------------------
-
-    def frame_array(self, t: float) -> np.ndarray:
-        return self.matrix(t) @ self._f0
 
     def frames(self, ts):
         return self.matrices(np.asarray(ts)) @ self._f0
@@ -531,14 +530,6 @@ class SampledPath(LagrangianPath):
         self._frames = frames
         self.domain = (float(times[0]), float(times[-1]))
         self.sample_resolution = sample_resolution or len(times)
-
-    def frame_array(self, t: float) -> np.ndarray:
-        ts = self._times
-        t = min(max(t, ts[0]), ts[-1])
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(ts) - 2)
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return (1 - w) * self._frames[i] + w * self._frames[i + 1]
 
     def frames(self, ts):
         times = self._times
@@ -619,15 +610,14 @@ def direct_sum_frames(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return out
 
 
-def direct_sum_paths(p1: LagrangianPath, p2: LagrangianPath) -> FunctionPath:
+def direct_sum_paths(p1: LagrangianPath, p2: LagrangianPath) -> LagrangianPath:
     if p1.domain != p2.domain:
         raise DimensionMismatchError("paths must share their domain")
-    return FunctionPath(
+    return _DerivedPath(
         p1.n + p2.n,
-        lambda t: direct_sum_frames(p1.frame_array(t), p2.frame_array(t)),
+        lambda ts: direct_sum_frames(p1.frames(ts), p2.frames(ts)),
         p1.domain,
         max(p1.sample_resolution, p2.sample_resolution),
-        frames_fn=lambda ts: direct_sum_frames(p1.frames(ts), p2.frames(ts)),
     )
 
 

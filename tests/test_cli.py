@@ -1,9 +1,12 @@
-"""Exit-code contract of the command-line front end: 0/1/2, no traceback."""
+"""The command-line front end: its exit-code contract (0/1/2, no traceback),
+its parser, and the suite registry that ``verify-all`` runs."""
 
 import json
 import math
 
 from maslovkit import cli
+from maslovkit.cli import build_parser
+from maslovkit.suites import SUITES, suite_args
 
 
 def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
@@ -18,3 +21,39 @@ def test_handle_index_with_angle(capsys):
     argv = ["handle-index", "--n", "3", "--k", "1", "--aCz", repr(4 * math.pi)]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["halves"] == 9
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        argv = ["handle-index", "--aCz", repr(4 * math.pi)]
+        assert cli.main(argv) == 0
+        # the second call must not see the first call's angle
+        assert cli.main(["handle-index"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().err.startswith("error: handle-index needs")
+
+
+def test_suite_registry_seeds_and_counts():
+    s, c = 7, 30
+    want = {
+        "maslov.naturality": (s, c),
+        "maslov.concatenation": (s + 1, c),
+        "maslov.product": (s + 2, c),
+        "maslov.localization": (s + 3, c),
+        "maslov.reparametrization": (s + 4, c),
+        "maslov.loop_consistency": (s + 5, 50),
+        "handle.identities": (s + 10,),
+        "handle.certification": (),
+        "handle.radial_slope": (),
+        "profiles.transfer_ledger": (),
+        "profiles.beta_envelope": (),
+        "spectrum.agreement": (),
+        "homalg.checks": (s + 20,),
+    }
+    assert {name: suite_args(name, s, c) for name in SUITES} == want
+    assert suite_args("maslov.loop_consistency", s, 300) == (s + 5, 150)

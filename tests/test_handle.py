@@ -13,11 +13,8 @@ from maslovkit.handle import (
     hamiltonian_fields,
     liouville_field,
     liouville_flow,
-    liouville_form,
     lyapunov_derivative,
-    phi_gradient,
     potentials,
-    potentials_xyz,
     quadratic_model_flow,
     transversality_certificate,
 )

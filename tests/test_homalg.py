@@ -12,14 +12,12 @@ from maslovkit.homalg import (
     Generator,
     check_square,
     direct_limit,
-    filtration_subquotient,
     gf2_eventual_rank,
     gf2_matmul,
     gf2_rank,
     homology,
     identity_system,
     model_flow_system,
-    validate_complex,
     zero_map_system,
 )
 from maslovkit.suites import homalg_suite, mutate_complex, random_filtered_complex
@@ -56,17 +54,17 @@ class TestGf2:
 class TestValidation:
     def test_zero_differential_passes(self):
         gens = [Generator("a", 0, 0.0), Generator("b", 1, 1.0)]
-        assert validate_complex(FilteredZ2Complex(gens, [])).ok
+        assert FilteredZ2Complex(gens, []).validate().ok
 
     def test_textbook_non_complex(self):
         gens = [Generator("a", 0, 0.0), Generator("b", 1, 1.0), Generator("c", 2, 2.0)]
-        rep = validate_complex(FilteredZ2Complex(gens, [("a", "b"), ("b", "c")]))
+        rep = FilteredZ2Complex(gens, [("a", "b"), ("b", "c")]).validate()
         assert not rep.ok
         assert rep.d2_violations == [("a", "c")]
 
     def test_action_violation_named(self):
         gens = [Generator("x", 1, 1.0), Generator("y", 0, 2.0)]
-        rep = validate_complex(FilteredZ2Complex(gens, [("y", "x")]))
+        rep = FilteredZ2Complex(gens, [("y", "x")]).validate()
         assert not rep.ok
         assert rep.action_violations == [("y", "x")]
         assert rep.degree_violations == []
@@ -109,13 +107,13 @@ class TestSubquotient:
     def test_full_window_is_identity(self):
         rng = np.random.default_rng(31)
         c = random_filtered_complex(rng)
-        sub = filtration_subquotient(c, -np.inf)
+        sub = c.subquotient(-np.inf)
         assert np.all(sub.d == c.d)
 
     def test_empty_window(self):
         rng = np.random.default_rng(32)
         c = random_filtered_complex(rng)
-        assert len(filtration_subquotient(c, 1e9).generators) == 0
+        assert len(c.subquotient(1e9).generators) == 0
 
     def test_positive_action_window_isolates_inside_generators(self):
         # transfer-shaped toy data: inside chords carry positive action,
@@ -130,7 +128,7 @@ class TestSubquotient:
             [("in0", "in1"), ("out0", "out1"), ("out0", "in1")],
         )
         assert c.validate().ok
-        pos = filtration_subquotient(c, 0.0)
+        pos = c.subquotient(0.0)
         assert sorted(g.id for g in pos.generators) == ["in0", "in1"]
         assert pos.validate().ok
         assert homology(pos) == {}

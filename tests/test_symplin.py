@@ -11,7 +11,6 @@ from maslovkit.errors import (
     NonTransverseError,
 )
 from maslovkit.symplin import (
-    ConstantPath,
     GeneratorPath,
     LagrangianFrame,
     SampledPath,
@@ -234,29 +233,51 @@ def _random_generator_path(n, rng, scale=1.0):
 
 
 class TestBatchedFrames:
-    """``frames(ts)`` agrees with the scalar reference ``frame_array`` per t."""
+    """``frames(ts)``, the one evaluation primitive, on each path type.
+
+    A batch of many times must agree with batches of one (`frame_array`), so
+    that no member of a batch changes another's value; and each path type must
+    agree with a route that does not run its code (the matrix exponential,
+    the stored samples).
+    """
 
     TS = np.array([0.0, 1e-9, 0.1234567, 0.5, 0.77777, 1.0 - 1e-9, 1.0])
 
     @staticmethod
-    def assert_close(batched, scalar):
+    def assert_close(batched, scalar, rtol=1e-12):
         assert batched.shape == scalar.shape
         scale = np.max(np.abs(scalar))
-        assert np.allclose(batched, scalar, rtol=1e-12, atol=1e-12 * scale)
+        assert np.allclose(batched, scalar, rtol=rtol, atol=rtol * scale)
 
     def assert_batched(self, path, ts=TS):
         scalar = np.stack([path.frame_array(float(t)) for t in ts])
         self.assert_close(path.frames(ts), scalar)
 
+    @staticmethod
+    def expm_frames(s, frame0, ts):
+        j = complex_structure(len(s) // 2)
+        return np.stack([expm(j @ s * t) @ frame0 for t in ts])
+
     def test_sampled(self):
         grid = np.linspace(0.0, 1.0, 37)
         base = rotation_path(2, [np.pi, -2.0])
-        self.assert_batched(SampledPath(grid, base.frames(grid)))
+        stored = base.frames(grid)
+        sp = SampledPath(grid, stored)
+        self.assert_batched(sp)
+        # the stored samples come back exactly at the nodes, in any batch
+        assert np.array_equal(sp.frames(grid), stored)
+        assert np.array_equal(sp.frames(grid[::-7]), stored[::-7])
 
     def test_direct_sum(self):
         rng = np.random.default_rng(3)
-        self.assert_batched(direct_sum_paths(
-            _random_generator_path(1, rng), _random_generator_path(2, rng)))
+        gens = []
+        for n in (1, 2):
+            a = rng.normal(size=(2 * n, 2 * n))
+            gens.append(((a + a.T) / 2, random_lagrangian_frame(n, rng)))
+        path = direct_sum_paths(*(GeneratorPath(s, f) for s, f in gens))
+        self.assert_batched(path)
+        parts = [self.expm_frames(s, f.columns, self.TS) for s, f in gens]
+        self.assert_close(path.frames(self.TS), direct_sum_frames(*parts), rtol=1e-11)
 
     def test_transformed(self):
         rng = np.random.default_rng(4)
@@ -271,28 +292,53 @@ class TestBatchedFrames:
         self.assert_batched(base.restricted(0.25, 0.75), 0.25 + 0.5 * self.TS)
 
     def test_generator_matrices(self):
+        # one path per way `matrices` leaves a grid node: diagonalized constant
+        # S, constant S with a defective J S (matrix exponential), callable S (RK4)
         rng = np.random.default_rng(6)
-        for n in (1, 2, 4):
-            p = _random_generator_path(n, rng, scale=2.0)
+        paths = [_random_generator_path(n, rng, scale=2.0) for n in (1, 2, 4)]
+        paths.append(GeneratorPath(np.diag([0.0, 1.0]), LagrangianFrame.horizontal(1)))
+        a = rng.normal(size=(4, 4))
+        paths.append(GeneratorPath(lambda t, s=(a + a.T) / 2: (1 + t) * s,
+                                   LagrangianFrame.horizontal(2), grid=256))
+        for p in paths:
             scalar = np.stack([p.matrix(float(t)) for t in self.TS])
             batched = p.matrices(self.TS)
             self.assert_close(batched, scalar)
-            # grid nodes (0, 1/2, 1) come back exactly, whatever else is in the batch
+            # grid nodes (0, 1/2, 1) come back exactly, whatever else is in the
+            # batch: Psi(t0) is the identity itself
             nodes = np.isin(self.TS, (0.0, 0.5, 1.0))
             assert np.array_equal(batched[nodes], scalar[nodes])
+            assert np.array_equal(batched[0], np.eye(2 * p.n))
 
     def test_generator_grid_matches_expm(self):
-        # the constant-S grid is built by doubling, Psi(t_{m+j}) = Psi(t_m) Psi(t_j)
+        # grid nodes (the grid is built by doubling, Psi(t_{m+j}) = Psi(t_m) Psi(t_j))
+        # and off-grid times, against expm(J S t) and expm(J S t) F0
         rng = np.random.default_rng(7)
+        ts = np.concatenate([np.array([1, 7, 1000, 2047, 2048]) / 2048.0, self.TS])
         for n in (1, 2, 4, 6):
             a = rng.normal(size=(2 * n, 2 * n))
             s = (a + a.T) / 2
-            p = GeneratorPath(s, LagrangianFrame.horizontal(n))
-            nodes = np.array([1, 7, 1000, 2047, 2048])
-            ts = nodes / 2048.0
-            for t, m in zip(ts, p.matrices(ts)):
-                exact = expm(complex_structure(n) @ s * t)
+            frame0 = random_lagrangian_frame(n, rng)
+            p = GeneratorPath(s, frame0)
+            eye = np.eye(2 * n)
+            for m, exact in zip(p.matrices(ts), self.expm_frames(s, eye, ts)):
                 assert np.linalg.norm(m - exact) <= 1e-11 * np.linalg.norm(exact)
+            for f, exact in zip(p.frames(ts), self.expm_frames(s, frame0.columns, ts)):
+                assert np.linalg.norm(f - exact) <= 1e-11 * np.linalg.norm(exact)
+
+    def test_defective_and_callable_generators_match_expm(self):
+        ts = self.TS
+        shear = GeneratorPath(np.diag([0.0, 1.0]), LagrangianFrame.horizontal(1))
+        # J S is nilpotent here, so expm(J S t) = I + J S t
+        exact = np.eye(2) + complex_structure(1) @ np.diag([0.0, 1.0]) * ts[:, None, None]
+        self.assert_close(shear.matrices(ts), exact)
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(4, 4))
+        s = (a + a.T) / 2
+        # S(t) = (1 + t) S0 commutes with itself, so Psi(t) = expm(J S0 (t + t^2/2))
+        rk4 = GeneratorPath(lambda t: (1 + t) * s, LagrangianFrame.horizontal(2))
+        exact = self.expm_frames(s, np.eye(4), ts + ts * ts / 2)
+        self.assert_close(rk4.matrices(ts), exact, rtol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

@@ -304,9 +304,14 @@ def transversality_certificate(
 ) -> TransversalityCertificate:
     """Certify d(psi_delta)(X) > 0 on the deformed level set {psi_delta = -1}.
 
-    The level set is a graph y = Y(x, z) over the potential quadrant (psi is
-    strictly decreasing in y), so each (x, z) grid column is solved for y by
-    bisection; the directional derivative
+    psi is strictly decreasing in y (d psi/dy = -1 + (1+eps) g' < 0, since
+    g' <= 1/(1+2eps)), so the level set is a graph y = Y(x, z) over the
+    potential quadrant, and along each (x, z) grid column the rows with
+    psi + 1 <= 0 form a tail.  A column crosses the level set iff its first
+    row is positive and its last is not; bisection over row indices finds its
+    first non-positive grid row in ceil(log2(res - 1)) evaluations, and
+    bisection in y within that grid cell solves for the surface point.  The
+    directional derivative
 
         d(psi_delta)(X) = (1 + (1+eps) g'/delta) 3x
                           - (-1 + (1+eps) g') y
@@ -331,24 +336,24 @@ def transversality_certificate(
     def psi_plus_one(y, x=xg, z=zg):
         return potentials_xyz(x, y, z, params) + 1.0
 
-    # bracket the root in y along each column (psi is strictly decreasing in y)
-    vals = np.stack([psi_plus_one(np.full_like(xg, y)) for y in ys])  # (res, cols)
-    sign = np.sign(vals)
-    has_root = np.any(sign <= 0, axis=0) & np.any(sign >= 0, axis=0)
-    first_neg = np.argmax(sign <= 0, axis=0)
-
-    cols = np.nonzero(has_root & (first_neg > 0))[0]
+    cols = np.nonzero((psi_plus_one(ys[:1]) > 0) & (psi_plus_one(ys[-1:]) <= 0))[0]
     if cols.size == 0:
         raise MaslovkitError(
             "empty grid intersection: no column of the box crosses the level set"
         )
-    lo = ys[first_neg[cols] - 1]
-    hi = ys[first_neg[cols]]
     x_c, z_c = xg[cols], zg[cols]
+    # invariant: psi + 1 > 0 at row i_lo and <= 0 at row i_hi
+    i_lo = np.zeros(cols.size, dtype=int)
+    i_hi = np.full(cols.size, res - 1)
+    while np.any(i_hi - i_lo > 1):
+        i_mid = (i_lo + i_hi) // 2
+        neg = psi_plus_one(ys[i_mid], x_c, z_c) <= 0
+        i_hi = np.where(neg, i_mid, i_hi)
+        i_lo = np.where(neg, i_lo, i_mid)
+    lo, hi = ys[i_lo], ys[i_hi]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        v = potentials_xyz(x_c, mid, z_c, params) + 1.0
-        neg = v <= 0
+        neg = psi_plus_one(mid, x_c, z_c) <= 0
         hi = np.where(neg, mid, hi)
         lo = np.where(neg, lo, mid)
     y_c = 0.5 * (lo + hi)

@@ -217,10 +217,12 @@ class RadialProfile:
         )
 
 
-def radial_action(h: RadialProfile, r: float, side: Optional[str] = None) -> float:
-    """r h'(r) - h(r); at a kink a side must be selected explicitly."""
-    s = h.slope(r, side=side)
-    return float(r * s - h.value(r))
+def radial_action(h: RadialProfile, r, side: Optional[str] = None):
+    """r h'(r) - h(r), for one radius or an array of them; at a kink a side
+    must be selected explicitly."""
+    r = np.asarray(r, dtype=float)
+    out = r * h.slope(r, side=side) - h.value(r)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,33 +456,28 @@ class ActionSignReport:
 def _blend_chord_radii(h: RadialProfile, knot_idx: int, spectrum_w, C,
                        slope_cap=None, samples=100):
     """Radii inside blend `knot_idx` whose inner slope C*h' is a chord period,
-    plus dense samples restricted to the band of slopes the spectrum reaches."""
+    plus dense samples restricted to the band of slopes the spectrum reaches.
+    The periods are bisected together, one `slope` call per step."""
     kn = h.knots[knot_idx]
     w = h.blend_widths[knot_idx]
     rs = np.linspace(kn - w, kn + w, samples + 2)[1:-1]
-    slopes_w = C * np.asarray([h.slope(float(r)) for r in rs])
+    slopes_w = C * h.slope(rs)
     cap = slope_cap if slope_cap is not None else np.inf
-    band = rs[slopes_w <= cap + 1e-12]
-    radii = list(band)
+    radii = [rs[slopes_w <= cap + 1e-12]]
     if spectrum_w is not None:
-        lo, hi = float(slopes_w.min()), float(slopes_w.max())
-        for t in spectrum_w.periods:
-            if lo < t < hi:
-                a_, b_ = kn - w, kn + w
-                for _ in range(80):
-                    m = 0.5 * (a_ + b_)
-                    if C * h.slope(m) < t:
-                        if h.slope(a_) * C < h.slope(b_) * C:
-                            a_ = m
-                        else:
-                            b_ = m
-                    else:
-                        if h.slope(a_) * C < h.slope(b_) * C:
-                            b_ = m
-                        else:
-                            a_ = m
-                radii.append(0.5 * (a_ + b_))
-    return np.asarray(sorted(radii))
+        t = np.asarray(spectrum_w.periods, dtype=float)
+        t = t[(slopes_w.min() < t) & (t < slopes_w.max())]
+        a_, b_ = np.full(t.size, kn - w), np.full(t.size, kn + w)
+        for _ in range(80 if t.size else 0):
+            m = 0.5 * (a_ + b_)
+            s_m, s_a, s_b = np.split(C * h.slope(np.concatenate([m, a_, b_])), 3)
+            # the root lies right of m: slope(m) < t on an increasing blend,
+            # or slope(m) >= t on a non-increasing one
+            take_a = (s_m < t) == (s_a < s_b)
+            a_ = np.where(take_a, m, a_)
+            b_ = np.where(take_a, b_, m)
+        radii.append(0.5 * (a_ + b_))
+    return np.sort(np.concatenate(radii))
 
 
 def verify_action_signs(
@@ -518,7 +515,7 @@ def verify_action_signs(
 
     # (b) inner climb-on blend: positive actions
     radii_b = _blend_chord_radii(h, 0, spectrum_w, C, samples=samples_per_blend)
-    acts_b = np.asarray([radial_action(h, float(r)) for r in radii_b])
+    acts_b = radial_action(h, radii_b)
     ok_b = bool(np.all(acts_b > 0))
     items.append(ActionItem("b", ok_b, "+", float(acts_b.min()),
                             float(acts_b.max()), float(acts_b.min()),
@@ -528,7 +525,7 @@ def verify_action_signs(
     bound_c = -delta * r_n + a + a * eps + eps
     radii_c = _blend_chord_radii(h, 1, spectrum_w, C,
                                  slope_cap=a - delta, samples=samples_per_blend)
-    acts_c = np.asarray([radial_action(h, float(r)) for r in radii_c])
+    acts_c = radial_action(h, radii_c)
     ok_c = bool(np.all(acts_c < 0) and np.all(acts_c <= bound_c + 1e-9) and bound_c < 0)
     items.append(ActionItem("c", ok_c, "-", float(acts_c.min()),
                             float(acts_c.max()), float(-acts_c.max()),
@@ -543,10 +540,10 @@ def verify_action_signs(
 
     # (e) outer blend and the outer line itself
     bound_e = 0.5 * a * (2.0 - r_n) + eps
-    radii_e = list(_blend_chord_radii(h, 2, spectrum_outer, 1.0,
-                                      samples=samples_per_blend))
-    radii_e.append(h.max_breakpoint() * 2.0)  # pure outer line
-    acts_e = np.asarray([radial_action(h, float(r)) for r in radii_e])
+    radii_e = np.append(_blend_chord_radii(h, 2, spectrum_outer, 1.0,
+                                           samples=samples_per_blend),
+                        h.max_breakpoint() * 2.0)  # pure outer line
+    acts_e = radial_action(h, radii_e)
     ok_e = bool(np.all(acts_e < 0) and np.all(acts_e <= bound_e + 1e-9) and bound_e < 0)
     items.append(ActionItem("e", ok_e, "-", float(acts_e.min()),
                             float(acts_e.max()), float(-acts_e.max()),

@@ -11,8 +11,10 @@ integer multiple of pi.  Two routes compute the index of such a chord:
   plane.
 
 * `handle_rs_index_ode` -- an independent numerical route: fixed-step RK4
-  integration of the 2x2 linearized blocks, followed by counting crossings
-  of the vertical axis with half weight for the boundary *dimension*.
+  integration of the 2x2 linearized blocks (powers of the RK4 one-step
+  operator, built by doubling; never the exponential, so the route stays
+  independent of the closed form), followed by counting crossings of the
+  vertical axis with half weight for the boundary *dimension*.
 
 The two must agree exactly.  Note the counting rule here weights a boundary
 crossing by half its dimension, the convention under which each hyperbolic
@@ -25,7 +27,7 @@ rotation blocks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .halfint import HalfInt
 from .handle import inner_z_slope
 
 CHORD_LEVEL_TOL = 1e-9
-BISECT_TOL = 1e-13
+ZERO_LEVEL_TOL = 1e-13  # levels at or below this z are the constant chord
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,9 @@ def chord_levels(a: float, prof: CoefficientProfile,
             continue
         if abs(target - c0) <= 1e-12 and prof.z_min == 0.0:
             continue  # constant-locus boundary
-        lo, hi = prof.z_min, zm
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if prof.cz(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        z = 0.5 * (lo + hi)
-        if z <= BISECT_TOL:
+        # Cz is piecewise linear and strictly increasing: swap the table columns
+        z = min(float(np.interp(target, prof.z_table[:, 1], prof.z_table[:, 0])), zm)
+        if z <= ZERO_LEVEL_TOL:
             continue
         out.append(HandleChord(float(z), m, False))
     return out
@@ -162,8 +158,9 @@ def _rk4_blocks(mats: np.ndarray, step: float, v0: np.ndarray):
     """Fixed-step fourth-order integration of v' = M v for stacked 2x2 blocks.
 
     For a constant-coefficient linear system the classical RK4 step reduces
-    to the fixed one-step operator I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
-    which is precomputed per block and applied iteratively.
+    to the fixed one-step operator R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24
+    (not exp(hM)), so v_i = R^i v0.  The trajectory is filled by doubling,
+    v_{L+j} = R^L v_j for j < L, in about log2(1/h) batched products.
     """
     if step <= 0 or not np.isfinite(step):
         raise IntegrationError(f"step underflow: invalid step {step!r}")
@@ -178,15 +175,19 @@ def _rk4_blocks(mats: np.ndarray, step: float, v0: np.ndarray):
     for fact in (2.0, 3.0, 4.0):
         term = term @ hm / fact
         r = r + term
-    traj = np.empty((n_steps + 1,) + v0.shape)
-    v = v0.copy()
-    traj[0] = v
-    for i in range(n_steps):
-        v = np.einsum("bij,bj->bi", r, v)
-        traj[i + 1] = v
+    traj = np.empty(v0.shape + (n_steps + 1,))  # (block, 2, step)
+    traj[..., 0] = v0
+    done, power = 1, r  # power = R^done
+    while True:
+        take = min(done, n_steps + 1 - done)
+        traj[..., done:done + take] = power @ traj[..., :take]
+        done += take
+        if done > n_steps:
+            break
+        power = power @ power
     if not np.all(np.isfinite(traj)):
         raise IntegrationError("integration blew up (non-finite trajectory)")
-    return traj
+    return traj.transpose(2, 0, 1)
 
 
 def _count_block_halves(x: np.ndarray, y: np.ndarray, zero_tol: float = 1e-9) -> int:
@@ -196,31 +197,23 @@ def _count_block_halves(x: np.ndarray, y: np.ndarray, zero_tol: float = 1e-9) ->
     the sign of the angular direction -x'/y; crossings at the two ends count
     one half each (dimension-weighted).  ``zero_tol`` must dominate the
     integration error of the trajectory.
+
+    A zero streak starting at 1 <= i < m counts 2 sign(-(x[j] - x[i-1]) y[i])
+    at its first nonzero sample j, if any; a sign change between nonzero
+    samples i, i+1 with 1 <= i < m counts 2 sign(-(x[i+1] - x[i]) y[i]).
     """
-    halves = 0
     m = len(x) - 1
-    tiny = zero_tol * max(1.0, float(np.max(np.abs(x))))
-    near_zero = np.abs(x) < tiny
-    if near_zero[0]:
-        halves += 1
-    if near_zero[m]:
-        halves += 1
-    i = 1
-    while i < m:
-        if near_zero[i]:
-            j = i
-            while j <= m and near_zero[j]:
-                j += 1
-            if j <= m:  # the zero streak stays interior
-                direction = int(np.sign(-(x[j] - x[i - 1]) * y[i]))
-                halves += 2 * direction
-            i = j
-        elif x[i] * x[i + 1] < 0 and not near_zero[i + 1]:
-            direction = int(np.sign(-(x[i + 1] - x[i]) * y[i]))
-            halves += 2 * direction
-            i += 1
-        else:
-            i += 1
+    near_zero = np.abs(x) < zero_tol * max(1.0, float(np.max(np.abs(x))))
+    halves = int(near_zero[0]) + int(near_zero[m])
+    inner = np.arange(1, m)
+    flips = inner[~near_zero[1:m] & ~near_zero[2:] & (x[1:m] * x[2:] < 0)]
+    halves += 2 * int(np.sum(np.sign(-(x[flips + 1] - x[flips]) * y[flips])))
+    starts = inner[near_zero[1:m] & ((inner == 1) | ~near_zero[:m - 1])]
+    nonzero = np.flatnonzero(~near_zero)
+    after = np.searchsorted(nonzero, starts)
+    ended = after < nonzero.size
+    starts, ends = starts[ended], nonzero[after[ended]]
+    halves += 2 * int(np.sum(np.sign(-(x[ends] - x[starts - 1]) * y[starts])))
     return halves
 
 
@@ -297,22 +290,36 @@ def perturbation_cluster_bounds(n: int, k: int, a: float,
     return lower, upper
 
 
-def sweep_rows(n_max: int = 5, m_max: int = 4,
-               prof: Optional[CoefficientProfile] = None,
-               step: float = 1e-3) -> List[list]:
-    """CSV rows comparing the formula and ODE routes over a (n, k, m) grid."""
+def agreement_cases(n_max: int = 5, m_max: int = 4,
+                    prof: Optional[CoefficientProfile] = None,
+                    step: float = 1e-3) -> Iterator[tuple]:
+    """Both index routes over the (n, k, m) grid 2 <= n <= n_max, 1 <= k < n,
+    1 <= m <= m_max, at the midpoint level z* of `prof` with the slope a that
+    makes a Cz(z*)/2 = m pi.
+
+    Yields (n, k, m, a Cz, formula index, (ode index, diagnostics),
+    cluster bounds).
+    """
     prof = prof or CoefficientProfile.from_handle_params(0.1, 0.05)
-    header = ["n", "k", "m", "aCz", "mu_RS_formula_halves", "mu_RS_ode_halves",
-              "cluster1_lo", "cluster1_hi", "cluster2_lo", "cluster2_hi"]
-    rows = [header]
     z_star = 0.5 * (prof.z_min + prof.z_max)
     cz = float(prof.cz(z_star))
     for n in range(2, n_max + 1):
         for k in range(1, n):
             for m in range(1, m_max + 1):
                 a = 2.0 * np.pi * m / cz
-                f = handle_rs_index(n, k, a, cz)
-                o, _ = handle_rs_index_ode(n, k, a, prof, z_star, step=step)
-                (l1, h1), (l2, h2) = perturbation_cluster_bounds(n, k, a, cz)
-                rows.append([n, k, m, a * cz, f.halves, o.halves, l1, h1, l2, h2])
-    return rows
+                yield (n, k, m, a * cz, handle_rs_index(n, k, a, cz),
+                       handle_rs_index_ode(n, k, a, prof, z_star, step=step),
+                       perturbation_cluster_bounds(n, k, a, cz))
+
+
+def sweep_rows(n_max: int = 5, m_max: int = 4,
+               prof: Optional[CoefficientProfile] = None,
+               step: float = 1e-3) -> List[list]:
+    """CSV rows comparing the formula and ODE routes over a (n, k, m) grid."""
+    header = ["n", "k", "m", "aCz", "mu_RS_formula_halves", "mu_RS_ode_halves",
+              "cluster1_lo", "cluster1_hi", "cluster2_lo", "cluster2_hi"]
+    return [header] + [
+        [n, k, m, acz, f.halves, o.halves, l1, h1, l2, h2]
+        for n, k, m, acz, f, (o, _), ((l1, h1), (l2, h2))
+        in agreement_cases(n_max, m_max, prof, step)
+    ]

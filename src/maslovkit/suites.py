@@ -50,12 +50,7 @@ from .profiles import (
     verify_action_signs,
     verify_monotone,
 )
-from .spectrum import (
-    CoefficientProfile,
-    handle_rs_index,
-    handle_rs_index_ode,
-    perturbation_cluster_bounds,
-)
+from .spectrum import agreement_cases
 from .symplin import (
     ConstantPath,
     FunctionPath,
@@ -391,35 +386,27 @@ def spectrum_agreement_suite(n_max: int = 5, m_max: int = 4,
                              step: float = 1e-4) -> SuiteResult:
     t0 = time.perf_counter()
     failures: List[str] = []
-    prof = CoefficientProfile.from_handle_params(0.1, 0.05)
-    z_star = 0.5 * (prof.z_min + prof.z_max)
-    cz = float(prof.cz(z_star))
     cases = 0
-    for n in range(2, n_max + 1):
-        for k in range(1, n):
-            for m in range(1, m_max + 1):
-                cases += 1
-                a = 2.0 * math.pi * m / cz
-                f = handle_rs_index(n, k, a, cz)
-                o, diag = handle_rs_index_ode(n, k, a, prof, z_star, step=step)
-                if f != o:
-                    failures.append(f"(n={n}, k={k}, m={m}): formula {f} != ode {o}")
-                for blk in diag["blocks"]:
-                    if blk["kind"] == "hyperbolic" and blk["min_y_interior"] <= 1.0:
-                        failures.append(
-                            f"(n={n}, k={k}, m={m}): hyperbolic second coordinate "
-                            f"dipped to {blk['min_y_interior']}"
-                        )
-                (l1, h1), (l2, h2) = perturbation_cluster_bounds(n, k, a, cz)
-                mu_deg = (n - k) * m - (n - k) / 2.0
-                if not (l1 < mu_deg < h1):
-                    failures.append(f"(n={n},k={k},m={m}): center outside cluster 1")
-                if not (l2 < mu_deg + (n - k - 1) < h2):
-                    failures.append(
-                        f"(n={n},k={k},m={m}): shifted center outside cluster 2"
-                    )
-                if abs((h1 - l1) - n) > 1e-12 or abs((h2 - l2) - n) > 1e-12:
-                    failures.append(f"(n={n},k={k},m={m}): cluster width != n")
+    for n, k, m, _, f, (o, diag), ((l1, h1), (l2, h2)) in agreement_cases(
+            n_max, m_max, step=step):
+        cases += 1
+        if f != o:
+            failures.append(f"(n={n}, k={k}, m={m}): formula {f} != ode {o}")
+        for blk in diag["blocks"]:
+            if blk["kind"] == "hyperbolic" and blk["min_y_interior"] <= 1.0:
+                failures.append(
+                    f"(n={n}, k={k}, m={m}): hyperbolic second coordinate "
+                    f"dipped to {blk['min_y_interior']}"
+                )
+        mu_deg = (n - k) * m - (n - k) / 2.0
+        if not (l1 < mu_deg < h1):
+            failures.append(f"(n={n},k={k},m={m}): center outside cluster 1")
+        if not (l2 < mu_deg + (n - k - 1) < h2):
+            failures.append(
+                f"(n={n},k={k},m={m}): shifted center outside cluster 2"
+            )
+        if abs((h1 - l1) - n) > 1e-12 or abs((h2 - l2) - n) > 1e-12:
+            failures.append(f"(n={n},k={k},m={m}): cluster width != n")
     return SuiteResult("spectrum.agreement", cases, failures, time.perf_counter() - t0)
 
 

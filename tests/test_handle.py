@@ -15,6 +15,7 @@ from maslovkit.handle import (
     liouville_flow,
     lyapunov_derivative,
     potentials,
+    potentials_xyz,
     quadratic_model_flow,
     transversality_certificate,
 )
@@ -198,6 +199,44 @@ class TestQuadraticModelFlow:
         assert np.allclose(got, [-1j], atol=1e-12)
 
 
+def _dense_scan_certificate(params, gs):
+    """`transversality_certificate(...).to_json()` from a scan of every grid
+    row of every column: each column's bracket is its first row with
+    psi + 1 <= 0, taken from the full (res, res^2) table of values."""
+    res, e, d = gs.resolution, params.epsilon, params.delta
+    if res < 2:
+        raise MaslovkitError("empty grid intersection: a bracket needs two rows")
+    ys = np.linspace(0.0, gs.y_max, res)
+    xg, zg = np.meshgrid(np.linspace(0.0, gs.x_max, res),
+                         np.linspace(0.0, gs.z_max, res), indexing="ij")
+    xg, zg = xg.ravel(), zg.ravel()
+    vals = np.array([potentials_xyz(xg, y, zg, params) + 1.0 for y in ys])
+    crosses = np.any(vals <= 0, axis=0) & np.any(vals >= 0, axis=0)
+    first_neg = np.argmax(vals <= 0, axis=0)
+    cols = np.nonzero(crosses & (first_neg > 0))[0]
+    if cols.size == 0:
+        raise MaslovkitError("empty grid intersection (dense scan)")
+    lo, hi = ys[first_neg[cols] - 1], ys[first_neg[cols]]
+    x, z = xg[cols], zg[cols]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        neg = potentials_xyz(x, mid, z, params) + 1.0 <= 0
+        hi, lo = np.where(neg, mid, hi), np.where(neg, lo, mid)
+    y = 0.5 * (lo + hi)
+    keep = np.sqrt(x**2 + y**2 + z**2) >= 1e-6
+    x, y, z = x[keep], y[keep], z[keep]
+    gp = params.cutoff.prime(y + (x + z) / d)
+    radial = 1.0 + (1.0 + e) * gp / d
+    value = radial * 3.0 * x - (-1.0 + (1.0 + e) * gp) * y + radial * z
+    low = float(value.min())
+    w = min((float(x[i]), float(y[i]), float(z[i]))
+            for i in np.nonzero(value == low)[0])
+    return {"schema": "v1", "params": {"epsilon": e, "delta": d},
+            "grid": {"resolution": res, "box": [gs.x_max, gs.y_max, gs.z_max]},
+            "min_value": low, "witness_point": list(w),
+            "n_surface_points": int(x.size), "pass": low > 0.0}
+
+
 class TestTransversality:
     def test_default_parameters_pass(self):
         cert = transversality_certificate(PARAMS)
@@ -213,9 +252,26 @@ class TestTransversality:
         assert (1 - (1 + e) * gp) * y > 0
 
     def test_empty_intersection_errors(self):
-        with pytest.raises(MaslovkitError):
-            transversality_certificate(PARAMS, GridSpec(resolution=5, x_max=1e-9,
-                                                        y_max=1e-9, z_max=1e-9))
+        empty = [GridSpec(resolution=5, x_max=1e-9, y_max=1e-9, z_max=1e-9),
+                 GridSpec(resolution=1), GridSpec(resolution=0)]
+        for gs in empty:
+            with pytest.raises(MaslovkitError, match="empty grid intersection"):
+                transversality_certificate(PARAMS, gs)
+            with pytest.raises(MaslovkitError, match="empty grid intersection"):
+                _dense_scan_certificate(PARAMS, gs)
+
+    @pytest.mark.parametrize("eps,delta", [(0.1, 0.05), (0.1, 0.01),
+                                           (0.05, 0.05), (0.05, 0.01)])
+    def test_row_bisection_matches_dense_scan(self, eps, delta):
+        # psi_delta of the potentials does not depend on (n, k): one dense
+        # scan per grid serves all three handle shapes.  The last box puts
+        # the witness in the top grid cell of its column.
+        grids = [GridSpec(resolution=res) for res in (7, 50, 200)]
+        for gs in grids + [GridSpec(7, x_max=0.2, y_max=1.2, z_max=0.2)]:
+            want = _dense_scan_certificate(HandleParams(2, 1, eps, delta), gs)
+            for n, k in [(2, 1), (4, 2), (5, 4)]:
+                params = HandleParams(n=n, k=k, epsilon=eps, delta=delta)
+                assert transversality_certificate(params, gs).to_json() == want, (n, k, gs)
 
     def test_json_shape(self):
         cert = transversality_certificate(PARAMS, GridSpec(resolution=20))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maslovkit import profiles
 from maslovkit.errors import (
     KinkEvaluationError,
     ProfileConstraintError,
@@ -194,6 +195,63 @@ class TestActionSigns:
         assert obj["pass"] is True and len(obj["items"]) == 5
         rows = rep.to_csv_rows()
         assert rows[0][0] == "item" and len(rows) == 6
+
+
+def _scalar_action(h, r, side=None):
+    """radial_action one radius at a time, through scalar slope and value."""
+    acts = [float(x * h.slope(float(x), side=side) - h.value(float(x)))
+            for x in np.atleast_1d(r)]
+    return np.asarray(acts) if np.ndim(r) else acts[0]
+
+
+def _scalar_blend_radii(h, knot_idx, spectrum_w, C, slope_cap=None, samples=100):
+    """_blend_chord_radii with one slope call per radius and one bisection
+    per period."""
+    kn, w = h.knots[knot_idx], h.blend_widths[knot_idx]
+    rs = np.linspace(kn - w, kn + w, samples + 2)[1:-1]
+    slopes_w = C * np.asarray([h.slope(float(r)) for r in rs])
+    cap = slope_cap if slope_cap is not None else np.inf
+    radii = list(rs[slopes_w <= cap + 1e-12])
+    for t in (spectrum_w.periods if spectrum_w is not None else ()):
+        if slopes_w.min() < t < slopes_w.max():
+            a_, b_ = kn - w, kn + w
+            for _ in range(80):
+                m = 0.5 * (a_ + b_)
+                increasing = h.slope(a_) * C < h.slope(b_) * C
+                if (C * h.slope(m) < t) == increasing:
+                    a_ = m
+                else:
+                    b_ = m
+            radii.append(0.5 * (a_ + b_))
+    return np.asarray(sorted(radii))
+
+
+class TestLedgerArrays:
+    def test_ledger_matches_scalar_evaluation(self, monkeypatch):
+        cases = []
+        for T, C, stages, keep, samples in [(math.pi, 2.0, 3, 3, 100),
+                                            (1.0, 1.0, 6, 1, 37),
+                                            (2.5, 3.5, 3, 1, 100)]:
+            spec = SpectrumSet.of([T, 2 * T, 3 * T])
+            sched = TransferSchedule.seeded(spec, C=C, stages=stages)
+            cases += [(h, spec, samples)
+                      for h in build_transfer_family(spec, C, sched)[-keep:]]
+        cases.append((cases[0][0], None, 100))
+        got = [verify_action_signs(h, spectrum_w=s, spectrum_outer=s,
+                                   samples_per_blend=n).to_json()
+               for h, s, n in cases]
+        monkeypatch.setattr(profiles, "radial_action", _scalar_action)
+        monkeypatch.setattr(profiles, "_blend_chord_radii", _scalar_blend_radii)
+        for (h, s, n), obj in zip(cases, got):
+            want = verify_action_signs(h, spectrum_w=s, spectrum_outer=s,
+                                       samples_per_blend=n).to_json()
+            assert obj == want
+
+    def test_radial_action_arrays(self):
+        h = RadialProfile([1.0, 2.0], [0.0, 2.0, 0.5], (0.0, -0.1), [0.2, 0.1])
+        rs = np.linspace(0.0, 3.0, 301)
+        assert radial_action(h, rs).tolist() == _scalar_action(h, rs).tolist()
+        assert isinstance(radial_action(h, 1.5), float)
 
 
 class TestMonotone:

@@ -12,6 +12,8 @@ from maslovkit.halfint import HalfInt
 from maslovkit.maslov import rs_index
 from maslovkit.spectrum import (
     CoefficientProfile,
+    _count_block_halves,
+    _rk4_blocks,
     chord_levels,
     handle_rs_index,
     handle_rs_index_ode,
@@ -64,6 +66,21 @@ class TestChordLevels:
     def test_count_monotone_in_slope(self):
         counts = [len(chord_levels(a, LINEAR)) for a in np.linspace(0.1, 12, 40)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+    def test_steep_profiles_levels_check(self):
+        # delta = 0.01 makes Cz rise by ~8e4 per unit z: a z bisected to
+        # 1e-13 missed a Cz / 2 = m pi by more than the check's 1e-10
+        for eps in (0.1, 0.05):
+            prof = CoefficientProfile.from_handle_params(eps, 0.01)
+            for u in np.linspace(0.2, 0.8, 60):
+                z = prof.z_min + u * (prof.z_max - prof.z_min)
+                for m in range(1, 5):
+                    a = 2.0 * math.pi * m / float(prof.cz(z))
+                    levels = chord_levels(a, prof)
+                    assert len(levels) > m
+                    for c in levels:
+                        c.check(a, prof)
 
 
 class TestClosedForm:
@@ -141,6 +158,74 @@ class TestOdeRoute:
         signature_weighted = rs_index((path, ref))
         dimension_weighted = handle_rs_index(n, k, a, cz)
         assert dimension_weighted - signature_weighted == HalfInt(2 * k)
+
+
+def _loop_count_halves(x, y, zero_tol=1e-9):
+    """_count_block_halves as a sample-by-sample walk."""
+    halves, m = 0, len(x) - 1
+    near_zero = np.abs(x) < zero_tol * max(1.0, float(np.max(np.abs(x))))
+    halves += int(near_zero[0]) + int(near_zero[m])
+    i = 1
+    while i < m:
+        if near_zero[i]:
+            j = i
+            while j <= m and near_zero[j]:
+                j += 1
+            if j <= m:
+                halves += 2 * int(np.sign(-(x[j] - x[i - 1]) * y[i]))
+            i = j
+        else:
+            if x[i] * x[i + 1] < 0 and not near_zero[i + 1]:
+                halves += 2 * int(np.sign(-(x[i + 1] - x[i]) * y[i]))
+            i += 1
+    return halves
+
+
+class TestBlockKernels:
+    def test_rk4_blocks_match_sequential_steps(self):
+        a, cz = 0.9, 7.0
+        mats = np.stack([a * np.array([[0.0, 0.5], [1.5, 0.0]]),
+                         (a * cz / 2.0) * np.array([[0.0, -1.0], [1.0, 0.0]]),
+                         np.array([[0.3, -2.0], [0.7, -0.1]])])
+        v0 = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, -2.0]])
+        h = 1.0 / 1000
+        r = np.eye(2) + sum(np.linalg.matrix_power(h * mats, p) / math.factorial(p)
+                            for p in range(1, 5))
+        want = [v0]
+        for _ in range(1000):
+            want.append(np.einsum("bij,bj->bi", r, want[-1]))
+        want = np.array(want)
+        got = _rk4_blocks(mats, h, v0)
+        assert got.shape == (1001, 3, 2)
+        for b in range(3):
+            err = np.max(np.abs(got[:, b] - want[:, b]))
+            assert err <= 1e-12 * np.max(np.abs(want[:, b])), b
+
+    @pytest.mark.parametrize("x,y,halves", [
+        ([1.0, 0.5, -0.5, -1.0], 1.0, 2),             # one transversal crossing
+        ([1.0, 0.5, -0.5, -1.0], -1.0, -2),           # the other direction
+        ([-1.0, 1.0, 2.0], 1.0, 0),                   # sign change at i = 0
+        ([1.0, 1.0, -1.0], 1.0, 2),                   # sign change into the end
+        ([1.0, 0.5, 0.0, 0.0, -0.5, -1.0], 1.0, 2),   # zero streak, crossed
+        ([1.0, 0.5, 0.0, 0.0, 0.5, 1.0], 1.0, 0),     # zero streak, touched
+        ([0.0, 0.5, 1.0, 0.5, 0.0], 1.0, 2),          # zeros at both ends
+        ([0.0, 0.0, 0.5, 1.0], 1.0, -1),              # streak from the start
+        ([1.0, 0.5, 0.0, 0.0, 0.0], 1.0, 1),          # streak to the end
+        ([1e3, 1e-7, -1e3], 1.0, 2),                  # tolerance scales with max |x|
+    ])
+    def test_count_block_halves_known(self, x, y, halves):
+        x = np.asarray(x)
+        y = np.full_like(x, y)
+        assert _count_block_halves(x, y) == halves
+        assert _loop_count_halves(x, y) == halves
+
+    def test_count_block_halves_matches_walk(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            x = rng.choice([-2.0, -1.0, 0.0, 0.0, 1e-12, 1.0, 3.0], size=size)
+            y = rng.choice([-1.0, 0.0, 2.0], size=size)
+            assert _count_block_halves(x, y) == _loop_count_halves(x, y), (x, y)
 
 
 class TestClusterBounds:

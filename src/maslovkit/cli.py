@@ -348,6 +348,8 @@ def _run_one_suite(name_seed_cases):
 
 
 def _cmd_verify_all(args):
+    if args.cases < 1:
+        raise MaslovkitError(f"--cases must be at least 1, got {args.cases}")
     names = sorted(suites_mod.SUITES)
     jobs = args.jobs if args.jobs else min(len(names), os.cpu_count() or 1)
     work = [(name, args.seed, args.cases) for name in names]

@@ -1,38 +1,40 @@
-"""Robbin-Salamon indices of Lagrangian path pairs via crossing forms.
+"""Robbin-Salamon indices of Lagrangian path pairs by spectral flow.
 
-The index of a pair is computed by the graph construction: the pair
-(L0(t), L1(t)) becomes the single path L0(t) + L1(t) in
-(R^{2n} + R^{2n}, omega + (-omega)) against the constant diagonal, and the
-single-path index is the signature-weighted count of crossings,
+Write U = X + iY for an orthonormal frame (X; Y) of a Lagrangian L.  For a
+pair (L0(t), L1(t)) let V = U0* U1 and W = V V^T (the Souriau map of L1
+relative to L0).  W is unitary, its eigenvalues do not depend on the frames
+chosen, and dim(L0 ∩ L1) is the multiplicity of its eigenvalue 1.  The index
+counts the eigenvalues of W that pass 1 (Robbin-Salamon 1993, Phillips 1996):
 
-    mu = 1/2 sign G(t0) + sum_interior sign G(t) + 1/2 sign G(t1),
+    mu = -flow - k0/2 + k1/2,
+    flow = (E(t0) + Theta(t1) - Theta(t0) - E(t1)) / 2 pi,
 
-where G(t) is the crossing form on the intersection, obtained by writing the
-moving Lagrangian as a graph over itself at the crossing time and
-differentiating the induced quadratic form.
+where Theta is a continuous lift of arg det V^2 = arg det W, E(t) is the sum
+of the eigenphases of W(t) taken in [0, 2 pi), and k0, k1 are the
+intersection dimensions at the ends, whose eigenphases are taken as 0.  So an
+eigenphase that decreases through 0 adds 1, one that leaves 0 downward at t0
+or reaches 0 from above at t1 adds 1/2, and the reverse directions subtract.
+Only the total change of arg det^2 and the spectra at the ends enter: interior
+crossings need not be regular, and none is located to compute the index.
 
-Crossings come from d(t) = det[moving frame | reference], scanned on
-``scan + 1`` points.  Every path evaluation is one batched ``frames(ts)``
-call, so an index costs a fixed dozen or so calls whatever its crossing
-count.  The start t0 is checked before the scan, so a pair irregular there
-fails fast.  A scan cell where d changes sign is refined to its root; a scan
-point where |d| < 1e-3 is a local minimum is refined to the minimum of |d|
-(even-dimensional or tangential crossings), but only if neither cell next to
-it changes sign, so each crossing takes one route and is counted once.  All
-brackets refine together: each step puts `REFINE_POINTS` points into every
-live bracket, in one call, down to a width of 1e-13.  The crossing forms at
-the merged candidates and t1 take two more calls (candidates, then all
-finite-difference stencils); the first irregular crossing in time order raises.
+`_lift` is the one det^2 lift, shared by `rs_index` and `det2_winding`: it
+samples det^2 on a grid of at least 256 cells and doubles the grid until no
+step exceeds pi/4 and each step equals the sum of its two half steps.  Paths
+are evaluated in batched ``frames(ts)`` calls of at most `BATCH` times, so an
+index costs three calls per path (the ends, the grid, its midpoints) while
+the grid stays under `BATCH` cells, whatever its crossing count.  The crossing form at each end is still
+computed, by a one-sided finite difference of the moving frame written as a
+graph over itself, but only to refuse a degenerate end; t0 is checked first,
+before the lift.
 
-Floating point appears only in crossing detection and in the finite-difference
-derivative of the graph representation; every index is returned as an exact
-`HalfInt`.
+An index is an exact `HalfInt` or an error: a flow farther than `FLOW_TOL`
+from an integer raises `MaslovkitError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -40,56 +42,108 @@ from .errors import (
     DimensionMismatchError,
     EndpointMismatchError,
     IrregularCrossingError,
+    MaslovkitError,
 )
 from .halfint import HalfInt
 from .symplin import (
     LagrangianPath,
     complex_structure,
     intersection_basis,
-    omega_matrix,
+    lagrangian_intersection_dim,
 )
 
-TIME_TOL = 1e-10
+TIME_TOL = 1e-10  # width, relative to the domain, at which rs_crossings stops
 FD_STEP = 1e-6
 REGULARITY_TOL = 1e-8
-DEFAULT_SCAN = 2048
-REFINE_POINTS = 32  # points put into every live bracket per refinement step
-STOP_WIDTH = 1e-13
-DIP_TOL = 1e-3
+FLOW_TOL = 1e-6  # largest distance of a flow, in turns, from its integer
+MAX_CELLS = 2**16  # the det^2 lift doubles its grid up to this many cells
+BATCH = 1024  # the most times in one ``frames`` call: bounds memory on fine grids
 
-# Richardson-extrapolated difference quotients with steps h/2 and h: sample
-# offsets in units of the signed step, and weights over 6 * step.
-_CENTRAL = (np.array([0.5, -0.5, 1.0, -1.0]), np.array([8.0, -8.0, -1.0, 1.0]))
+# Richardson-extrapolated one-sided difference quotient with steps h/2 and h:
+# sample offsets in units of the signed step, and weights over 6 * step.
 _ONE_SIDED = (np.array([0.0, 0.5, 1.0, 2.0]), np.array([-21.0, 32.0, -12.0, 1.0]))
 
 
 @dataclass(frozen=True)
 class Crossing:
-    """One crossing of a path pair: time, intersection data, and regularity."""
+    """One crossing of a path pair: time, intersection dimension, signature."""
 
     time: float
     intersection_dim: int
     crossing_form_signature: int
-    regular: bool
     boundary: bool = False
 
     def check_invariants(self) -> None:
         if abs(self.crossing_form_signature) > self.intersection_dim:
             raise IrregularCrossingError(self.time, "signature exceeds dimension")
-        if self.regular and (
-            (self.crossing_form_signature - self.intersection_dim) % 2 != 0
-        ):
+        if (self.crossing_form_signature - self.intersection_dim) % 2 != 0:
             raise IrregularCrossingError(self.time, "signature parity violation")
 
 
-class _ProductPath:
-    """The pair (L0, L1) as one path in (R^{4n}, omega + (-omega))."""
+def _unitary(path, ts) -> np.ndarray:
+    """X + iY of the orthonormalized frames of ``path`` at the times ts, shape
+    (len(ts), n, n), from ``frames`` calls of at most BATCH times."""
+    ts = np.asarray(ts, dtype=float)
+    q = np.concatenate([np.linalg.qr(path.frames(ts[i:i + BATCH]))[0]
+                        for i in range(0, len(ts), BATCH)])
+    return q[:, : path.n] + 1j * q[:, path.n :]
 
-    def __init__(self, path0: LagrangianPath, path1: LagrangianPath):
+
+def _det2(u0, u1) -> np.ndarray:
+    """det V^2 for V = U0* U1."""
+    return (np.conj(np.linalg.det(u0)) * np.linalg.det(u1)) ** 2
+
+
+def _phases(u0, u1) -> np.ndarray:
+    """Eigenphases of W = V V^T, V = U0* U1, in [0, 2 pi); shape (..., n)."""
+    v = np.conj(np.swapaxes(u0, -1, -2)) @ u1
+    w = v @ np.swapaxes(v, -1, -2)
+    return np.angle(np.linalg.eigvals(w)) % (2 * np.pi)
+
+
+def _wrap(x):
+    return (x + np.pi) % (2 * np.pi) - np.pi
+
+
+def _turns(x) -> np.ndarray:
+    """x / 2 pi as integers; raises if any is farther than FLOW_TOL from one."""
+    x = np.asarray(x) / (2 * np.pi)
+    k = np.rint(x)
+    if np.max(np.abs(x - k), initial=0.0) > FLOW_TOL:
+        raise MaslovkitError(
+            f"spectral flow {x.flat[np.argmax(np.abs(x - k))]!r} is not within "
+            f"{FLOW_TOL} of an integer; the frames are too ill-conditioned")
+    return k.astype(int)
+
+
+def _lift(det2, domain, resolution):
+    """A continuous arg of ``det2`` (a callable ts -> det^2) over the domain.
+
+    The grid starts at max(256, resolution) cells and doubles, one ``det2``
+    call on the new midpoints each time, until no step exceeds pi/4 and every
+    step equals the sum of its two half steps.  Returns the grid and the lift.
+    """
+    ts = np.linspace(*domain, max(256, resolution) + 1)
+    arg = np.angle(det2(ts))
+    while True:
+        mid = np.angle(det2((ts[:-1] + ts[1:]) / 2))
+        step = _wrap(np.diff(arg))
+        halves = _wrap(mid - arg[:-1]) + _wrap(arg[1:] - mid)
+        if np.max(np.abs(step)) <= np.pi / 4 and np.max(np.abs(halves - step)) < np.pi:
+            return ts, arg[0] + np.concatenate([[0.0], np.cumsum(step)])
+        if len(ts) > MAX_CELLS:
+            raise MaslovkitError(f"det^2 argument did not settle on {len(ts) - 1} cells")
+        ts = np.insert(ts, np.arange(1, len(ts)), (ts[:-1] + ts[1:]) / 2)
+        arg = np.insert(arg, np.arange(1, len(arg)), mid)
+
+
+class _Pair:
+    """A pair (L0, L1) of paths on one domain, evaluated a batch at a time."""
+
+    def __init__(self, pair):
+        path0, path1 = pair
         if path0.n != path1.n:
-            raise DimensionMismatchError(
-                f"paths have n={path0.n} and n={path1.n}"
-            )
+            raise DimensionMismatchError(f"paths have n={path0.n} and n={path1.n}")
         if (
             abs(path0.domain[0] - path1.domain[0]) > 1e-12
             or abs(path0.domain[1] - path1.domain[1]) > 1e-12
@@ -97,228 +151,147 @@ class _ProductPath:
             raise DimensionMismatchError(
                 f"paths have domains {path0.domain} and {path1.domain}"
             )
-        self.n = path0.n
-        self.domain = path0.domain
-        self.p0, self.p1 = path0, path1
-        n2 = 2 * self.n
-        o, j = omega_matrix(self.n), complex_structure(self.n)
-        z = np.zeros((n2, n2))
-        self.form = np.block([[o, z], [z, -o]])
+        self.n, self.domain, self.paths = path0.n, path0.domain, (path0, path1)
+        self.resolution = max(path0.sample_resolution, path1.sample_resolution)
+        # the graph construction: (L0, L1) in (R^{4n}, omega + (-omega)) meets
+        # the diagonal in L0 ∩ L1
+        j, z = complex_structure(self.n), np.zeros((2 * self.n, 2 * self.n))
         self.jmat = np.block([[j, z], [z, -j]])
-        self.ref = np.vstack([np.eye(n2), np.eye(n2)]) / np.sqrt(2.0)
-        self.scan = max(path0.sample_resolution, path1.sample_resolution, DEFAULT_SCAN)
+        self.diag = np.vstack([np.eye(2 * self.n), np.eye(2 * self.n)]) / np.sqrt(2.0)
 
-    def frames(self, ts) -> np.ndarray:
-        f0 = self.p0.frames(ts)
-        f1 = self.p1.frames(ts)
-        t, n2, n = f0.shape
-        out = np.zeros((t, 2 * n2, 2 * n))
-        out[:, :n2, :n] = f0
-        out[:, n2:, n:] = f1
-        return out
+    def unitaries(self, ts):
+        """(U0, U1) at the times ts."""
+        return tuple(_unitary(p, ts) for p in self.paths)
 
+    def ends(self):
+        """(U0, U1, crossing) at t0 and at t1, from one call per path.
 
-class _CrossingEngine:
-    """Signature-weighted crossing count of a moving frame against a fixed one."""
-
-    def __init__(self, moving, ref, domain, form, jmat, scan=DEFAULT_SCAN):
-        self.moving = moving  # object with frames(ts)
-        self.ref = ref / np.linalg.norm(ref, axis=0, keepdims=True)
-        self.domain = domain
-        self.form = form
-        self.jmat = jmat
-        self.scan = scan
-
-    # -- determinant scan and refinement ---------------------------------------
-
-    def _dets(self, ts) -> np.ndarray:
-        step = self.scan + 1  # bounded memory: at most scan + 1 frames per call
-        if len(ts) > step:
-            return np.concatenate([self._dets(ts[i : i + step])
-                                   for i in range(0, len(ts), step)])
-        f = self.moving.frames(ts)
-        f = f / np.linalg.norm(f, axis=1, keepdims=True)
-        ref = np.broadcast_to(self.ref, (len(ts),) + self.ref.shape)
-        return np.linalg.det(np.concatenate([f, ref], axis=2))
-
-    def _refine(self, lo, hi, dlo, dhi, root):
-        """Refine brackets [lo, hi] to a root of det (``root``) or a |det| minimum.
-
-        A root bracket keeps its first sub-cell with a sign change, and an
-        exact zero ends it; a minimum bracket keeps the two sub-cells around
-        its smallest |det|.  Returns the refined times and |det| at each.
+        Raises `IrregularCrossingError` at a degenerate end, t0 first.
         """
-        k = REFINE_POINTS
-        t, val = 0.5 * (lo + hi), np.zeros(len(lo))
-        live = np.arange(len(lo))
-        while live.size:
-            a, b, rows = lo[live], hi[live], np.arange(live.size)
-            nodes = a[:, None] + (b - a)[:, None] * (np.arange(k + 2) / (k + 1))
-            d = np.empty_like(nodes)
-            d[:, 1:-1] = self._dets(nodes[:, 1:-1].ravel()).reshape(-1, k)
-            nodes[:, -1], d[:, 0], d[:, -1] = b, dlo[live], dhi[live]
-            flip = np.argmax(np.sign(d[:, 1:]) != np.sign(d[:, :1]), axis=1) + 1
-            low = np.argmin(np.abs(d), axis=1)
-            r = root[live]
-            best = np.where(r, flip, low)
-            i = np.where(r, flip - 1, np.maximum(low - 1, 0))
-            j = np.where(r, flip, np.minimum(low + 1, k + 1))
-            val[live] = np.abs(d[rows, best])
-            done = r & (val[live] == 0.0)
-            lo[live], dlo[live] = nodes[rows, i], d[rows, i]
-            hi[live], dhi[live] = nodes[rows, j], d[rows, j]
-            t[live] = np.where(r & ~done, 0.5 * (lo[live] + hi[live]), nodes[rows, best])
-            width = hi[live] - lo[live]
-            # stop at STOP_WIDTH, or where floating point no longer splits a bracket
-            live = live[~done & (width > STOP_WIDTH) & (width < b - a)]
-        return t, val
-
-    # -- crossing form ---------------------------------------------------------
-
-    def _crossings_at(self, ts) -> List[Crossing]:
-        """The crossings among candidate times ``ts``, in order; two `frames` calls."""
         t0, t1 = self.domain
-        hits = []
-        for t, f in zip(ts, self.moving.frames(np.asarray(ts, dtype=float))):
-            basis = intersection_basis(f, self.ref)
-            if basis.shape[1] > 0:
-                hits.append((float(t), f, basis))
-        if not hits:
-            return []
         h = min(FD_STEP, (t1 - t0) / 16.0)
-        rules = [
-            (_ONE_SIDED, h) if t - t0 < 4 * h
-            else (_ONE_SIDED, -h) if t1 - t < 4 * h
-            else (_CENTRAL, h)
-            for t, _, _ in hits
-        ]
-        pts = np.concatenate(
-            [t + rule[0] * step for (t, _, _), (rule, step) in zip(hits, rules)])
-        stencils = self.moving.frames(pts).reshape((len(hits), 4) + hits[0][1].shape)
-        return [
-            self._crossing(t, f, basis, g, rule[1], step)
-            for (t, f, basis), (rule, step), g in zip(hits, rules, stencils)
-        ]
+        offsets, weights = _ONE_SIDED
+        u0, u1 = self.unitaries(np.concatenate([t0 + offsets * h, t1 - offsets * h]))
+        return [(u0[i], u1[i], self._crossing(t, u0[i:i + 4], u1[i:i + 4], weights, step))
+                for i, t, step in ((0, t0, h), (4, t1, -h))]
 
-    def _crossing(self, t, f, basis, stencil, weights, step) -> Crossing:
-        """Crossing at t with frame f, from the frames at its stencil points."""
+    def _crossing(self, t, u0, u1, weights, step) -> Crossing:
+        """The crossing at the end t, from (U0, U1) on its stencil (t first)."""
+        n = self.n
+        g = np.zeros((len(u0), 4 * n, 2 * n))  # orthonormal frames of L0 + L1
+        g[:, : 2 * n, :n] = np.concatenate([u0.real, u0.imag], axis=1)
+        g[:, 2 * n :, n:] = np.concatenate([u1.real, u1.imag], axis=1)
+        b = g[0]
+        basis = intersection_basis(b, self.diag)
+        if basis.shape[1] == 0:
+            return Crossing(t, 0, 0, True)
         # symmetrized d/dt of the moving frame written as a graph over itself
-        b, _ = np.linalg.qr(f)
-        w = self.jmat @ b
-        s = (w.T @ stencil) @ np.linalg.inv(b.T @ stencil)
+        s = ((self.jmat @ b).T @ g) @ np.linalg.inv(b.T @ g)
         ds = np.tensordot(weights, s, axes=1) / (6.0 * step)
         u = b.T @ basis
         gamma = u.T @ ((ds + ds.T) / 2.0) @ u
-        gamma = (gamma + gamma.T) / 2.0
-        eig = np.linalg.eigvalsh(gamma)
-        scale = max(1.0, float(np.max(np.abs(eig)))) if eig.size else 1.0
-        if eig.size and np.min(np.abs(eig)) <= REGULARITY_TOL * scale:
+        eig = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)
+        if np.min(np.abs(eig)) <= REGULARITY_TOL * max(1.0, float(np.max(np.abs(eig)))):
             raise IrregularCrossingError(t)
-        sig = int(np.sum(eig > 0) - np.sum(eig < 0))
-        c = Crossing(t, basis.shape[1], sig, True, t in self.domain)
+        c = Crossing(t, basis.shape[1], int(np.sum(eig > 0) - np.sum(eig < 0)), True)
         c.check_invariants()
         return c
 
-    # -- main loop -------------------------------------------------------------
-
-    def crossings(self) -> List[Crossing]:
-        t0, t1 = self.domain
-        out = self._crossings_at([t0])  # before the scan: an irregular start fails fast
-        ts = np.linspace(t0, t1, self.scan + 1)
-        dets = self._dets(ts)
-        signs, absd = np.sign(dets), np.abs(dets)
-        flip = signs[:-1] * signs[1:] < 0  # cell [ts[i], ts[i+1]] has a sign change
-        # dips without a sign change (even-dimensional or tangential crossings);
-        # a scan point next to a sign change is left to the root search
-        mid = absd[1:-1]
-        dip = (mid > 0) & (mid < DIP_TOL) & (mid <= absd[:-2]) & (mid <= absd[2:])
-        r = np.nonzero(flip)[0]
-        m = np.nonzero(dip & ~flip[:-1] & ~flip[1:])[0] + 1
-        lo, hi = np.concatenate([r, m - 1]), np.concatenate([r + 1, m + 1])
-        root = np.arange(len(lo)) < len(r)
-        found, val = self._refine(ts[lo], ts[hi], dets[lo], dets[hi], root)
-        interior_times = sorted(
-            list(found[root | (val < DIP_TOL)]) + list(ts[1:-1][signs[1:-1] == 0])
-        )
-
-        # merge, drop boundary hits
-        merged: List[float] = []
-        for t in interior_times:
-            if merged and abs(t - merged[-1]) < 50 * TIME_TOL:
-                continue
-            if t - t0 < 50 * TIME_TOL or t1 - t < 50 * TIME_TOL:
-                continue
-            merged.append(float(t))
-        return out + self._crossings_at(merged + [t1])
-
-    def index(self) -> Tuple[HalfInt, List[Crossing]]:
-        halves = 0
-        cs = self.crossings()
-        for c in cs:
-            halves += c.crossing_form_signature * (1 if c.boundary else 2)
-        return HalfInt(halves), cs
+    def lift(self):
+        return _lift(lambda ts: _det2(*self.unitaries(ts)), self.domain, self.resolution)
 
 
-def _pair_engine(pair, resolution=None) -> _CrossingEngine:
-    path0, path1 = pair
-    prod = _ProductPath(path0, path1)
-    return _CrossingEngine(
-        prod, prod.ref, prod.domain, prod.form, prod.jmat,
-        scan=resolution or prod.scan,
-    )
+def _end_phase_sum(u0, u1, k: int) -> float:
+    """E at an end: the k eigenphases of W nearest 0 (the intersection) as 0."""
+    p = _phases(u0, u1)
+    p[np.argsort(np.minimum(p, 2 * np.pi - p))[:k]] = 0.0
+    return float(np.sum(p))
 
 
-def rs_index(pair, resolution: int | None = None) -> HalfInt:
-    """Signature-weighted crossing index of a pair of Lagrangian paths.
+def rs_index(pair) -> HalfInt:
+    """Robbin-Salamon index of a pair of Lagrangian paths, by spectral flow.
+
+    Only the ends need be regular crossings (or no crossings); interior
+    crossings may be degenerate or non-isolated, so a caller that perturbs
+    irregular draws (``suites._run_cases``) replaces only those irregular at
+    an end.
 
     Args:
         pair: tuple (path0, path1) of `LagrangianPath` with equal n and domain.
-        resolution: optional override of the crossing-scan resolution.
 
     Raises:
-        IrregularCrossingError: a crossing form is degenerate; the caller must
-            perturb (degenerate chords are handled upstream, never silently
-            perturbed here).
+        IrregularCrossingError: the crossing form at an end is degenerate; the
+            caller must perturb (degenerate chords are handled upstream, never
+            silently perturbed here).
+        MaslovkitError: the flow is not within `FLOW_TOL` of an integer, or
+            the det^2 lift did not settle.
     """
-    idx, _ = _pair_engine(pair, resolution).index()
-    return idx
+    pr = _Pair(pair)
+    (a0, a1, start), (b0, b1, end) = pr.ends()
+    _, theta = pr.lift()
+    k0, k1 = start.intersection_dim, end.intersection_dim
+    flow = _turns(_end_phase_sum(a0, a1, k0) + theta[-1] - theta[0]
+                  - _end_phase_sum(b0, b1, k1))
+    return HalfInt(int(-2 * flow - k0 + k1))
 
 
-def rs_crossings(pair, resolution: int | None = None) -> List[Crossing]:
-    """The crossings found while computing `rs_index` (for diagnostics)."""
-    _, cs = _pair_engine(pair, resolution).index()
-    return cs
+def rs_crossings(pair) -> List[Crossing]:
+    """The crossings of a pair, in time order (for diagnostics).
 
-
-def det2_winding(loop: LagrangianPath, max_refine: int = 18) -> int:
-    """Winding number of det^2 along a loop of Lagrangian subspaces.
-
-    The argument of det^2 is accumulated over a sample grid that is refined
-    until successive arguments differ by less than pi/2.
+    The ends carry their crossing-form signature.  An interior crossing is
+    found by bisecting each cell of the lift's grid where the flow is
+    nonzero, keeping every half with a nonzero flow, one batched call per
+    step; its dimension is the number of eigenvalues of W passing 0 there
+    and its signature their net direction.  Eigenvalues that pass 0 in
+    opposite directions within one cell of the grid cancel and are not
+    listed.  The halves of the crossings sum to ``rs_index(pair).halves``.
     """
+    pr = _Pair(pair)
+    (a0, a1, start), (b0, b1, end) = pr.ends()
+    ts, theta = pr.lift()
+    t0, t1 = pr.domain
+    e = _phases(*pr.unitaries(ts)).sum(axis=-1)
+    # eigenvalues leaving 0 downward at t0, or reaching it from below at t1,
+    # are end crossings: put them at 2 pi so that no cell counts them
+    k0, k1 = start.intersection_dim, end.intersection_dim
+    e[0] = _end_phase_sum(a0, a1, k0) + np.pi * (k0 + start.crossing_form_signature)
+    e[-1] = _end_phase_sum(b0, b1, k1) + np.pi * (k1 - end.crossing_form_signature)
+    flow = _turns(e[:-1] + np.diff(theta) - e[1:])
+    live = np.nonzero(flow)[0]
+    lo, hi, flow, e_lo, th_lo = ts[live], ts[live + 1], flow[live], e[live], theta[live]
+    while len(lo) and np.max(hi - lo) > TIME_TOL * (t1 - t0):
+        mid = (lo + hi) / 2
+        u0, u1 = pr.unitaries(mid)
+        e_mid = _phases(u0, u1).sum(axis=-1)
+        th_mid = th_lo + _wrap(np.angle(_det2(u0, u1)) - th_lo)
+        left = _turns(e_lo + th_mid - th_lo - e_mid)
+        keep_l, keep_r = left != 0, flow != left
+        cat = lambda l, r: np.concatenate([l[keep_l], r[keep_r]])
+        lo, hi, flow = cat(lo, mid), cat(mid, hi), cat(left, flow - left)
+        e_lo, th_lo = cat(e_lo, e_mid), cat(th_lo, th_mid)
+    # brackets that touch hold one crossing: its eigenvalues were 0 at a grid
+    # point, where rounding put some of them on either side
+    order = np.argsort(lo)
+    lo, hi, flow = lo[order], hi[order], flow[order]
+    first = [i for i in range(len(lo)) if i == 0 or lo[i] > hi[i - 1]]
+    interior = [
+        Crossing(float((lo[i] + hi[j - 1]) / 2), int(np.sum(np.abs(flow[i:j]))),
+                 int(-np.sum(flow[i:j])))
+        for i, j in zip(first, first[1:] + [len(lo)])
+    ]
+    ends = [c for c in (start, end) if c.intersection_dim]
+    return sorted(ends + interior, key=lambda c: c.time)
+
+
+def det2_winding(loop: LagrangianPath) -> int:
+    """Winding number of det^2 along a loop of Lagrangian subspaces, from the
+    det^2 lift that `rs_index` uses."""
     f0, f1 = loop.endpoint_frames()
-    from .symplin import lagrangian_intersection_dim
-
     if lagrangian_intersection_dim(f0, f1) != loop.n:
         raise EndpointMismatchError("loop endpoints span different subspaces")
-
-    t0, t1 = loop.domain
-    m = max(64, loop.sample_resolution)
-    for _ in range(max_refine):
-        ts = np.linspace(t0, t1, m + 1)
-        frames = loop.frames(ts)
-        q, _ = np.linalg.qr(frames)
-        u = q[:, : loop.n, :] + 1j * q[:, loop.n :, :]
-        d2 = np.linalg.det(u) ** 2
-        args = np.angle(d2)
-        steps = np.diff(args)
-        steps = (steps + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(steps)) < np.pi / 2:
-            total = float(np.sum(steps))
-            winding = int(np.round(total / (2 * np.pi)))
-            return winding
-        m *= 2
-    raise DimensionMismatchError("det^2 argument did not stabilize under refinement")
+    det2 = lambda ts: np.linalg.det(_unitary(loop, ts)) ** 2
+    _, theta = _lift(det2, loop.domain, loop.sample_resolution)
+    return int(np.round((theta[-1] - theta[0]) / (2 * np.pi)))
 
 
 def chord_maslov(flow_path: LagrangianPath, reference: LagrangianPath, n: int) -> HalfInt:

@@ -1,10 +1,12 @@
 """Seeded verification suites, shared by the CLI and the test suite.
 
 Every suite is a pure function of its seed: it returns a `SuiteResult` whose
-``failures`` list is empty on success.  Randomized cases that happen to
-produce an irregular crossing are replaced deterministically (the case count
-is always reached), since degenerate crossings are the caller's
-responsibility, not the index engine's.
+``failures`` list is empty on success.  Randomized cases whose index is
+refused for an irregular crossing (only a degenerate crossing form at an end
+of the domain is refused; interior crossings need not be regular) are
+replaced deterministically, so the case count is always reached.  Each
+failure names the case, the suite seed and the attempt that drew it, so it
+can be replayed from the report alone.
 """
 
 from __future__ import annotations
@@ -92,22 +94,27 @@ def _random_generator_path(n, rng, scale=2.0):
 
 def _run_cases(name: str, cases: int, one_case: Callable[[np.random.Generator, int], None],
                seed: int) -> SuiteResult:
-    """Run `cases` seeded cases, deterministically replacing irregular draws."""
+    """Run `cases` seeded cases, deterministically replacing irregular draws.
+
+    Case ``i`` draws from ``default_rng((seed, attempt))``; a failure line
+    reads ``case i (seed s, attempt a): ...``.
+    """
     t0 = time.perf_counter()
     failures: List[str] = []
     done = 0
     attempt = 0
     while done < cases and attempt < 20 * cases:
         rng = np.random.default_rng((seed, attempt))
+        where = f"case {done} (seed {seed}, attempt {attempt})"
         attempt += 1
         try:
             one_case(rng, done)
         except IrregularCrossingError:
             continue
         except AssertionError as e:
-            failures.append(f"case {done}: {e}")
+            failures.append(f"{where}: {e}")
         except Exception as e:  # structured errors are failures too
-            failures.append(f"case {done}: {type(e).__name__}: {e}")
+            failures.append(f"{where}: {type(e).__name__}: {e}")
         done += 1
     if done < cases:
         failures.append(f"only {done}/{cases} regular cases found")

@@ -280,7 +280,8 @@ class LagrangianPath:
     def frames(self, ts) -> np.ndarray:
         """Frames at any 1-D array of times in the domain, shape (len(ts), 2n, n).
 
-        The crossing engine passes at most ``scan + 1`` times per call.
+        The index routines in `maslov` pass at most ``maslov.BATCH`` times
+        per call.
         """
         raise NotImplementedError
 

@@ -4,9 +4,12 @@ its parser, and the suite registry that ``verify-all`` runs."""
 import json
 import math
 
+import numpy as np
+
 from maslovkit import cli
 from maslovkit.cli import build_parser
-from maslovkit.suites import SUITES, suite_args
+from maslovkit.errors import IrregularCrossingError
+from maslovkit.suites import SUITES, _run_cases, suite_args
 
 
 def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
@@ -14,6 +17,15 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_all_rejects_fewer_than_one_case(capsys):
+    for cases in ("0", "-1"):
+        assert cli.main(["verify-all", "--cases", cases, "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
 
 
 def test_handle_index_with_angle(capsys):
@@ -57,3 +69,19 @@ def test_suite_registry_seeds_and_counts():
     }
     assert {name: suite_args(name, s, c) for name in SUITES} == want
     assert suite_args("maslov.loop_consistency", s, 300) == (s + 5, 150)
+
+
+def test_suite_failure_names_seed_and_attempt():
+    draws = []
+
+    def case(rng, i):
+        draws.append(rng.random())
+        if len(draws) == 1:
+            raise IrregularCrossingError(0.0)  # replaced: attempt 0 is not case 0
+        if i == 1:
+            raise AssertionError("boom")
+
+    r = _run_cases("demo", 3, case, seed=5)
+    assert r.failures == ["case 1 (seed 5, attempt 2): boom"]
+    # the line is enough to replay the draw
+    assert draws[2] == np.random.default_rng((5, 2)).random()

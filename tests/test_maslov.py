@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from maslovkit import maslov
 from maslovkit.errors import (
     DimensionMismatchError,
     EndpointMismatchError,
     IrregularCrossingError,
+    MaslovkitError,
 )
 from maslovkit.halfint import HalfInt
 from maslovkit.maslov import chord_maslov, det2_winding, rs_crossings, rs_index
@@ -22,13 +24,28 @@ from maslovkit.symplin import (
     GeneratorPath,
     LagrangianFrame,
     LagrangianPath,
+    SampledPath,
     complex_structure,
+    direct_sum_paths,
     rotation_path,
 )
 
 
 def horizontal_ref(n):
     return ConstantPath(LagrangianFrame.horizontal(n))
+
+
+def draw_generator_path(rng, n, scale):
+    """A constant-S generator path, drawn as the concatenation suite draws it:
+    S = sym(N(0, scale^2)), starting frame exp(J sym(N(0, 1))) R^n."""
+    a = rng.normal(size=(2 * n, 2 * n), scale=scale)
+    b = rng.normal(size=(2 * n, 2 * n))
+    frame = expm(complex_structure(n) @ ((b + b.T) / 2)) @ LagrangianFrame.horizontal(n).columns
+    return GeneratorPath((a + a.T) / 2, LagrangianFrame.from_columns(frame))
+
+
+def crossing_halves(cs):
+    return sum(c.crossing_form_signature * (1 if c.boundary else 2) for c in cs)
 
 
 class CountingPath(LagrangianPath):
@@ -126,21 +143,79 @@ class TestBatchedEngine:
     def test_crossing_counted_once(self):
         # ill-conditioned n=6 draw whose crossing near t = 0.709029 was once
         # refined both as a root and as a dip, and listed twice
-        n = 6
         rng = np.random.default_rng([21, 5, 5, 11])
-        horizontal = LagrangianFrame.horizontal(n).columns
-
-        def draw():
-            a = rng.normal(size=(2 * n, 2 * n), scale=8)
-            b = rng.normal(size=(2 * n, 2 * n))
-            frame = expm(complex_structure(n) @ ((b + b.T) / 2)) @ horizontal
-            return GeneratorPath((a + a.T) / 2, LagrangianFrame.from_columns(frame))
-
-        p0, p1 = draw(), draw()
+        p0, p1 = draw_generator_path(rng, 6, 8.0), draw_generator_path(rng, 6, 8.0)
         c = rng.uniform(0.25, 0.75)
         for pair in ((p0, p1), (p0.restricted(c, 1.0), p1.restricted(c, 1.0))):
             near = [x for x in rs_crossings(pair) if abs(x.time - 0.709029) < 1e-5]
             assert len(near) == 1
+
+
+class TestSpectralFlow:
+    """Hard draws (ill-conditioned frames, a crossing near an end, two
+    crossings 2.1e-4 apart) and the flow's own checks.  Each index check is a
+    relation between indices or a closed form, not a stored answer."""
+
+    def test_ill_conditioned_concatenation(self):
+        # the sixth n=6, scale-8 triple of default_rng(7)
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            p0, p1 = draw_generator_path(rng, 6, 8.0), draw_generator_path(rng, 6, 8.0)
+            c = float(rng.uniform(0.25, 0.75))
+        total = rs_index((p0, p1))
+        left = rs_index((p0.restricted(0.0, c), p1.restricted(0.0, c)))
+        right = rs_index((p0.restricted(c, 1.0), p1.restricted(c, 1.0)))
+        assert total == left + right
+
+    def test_crossing_near_endpoint_natural(self):
+        # a crossing about 1e-5 before t = 1, before and after Psi
+        rng = np.random.default_rng([403, 1, 12, 7])
+        p0, p1 = draw_generator_path(rng, 4, 2.0), draw_generator_path(rng, 4, 2.0)
+        rng.uniform(0.25, 0.75)  # the cut of the same draw, unused here
+        a = rng.normal(size=(8, 8))
+        psi = GeneratorPath((a + a.T) / 2, LagrangianFrame.horizontal(4))
+        assert rs_index((p0, p1)) == rs_index((p0.transformed(psi), p1.transformed(psi)))
+
+    def test_close_crossings_direct_sum(self):
+        # the two parts cross 2.1e-4 apart
+        rng = np.random.default_rng([2009, 2, 4, 2])
+        a0, a1, b0, b1 = (draw_generator_path(rng, 3, 2.0) for _ in range(4))
+        total = rs_index((direct_sum_paths(a0, b0), direct_sum_paths(a1, b1)))
+        a, b = rs_index((a0, a1)), rs_index((b0, b1))
+        assert total == a + b == HalfInt.from_int(2)
+
+    def test_crossings_sum_to_index(self):
+        pairs = [(rotation_path(n, speeds), ref)
+                 for n, speeds in ((1, 2.5 * np.pi), (2, [1.5 * np.pi, -2.5 * np.pi]),
+                                   (3, [np.pi, 2 * np.pi, -3 * np.pi]))
+                 for ref in (horizontal_ref(n), ConstantPath(LagrangianFrame.vertical(n)))]
+        rng = np.random.default_rng(11)
+        pairs += [(draw_generator_path(rng, n, 2.0), draw_generator_path(rng, n, 2.0))
+                  for n in (1, 2, 3, 4) for _ in range(3)]
+        for pair in pairs:
+            assert crossing_halves(rs_crossings(pair)) == rs_index(pair).halves
+
+    def test_rotation_crossings_at_closed_form_times(self):
+        # e^{i s t} R meets R at t = k pi / s, with the sign of s
+        p = rotation_path(2, [1.5 * np.pi, -2.5 * np.pi])
+        got = [(round(c.time, 9), c.intersection_dim, c.crossing_form_signature)
+               for c in rs_crossings((p, horizontal_ref(2)))]
+        assert got == [(0.0, 2, 0), (0.4, 1, -1), (round(2 / 3, 9), 1, 1), (0.8, 1, -1)]
+
+    def test_flow_off_an_integer_raises(self, monkeypatch):
+        # a flow off an integer is an error, never a rounded HalfInt
+        monkeypatch.setattr(maslov, "FLOW_TOL", -1.0)
+        with pytest.raises(MaslovkitError):
+            rs_index((rotation_path(1, 1.5 * np.pi), horizontal_ref(1)))
+
+    def test_unresolved_lift_raises(self):
+        # the line turns by 0.45 pi within 1e-13: no grid of at most
+        # MAX_CELLS cells resolves det^2 there
+        angles = np.array([0.1, 0.1, 0.1 + 0.45 * np.pi, 0.1 + 0.45 * np.pi])
+        frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
+        jump = SampledPath([0.0, 0.5, 0.5 + 1e-13, 1.0], frames)
+        with pytest.raises(MaslovkitError, match="did not settle"):
+            rs_index((jump, ConstantPath(LagrangianFrame.vertical(1))))
 
 
 class TestDet2Winding:

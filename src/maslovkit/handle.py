@@ -1,9 +1,7 @@
 """The subcritical handle local model on R^{2n}.
 
-Coordinates are (x_1..x_k, y_1..y_k, x_{k+1}, y_{k+1}, .., x_n, y_n): the
-first 2k entries are the handle directions as (x, y) pairs interleaved per
-index is NOT used -- the layout is x_1..x_k, y_1..y_k, then (x_j, y_j) pairs
-for j > k, matching the quadratic potentials
+Coordinates are (x_1..x_k, y_1..y_k, x_{k+1}, y_{k+1}, .., x_n, y_n): the k
+handle x's, the k handle y's, then the transverse pairs, matching the potentials
 
     x = 3/4 sum_{i<=k} x_i^2,   y = 1/4 sum_{i<=k} y_i^2,
     z = 1/4 sum_{i>k} (x_i^2 + y_i^2),
@@ -95,11 +93,11 @@ class HandlePoint:
 
 
 def _split(p: np.ndarray, params: HandleParams):
-    k, n = params.k, params.n
-    xk = p[:k]
-    yk = p[k : 2 * k]
-    rest = p[2 * k :].reshape(n - k, 2)
-    return xk, yk, rest[:, 0], rest[:, 1]
+    """(x_1..x_k, y_1..y_k, transverse x's, transverse y's) along the last axis."""
+    if p.ndim == 0 or p.shape[-1] != 2 * params.n:
+        raise DimensionMismatchError(f"expected {2 * params.n} coordinates, got shape {p.shape}")
+    k = params.k
+    return p[..., :k], p[..., k : 2 * k], p[..., 2 * k :: 2], p[..., 2 * k + 1 :: 2]
 
 
 @dataclass(frozen=True)
@@ -136,23 +134,22 @@ class CutoffG:
         return out if out.ndim else float(out)
 
 
-def potentials(p: HandlePoint, params: HandleParams) -> dict:
-    """The quadratic potentials and derived functions at a point.
+def potentials(p, params: HandleParams) -> dict:
+    """The quadratic potentials and derived functions at a point, as floats,
+    or at each point of an array of shape (..., 2n), as arrays of shape (...).
 
     Returns a dict with keys x, y, z, phi, psi_delta, lyapunov.
     """
-    c = p.coords if isinstance(p, HandlePoint) else HandlePoint.of(p, params).coords
+    c = p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float)
     xk, yk, xr, yr = _split(c, params)
-    x = 0.75 * float(np.sum(xk**2))
-    y = 0.25 * float(np.sum(yk**2))
-    z = 0.25 * float(np.sum(xr**2) + np.sum(yr**2))
-    phi = x - y + z
-    g = params.cutoff
-    psi = x - y + z - (1 + params.epsilon) + (1 + params.epsilon) * g(
-        y + (x + z) / params.delta
-    )
-    lyap = float(np.sum(xk * yk))
-    return {"x": x, "y": y, "z": z, "phi": phi, "psi_delta": psi, "lyapunov": lyap}
+    if not np.all(np.isfinite(c)):
+        raise MaslovkitError("coordinates must be finite")
+    x = 0.75 * np.sum(xk**2, axis=-1)
+    y = 0.25 * np.sum(yk**2, axis=-1)
+    z = 0.25 * (np.sum(xr**2, axis=-1) + np.sum(yr**2, axis=-1))
+    out = {"x": x, "y": y, "z": z, "phi": x - y + z,
+           "psi_delta": potentials_xyz(x, y, z, params), "lyapunov": np.sum(xk * yk, axis=-1)}
+    return {key: float(v) for key, v in out.items()} if c.ndim == 1 else out
 
 
 def potentials_xyz(x, y, z, params: HandleParams):
@@ -170,8 +167,7 @@ def liouville_field(p: HandlePoint, params: HandleParams) -> np.ndarray:
     k = params.k
     out[:k] = 1.5 * xk
     out[k : 2 * k] = -0.5 * yk
-    rest = np.stack([0.5 * xr, 0.5 * yr], axis=1).reshape(-1)
-    out[2 * k :] = rest
+    out[2 * k :] = np.stack([0.5 * xr, 0.5 * yr], axis=1).reshape(-1)
     return out
 
 
@@ -183,8 +179,7 @@ def liouville_form(p: HandlePoint, params: HandleParams) -> np.ndarray:
     out = np.empty_like(c)
     out[:k] = 0.5 * yk            # coefficient of dx_i, i <= k
     out[k : 2 * k] = 1.5 * xk     # coefficient of dy_i, i <= k
-    rest = np.stack([-0.5 * yr, 0.5 * xr], axis=1).reshape(-1)
-    out[2 * k :] = rest
+    out[2 * k :] = np.stack([-0.5 * yr, 0.5 * xr], axis=1).reshape(-1)
     return out
 
 
@@ -265,6 +260,9 @@ def quadratic_model_path(n: int, k: int):
 # Transversality certification
 # ---------------------------------------------------------------------------
 
+ROOT_TOL = 1e-13  # a root stops once its Newton step or bracket is <= ROOT_TOL * max(1, y)
+ROOT_STEPS = 60  # per root; pure bisection of [0, y_max] needs log2(y_max / ROOT_TOL)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -304,14 +302,18 @@ def transversality_certificate(
 ) -> TransversalityCertificate:
     """Certify d(psi_delta)(X) > 0 on the deformed level set {psi_delta = -1}.
 
-    psi is strictly decreasing in y (d psi/dy = -1 + (1+eps) g' < 0, since
-    g' <= 1/(1+2eps)), so the level set is a graph y = Y(x, z) over the
-    potential quadrant, and along each (x, z) grid column the rows with
-    psi + 1 <= 0 form a tail.  A column crosses the level set iff its first
-    row is positive and its last is not; bisection over row indices finds its
-    first non-positive grid row in ceil(log2(res - 1)) evaluations, and
-    bisection in y within that grid cell solves for the surface point.  The
-    directional derivative
+    f = psi_delta + 1 depends on x, z only through s = x + z, and in y it is
+    decreasing, f_y = -1 + (1+eps) g'(y + s/delta) < 0 as g' <= 1/(1+2eps),
+    and concave, as g' is non-increasing.  So the level set is a graph
+    y = Y(s), an (x, z) grid column crosses it iff f > 0 at its first grid
+    row and f <= 0 at its last, and Newton from the last row falls
+    monotonically onto Y(s).  Y is solved once per distinct s of the crossing
+    columns, each s keeping a bracket [lo, hi] with f(lo) > 0 >= f(hi); a
+    Newton step that leaves it, or is over half the previous step (rounding
+    in f can stall Newton), bisects instead.  An s stops at f = 0 or once its
+    step or bracket is at most ROOT_TOL * max(1, y), so surface points hold to
+    that tolerance, not bit-exactly; an s unsettled after ROOT_STEPS raises
+    `MaslovkitError`.  The directional derivative
 
         d(psi_delta)(X) = (1 + (1+eps) g'/delta) 3x
                           - (-1 + (1+eps) g') y
@@ -326,37 +328,34 @@ def transversality_certificate(
     g = params.cutoff
     res = gs.resolution
 
-    xs = np.linspace(0.0, gs.x_max, res)
-    zs = np.linspace(0.0, gs.z_max, res)
     ys = np.linspace(0.0, gs.y_max, res)
-    xg, zg = np.meshgrid(xs, zs, indexing="ij")
-    xg = xg.ravel()
-    zg = zg.ravel()
-
-    def psi_plus_one(y, x=xg, z=zg):
-        return potentials_xyz(x, y, z, params) + 1.0
-
-    cols = np.nonzero((psi_plus_one(ys[:1]) > 0) & (psi_plus_one(ys[-1:]) <= 0))[0]
+    x_c, z_c = (a.ravel() for a in np.meshgrid(np.linspace(0.0, gs.x_max, res),
+                                               np.linspace(0.0, gs.z_max, res), indexing="ij"))
+    cols = np.nonzero((potentials_xyz(x_c, ys[:1], z_c, params) + 1.0 > 0)
+                      & (potentials_xyz(x_c, ys[-1:], z_c, params) + 1.0 <= 0))[0]
     if cols.size == 0:
-        raise MaslovkitError(
-            "empty grid intersection: no column of the box crosses the level set"
-        )
-    x_c, z_c = xg[cols], zg[cols]
-    # invariant: psi + 1 > 0 at row i_lo and <= 0 at row i_hi
-    i_lo = np.zeros(cols.size, dtype=int)
-    i_hi = np.full(cols.size, res - 1)
-    while np.any(i_hi - i_lo > 1):
-        i_mid = (i_lo + i_hi) // 2
-        neg = psi_plus_one(ys[i_mid], x_c, z_c) <= 0
-        i_hi = np.where(neg, i_mid, i_hi)
-        i_lo = np.where(neg, i_lo, i_mid)
-    lo, hi = ys[i_lo], ys[i_hi]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        neg = psi_plus_one(mid, x_c, z_c) <= 0
-        hi = np.where(neg, mid, hi)
-        lo = np.where(neg, lo, mid)
-    y_c = 0.5 * (lo + hi)
+        raise MaslovkitError("empty grid intersection: no column of the box crosses the level set")
+    x_c, z_c = x_c[cols], z_c[cols]
+    s, col_s = np.unique(x_c + z_c, return_inverse=True)
+    lo, hi = np.full(s.size, ys[0]), np.full(s.size, ys[-1])
+    y_s, last = hi.copy(), np.full(s.size, np.inf)
+    act = np.arange(s.size)  # the unsettled values of s
+    for _ in range(ROOT_STEPS):
+        sa, y = s[act], y_s[act]
+        f = potentials_xyz(sa, y, 0.0, params) + 1.0  # at x = s, z = 0
+        lo[act], hi[act] = np.where(f > 0, y, lo[act]), np.where(f > 0, hi[act], y)
+        new = y - f / (-1.0 + (1.0 + e) * g.prime(y + sa / d))
+        newton = (new >= lo[act]) & (new <= hi[act]) & (2.0 * np.abs(new - y) <= last[act])
+        new = np.where(newton, new, 0.5 * (lo[act] + hi[act]))
+        last[act] = np.abs(new - y)
+        y_s[act] = new  # f = 0 gives a zero step
+        tol = ROOT_TOL * np.maximum(1.0, y)
+        act = act[(last[act] > tol) & (hi[act] - lo[act] > tol)]
+        if act.size == 0:
+            break
+    else:
+        raise MaslovkitError(f"level set unresolved: {act.size} roots after {ROOT_STEPS} steps")
+    y_c = y_s[col_s]
 
     keep = np.sqrt(x_c**2 + y_c**2 + z_c**2) >= 1e-6
     x_c, y_c, z_c = x_c[keep], y_c[keep], z_c[keep]

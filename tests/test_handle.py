@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from maslovkit import handle
 from maslovkit.errors import DimensionMismatchError, MaslovkitError
 from maslovkit.handle import (
+    ROOT_TOL,
     CutoffG,
     GridSpec,
     HandleParams,
@@ -59,6 +61,25 @@ class TestPotentials:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             HandlePoint.of([0, 0, 0], PARAMS)
+        for bad in (np.zeros((2, 3)), np.zeros(5), 1.0):
+            with pytest.raises(DimensionMismatchError):
+                potentials(bad, PARAMS)
+        for field in (liouville_field, hamiltonian_fields):
+            with pytest.raises(DimensionMismatchError):
+                field(np.zeros(6), PARAMS)
+        with pytest.raises(MaslovkitError, match="finite"):
+            potentials(np.array([[0.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]), PARAMS)
+
+    def test_point_array_matches_scalar_calls(self):
+        params = HandleParams(n=4, k=2, epsilon=0.05, delta=0.01)
+        pts = np.random.default_rng(3).normal(size=(3, 5, 8), scale=1.5)
+        got = potentials(pts, params)
+        for i, j in np.ndindex(3, 5):
+            one = potentials(pts[i, j], params)
+            assert all(type(v) is float for v in one.values())
+            assert one == potentials(HandlePoint.of(pts[i, j], params), params)
+            for key, v in one.items():
+                assert got[key].shape == (3, 5) and got[key][i, j] == v, key
 
 
 class TestCutoff:
@@ -262,16 +283,76 @@ class TestTransversality:
 
     @pytest.mark.parametrize("eps,delta", [(0.1, 0.05), (0.1, 0.01),
                                            (0.05, 0.05), (0.05, 0.01)])
-    def test_row_bisection_matches_dense_scan(self, eps, delta):
+    def test_newton_matches_dense_scan(self, eps, delta):
         # psi_delta of the potentials does not depend on (n, k): one dense
         # scan per grid serves all three handle shapes.  The last box puts
-        # the witness in the top grid cell of its column.
+        # the witness in the top grid cell of its column.  Newton's surface
+        # points are roots to ROOT_TOL, so the values agree to that tolerance.
         grids = [GridSpec(resolution=res) for res in (7, 50, 200)]
         for gs in grids + [GridSpec(7, x_max=0.2, y_max=1.2, z_max=0.2)]:
             want = _dense_scan_certificate(HandleParams(2, 1, eps, delta), gs)
+            assert ROOT_TOL * max(1.0, want["min_value"]) < 1e-9 * want["min_value"]
             for n, k in [(2, 1), (4, 2), (5, 4)]:
                 params = HandleParams(n=n, k=k, epsilon=eps, delta=delta)
-                assert transversality_certificate(params, gs).to_json() == want, (n, k, gs)
+                got = transversality_certificate(params, gs).to_json()
+                for key in ("schema", "params", "grid", "n_surface_points", "pass"):
+                    assert got[key] == want[key], (key, n, k, gs)
+                for a, b in zip([got["min_value"]] + got["witness_point"],
+                                [want["min_value"]] + want["witness_point"]):
+                    assert abs(a - b) <= ROOT_TOL * max(1.0, abs(b)), (n, k, gs)
+
+    @pytest.mark.parametrize("eps,delta", [(0.1, 0.05), (0.1, 0.01),
+                                           (0.05, 0.05), (0.05, 0.01)])
+    def test_closed_form_regions(self, eps, delta):
+        # With s = x + z, the root of psi_delta + 1 in y has a closed form
+        # where g does: y = s + 1 where g = 1 (argument >= 1+3eps), and
+        #   y = [s (1+2eps + (1+eps)/delta) - eps (1+2eps)] / eps
+        # where g is linear (argument <= 1+eps).  A resolution-2 box whose
+        # x (or z) side is s has one crossing column pair, (s, 0) (or (0, s)),
+        # so its witness is that column's surface point.
+        e, d = eps, delta
+        c = 1.0 + 2.0 * e + (1.0 + e) / d
+        s_lin = (e * (1.0 + 2.0 * e) / c, (2.0 + 3.0 * e) / (c / e + 1.0 / d))
+        s_sat = 3.0 * e / (1.0 + 1.0 / d)  # from here on the root has g = 1
+        linear = [(s, (s * c - e * (1.0 + 2.0 * e)) / e)
+                  for s in np.linspace(*s_lin, 8)[1:-1]]  # the band's inside
+        saturated = [(s, s + 1.0) for s in np.linspace(1.001 * s_sat, 1.99, 9)]
+        params = HandleParams(2, 1, e, d)
+        for s, y in linear + saturated:
+            arg = y + s / d
+            assert arg <= 1.0 + e if y < s + 1.0 else arg >= 1.0 + 3.0 * e
+            for box, point in (((s, 3.0, 0.0), (s, y, 0.0)), ((0.0, 3.0, s), (0.0, y, s))):
+                cert = transversality_certificate(params, GridSpec(2, *box))
+                assert cert.n_surface_points == 2
+                for a, b in zip(cert.witness_point, point):
+                    assert abs(a - b) <= ROOT_TOL * max(1.0, abs(b)), (s, box)
+
+    def test_unsettled_column_raises(self, monkeypatch):
+        # one Newton step settles no column whose root is below the top row
+        monkeypatch.setattr(handle, "ROOT_STEPS", 1)
+        with pytest.raises(MaslovkitError, match="unresolved"):
+            transversality_certificate(PARAMS, GridSpec(resolution=50))
+
+    def test_newton_settles_in_few_steps(self, monkeypatch):
+        # bisection to ROOT_TOL would need about 45 steps per column
+        monkeypatch.setattr(handle, "ROOT_STEPS", 8)
+        for eps, delta in [(0.1, 0.05), (0.1, 0.01), (0.05, 0.05), (0.05, 0.01)]:
+            for res in (50, 100, 150, 200):
+                params = HandleParams(n=2, k=1, epsilon=eps, delta=delta)
+                assert transversality_certificate(params, GridSpec(res)).passed
+
+    def test_stalled_newton_falls_back_to_bisection(self):
+        # small eps makes |f_y| ~ 1.5e-3, so rounding in f moves Newton's
+        # steps by ~1e-13 near the root and Newton alone never settles here;
+        # the root itself is only that well conditioned, hence 1e-12
+        params = HandleParams(2, 1, 0.0015, 1.15)
+        gs = GridSpec(9, x_max=0.0033, y_max=100.0, z_max=0.0014)
+        got = transversality_certificate(params, gs).to_json()
+        want = _dense_scan_certificate(params, gs)
+        assert (got["n_surface_points"], got["pass"]) == (want["n_surface_points"], want["pass"])
+        for a, b in zip([got["min_value"]] + got["witness_point"],
+                        [want["min_value"]] + want["witness_point"]):
+            assert abs(a - b) <= 1e-12
 
     def test_json_shape(self):
         cert = transversality_certificate(PARAMS, GridSpec(resolution=20))

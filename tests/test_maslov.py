@@ -108,8 +108,8 @@ class TestCrossingDiagnostics:
             c.check_invariants()
 
     def test_simultaneous_factor_crossing_detected(self):
-        # both factors cross at once: intersection dimension 2, no sign change
-        # of the transversality determinant (dip detection must catch it)
+        # both factors cross at once: two eigenphases of W pass 1 together,
+        # and the lift's cell bisection must list one crossing of dimension 2
         p = rotation_path(2, [np.pi, np.pi], domain=(0.0, 1.0))
         cs = rs_crossings((p, horizontal_ref(2)))
         interior = [c for c in cs if not c.boundary]
@@ -138,11 +138,11 @@ class TestBatchedEngine:
         with pytest.raises(IrregularCrossingError) as exc:
             rs_index((p, p))
         assert exc.value.time == 0.0
-        assert p.calls <= 8  # both factors of the start check, before the scan
+        assert p.calls <= 8  # both factors of the start check, before the lift
 
     def test_crossing_counted_once(self):
-        # ill-conditioned n=6 draw whose crossing near t = 0.709029 was once
-        # refined both as a root and as a dip, and listed twice
+        # ill-conditioned n=6 draw with one crossing near t = 0.709029, which
+        # the bisection of the det^2 lift's cells must list exactly once
         rng = np.random.default_rng([21, 5, 5, 11])
         p0, p1 = draw_generator_path(rng, 6, 8.0), draw_generator_path(rng, 6, 8.0)
         c = rng.uniform(0.25, 0.75)

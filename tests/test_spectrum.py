@@ -127,6 +127,20 @@ class TestOdeRoute:
             if b["kind"] == "hyperbolic":
                 assert b["min_y_interior"] > 1.0
 
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    def test_richardson_drift_is_the_trajectory_gap(self, step):
+        # the step-2h endpoint by squaring equals the end of a whole step-2h
+        # trajectory, so the drift is that of two full trajectories
+        for n, k, m in [(n, k, m) for n in range(2, 6) for k in range(1, n) for m in (1, 4)]:
+            cz = float(LINEAR.cz(0.5))
+            a = 2 * math.pi * m / cz
+            _, diag = handle_rs_index_ode(n, k, a, LINEAR, 0.5, step=step)
+            mats = np.stack([a * np.array([[0.0, LINEAR.cy / 2], [1.5 * LINEAR.cx, 0.0]])] * k
+                            + [(a * cz / 2) * np.array([[0.0, -1.0], [1.0, 0.0]])] * (n - k))
+            v0 = np.tile([0.0, 1.0], (n, 1))
+            ends = [_rk4_blocks(mats, h, v0)[-1] for h in (step, 2 * step)]
+            assert abs(diag["drift"] - np.max(np.abs(ends[0] - ends[1]))) <= 1e-12, (n, k, m)
+
     def test_bad_step_errors(self):
         cz = float(LINEAR.cz(0.5))
         with pytest.raises(IntegrationError):

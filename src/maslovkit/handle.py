@@ -141,15 +141,20 @@ def potentials(p, params: HandleParams) -> dict:
     Returns a dict with keys x, y, z, phi, psi_delta, lyapunov.
     """
     c = p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float)
+    x, y, z = _quadratic(c, params)
+    k = params.k
+    out = {"x": x, "y": y, "z": z, "phi": x - y + z, "psi_delta": potentials_xyz(x, y, z, params),
+           "lyapunov": np.sum(c[..., :k] * c[..., k : 2 * k], axis=-1)}
+    return {key: float(v) for key, v in out.items()} if c.ndim == 1 else out
+
+
+def _quadratic(c: np.ndarray, params: HandleParams):
+    """The quadratic potentials (x, y, z) at the points c, shape (..., 2n)."""
     xk, yk, xr, yr = _split(c, params)
     if not np.all(np.isfinite(c)):
         raise MaslovkitError("coordinates must be finite")
-    x = 0.75 * np.sum(xk**2, axis=-1)
-    y = 0.25 * np.sum(yk**2, axis=-1)
-    z = 0.25 * (np.sum(xr**2, axis=-1) + np.sum(yr**2, axis=-1))
-    out = {"x": x, "y": y, "z": z, "phi": x - y + z,
-           "psi_delta": potentials_xyz(x, y, z, params), "lyapunov": np.sum(xk * yk, axis=-1)}
-    return {key: float(v) for key, v in out.items()} if c.ndim == 1 else out
+    return (0.75 * np.sum(xk**2, axis=-1), 0.25 * np.sum(yk**2, axis=-1),
+            0.25 * (np.sum(xr**2, axis=-1) + np.sum(yr**2, axis=-1)))
 
 
 def potentials_xyz(x, y, z, params: HandleParams):
@@ -235,12 +240,11 @@ def lyapunov_derivative(p: HandlePoint, coeffs: dict, params: HandleParams) -> f
     """
     cx, cy, cz = coeffs["Cx"], coeffs["Cy"], coeffs["Cz"]
     if cx <= 0 or cy <= 0 or cz <= 0:
-        raise MaslovkitError(
-            "coefficients must be positive (the confinement argument needs "
-            "Cx, Cy, Cz > 0)"
-        )
-    pot = potentials(p, params)
-    return 2.0 * (cx * pot["x"] + cy * pot["y"])
+        raise MaslovkitError("coefficients must be positive (the confinement argument "
+                             "needs Cx, Cy, Cz > 0)")
+    x, y, _ = _quadratic(p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float),
+                         params)
+    return float(2.0 * (cx * x + cy * y))
 
 
 def quadratic_model_flow(z0, k: int, t: float) -> np.ndarray:

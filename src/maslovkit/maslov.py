@@ -17,15 +17,21 @@ or reaches 0 from above at t1 adds 1/2, and the reverse directions subtract.
 Only the total change of arg det^2 and the spectra at the ends enter: interior
 crossings need not be regular, and none is located to compute the index.
 
-`_lift` is the one det^2 lift, shared by `rs_index` and `det2_winding`: it
-samples det^2 on a grid of at least 256 cells and doubles the grid until no
-step exceeds pi/4 and each step equals the sum of its two half steps.  Paths
-are evaluated in batched ``frames(ts)`` calls of at most `BATCH` times, so an
-index costs three calls per path (the ends, the grid, its midpoints) while
-the grid stays under `BATCH` cells, whatever its crossing count.  The crossing form at each end is still
-computed, by a one-sided finite difference of the moving frame written as a
-graph over itself, but only to refuse a degenerate end; t0 is checked first,
-before the lift.
+`_lift` is the one det^2 lift, shared by `rs_index` and `det2_winding`.  It
+reads det(X + iY) of the raw frames: (X; Y) = Q R with Q orthonormal and R
+real gives X + iY = U R, so det(X + iY)^2 = det U^2 det R^2 with det R^2 > 0,
+and only the unit phase (the `slogdet` sign) is kept, so no frame overflows.
+The grid has at least 256 cells and doubles until no step exceeds pi/4 and
+each step is the sum of its half steps.  Paths are evaluated in ``frames(ts)``
+calls of at most `BATCH` times: three per path per index (the ends, the grid,
+its midpoints) while the grid stays under `BATCH` cells.  QR orthonormalizes
+only the frames whose eigenphases of W are needed: the two 4-point end
+stencils, and the grid and bisection points of `rs_crossings`.  Raw and
+orthonormalized phases differ by about eps cond(F), above `FLOW_TOL` on
+ill-conditioned frames, so `_anchor` moves the lift there to arg det V^2 of
+those unitaries.  The crossing form at each end is computed (a one-sided
+finite difference of the moving frame written as a graph over itself) only
+to refuse a degenerate end; t0 is checked first, before the lift.
 
 An index is an exact `HalfInt` or an error: a flow farther than `FLOW_TOL`
 from an integer raises `MaslovkitError`.
@@ -45,12 +51,8 @@ from .errors import (
     MaslovkitError,
 )
 from .halfint import HalfInt
-from .symplin import (
-    LagrangianPath,
-    complex_structure,
-    intersection_basis,
-    lagrangian_intersection_dim,
-)
+from .symplin import (LagrangianPath, complex_structure, intersection_basis,
+                      lagrangian_intersection_dim, omega_matrix)
 
 TIME_TOL = 1e-10  # width, relative to the domain, at which rs_crossings stops
 FD_STEP = 1e-6
@@ -80,18 +82,21 @@ class Crossing:
             raise IrregularCrossingError(self.time, "signature parity violation")
 
 
+def _complex(path, ts, f) -> np.ndarray:
+    """X + iY of f(frames of ``path`` at ts), from ``frames`` calls of <= BATCH times."""
+    ts, n = np.asarray(ts, dtype=float), path.n
+    fs = [f(path.frames(ts[i:i + BATCH])) for i in range(0, len(ts), BATCH)]
+    return np.concatenate([q[:, :n] + 1j * q[:, n:] for q in fs])
+
+
 def _unitary(path, ts) -> np.ndarray:
-    """X + iY of the orthonormalized frames of ``path`` at the times ts, shape
-    (len(ts), n, n), from ``frames`` calls of at most BATCH times."""
-    ts = np.asarray(ts, dtype=float)
-    q = np.concatenate([np.linalg.qr(path.frames(ts[i:i + BATCH]))[0]
-                        for i in range(0, len(ts), BATCH)])
-    return q[:, : path.n] + 1j * q[:, path.n :]
+    """X + iY of the orthonormalized frames of ``path`` at the times ts."""
+    return _complex(path, ts, lambda f: np.linalg.qr(f)[0])
 
 
-def _det2(u0, u1) -> np.ndarray:
-    """det V^2 for V = U0* U1."""
-    return (np.conj(np.linalg.det(u0)) * np.linalg.det(u1)) ** 2
+def _det_phase(path, ts) -> np.ndarray:
+    """det(X + iY) / |det(X + iY)| of the raw frames of ``path`` at the times ts."""
+    return np.linalg.slogdet(_complex(path, ts, lambda f: f))[0]
 
 
 def _phases(u0, u1) -> np.ndarray:
@@ -105,19 +110,25 @@ def _wrap(x):
     return (x + np.pi) % (2 * np.pi) - np.pi
 
 
+def _anchor(theta, u0, u1):
+    """The lift theta moved, by less than pi, to arg det V^2 of the unitaries."""
+    det2 = (np.conj(np.linalg.det(u0)) * np.linalg.det(u1)) ** 2
+    return theta + _wrap(np.angle(det2) - theta)
+
+
 def _turns(x) -> np.ndarray:
     """x / 2 pi as integers; raises if any is farther than FLOW_TOL from one."""
     x = np.asarray(x) / (2 * np.pi)
     k = np.rint(x)
     if np.max(np.abs(x - k), initial=0.0) > FLOW_TOL:
         raise MaslovkitError(
-            f"spectral flow {x.flat[np.argmax(np.abs(x - k))]!r} is not within "
+            f"{x.flat[np.argmax(np.abs(x - k))]!r} turns is not within "
             f"{FLOW_TOL} of an integer; the frames are too ill-conditioned")
     return k.astype(int)
 
 
 def _lift(det2, domain, resolution):
-    """A continuous arg of ``det2`` (a callable ts -> det^2) over the domain.
+    """A continuous arg of ``det2`` (ts -> det^2 up to positive factors), unanchored.
 
     The grid starts at max(256, resolution) cells and doubles, one ``det2``
     call on the new midpoints each time, until no step exceeds pi/4 and every
@@ -144,20 +155,10 @@ class _Pair:
         path0, path1 = pair
         if path0.n != path1.n:
             raise DimensionMismatchError(f"paths have n={path0.n} and n={path1.n}")
-        if (
-            abs(path0.domain[0] - path1.domain[0]) > 1e-12
-            or abs(path0.domain[1] - path1.domain[1]) > 1e-12
-        ):
-            raise DimensionMismatchError(
-                f"paths have domains {path0.domain} and {path1.domain}"
-            )
+        if np.max(np.abs(np.subtract(path0.domain, path1.domain))) > 1e-12:
+            raise DimensionMismatchError(f"paths have domains {path0.domain} and {path1.domain}")
         self.n, self.domain, self.paths = path0.n, path0.domain, (path0, path1)
         self.resolution = max(path0.sample_resolution, path1.sample_resolution)
-        # the graph construction: (L0, L1) in (R^{4n}, omega + (-omega)) meets
-        # the diagonal in L0 ∩ L1
-        j, z = complex_structure(self.n), np.zeros((2 * self.n, 2 * self.n))
-        self.jmat = np.block([[j, z], [z, -j]])
-        self.diag = np.vstack([np.eye(2 * self.n), np.eye(2 * self.n)]) / np.sqrt(2.0)
 
     def unitaries(self, ts):
         """(U0, U1) at the times ts."""
@@ -182,11 +183,14 @@ class _Pair:
         g[:, : 2 * n, :n] = np.concatenate([u0.real, u0.imag], axis=1)
         g[:, 2 * n :, n:] = np.concatenate([u1.real, u1.imag], axis=1)
         b = g[0]
-        basis = intersection_basis(b, self.diag)
+        # the graph construction: (L0, L1) in (R^{4n}, omega + (-omega)) meets
+        # the diagonal in L0 ∩ L1
+        basis = intersection_basis(b, np.vstack([np.eye(2 * n)] * 2) / np.sqrt(2.0))
         if basis.shape[1] == 0:
             return Crossing(t, 0, 0, True)
         # symmetrized d/dt of the moving frame written as a graph over itself
-        s = ((self.jmat @ b).T @ g) @ np.linalg.inv(b.T @ g)
+        jb = np.concatenate([complex_structure(n) @ b[: 2 * n], omega_matrix(n) @ b[2 * n :]])
+        s = (jb.T @ g) @ np.linalg.inv(b.T @ g)
         ds = np.tensordot(weights, s, axes=1) / (6.0 * step)
         u = b.T @ basis
         gamma = u.T @ ((ds + ds.T) / 2.0) @ u
@@ -198,7 +202,9 @@ class _Pair:
         return c
 
     def lift(self):
-        return _lift(lambda ts: _det2(*self.unitaries(ts)), self.domain, self.resolution)
+        p0, p1 = self.paths
+        return _lift(lambda ts: (np.conj(_det_phase(p0, ts)) * _det_phase(p1, ts)) ** 2,
+                     self.domain, self.resolution)
 
 
 def _end_phase_sum(u0, u1, k: int) -> float:
@@ -229,9 +235,10 @@ def rs_index(pair) -> HalfInt:
     pr = _Pair(pair)
     (a0, a1, start), (b0, b1, end) = pr.ends()
     _, theta = pr.lift()
+    # anchor both ends to the unitaries that give E there
+    th0, th1 = _anchor(theta[[0, -1]], np.stack([a0, b0]), np.stack([a1, b1]))
     k0, k1 = start.intersection_dim, end.intersection_dim
-    flow = _turns(_end_phase_sum(a0, a1, k0) + theta[-1] - theta[0]
-                  - _end_phase_sum(b0, b1, k1))
+    flow = _turns(_end_phase_sum(a0, a1, k0) + th1 - th0 - _end_phase_sum(b0, b1, k1))
     return HalfInt(int(-2 * flow - k0 + k1))
 
 
@@ -250,7 +257,8 @@ def rs_crossings(pair) -> List[Crossing]:
     (a0, a1, start), (b0, b1, end) = pr.ends()
     ts, theta = pr.lift()
     t0, t1 = pr.domain
-    e = _phases(*pr.unitaries(ts)).sum(axis=-1)
+    u0, u1 = pr.unitaries(ts)
+    e, theta = _phases(u0, u1).sum(axis=-1), _anchor(theta, u0, u1)
     # eigenvalues leaving 0 downward at t0, or reaching it from below at t1,
     # are end crossings: put them at 2 pi so that no cell counts them
     k0, k1 = start.intersection_dim, end.intersection_dim
@@ -263,7 +271,7 @@ def rs_crossings(pair) -> List[Crossing]:
         mid = (lo + hi) / 2
         u0, u1 = pr.unitaries(mid)
         e_mid = _phases(u0, u1).sum(axis=-1)
-        th_mid = th_lo + _wrap(np.angle(_det2(u0, u1)) - th_lo)
+        th_mid = _anchor(th_lo, u0, u1)
         left = _turns(e_lo + th_mid - th_lo - e_mid)
         keep_l, keep_r = left != 0, flow != left
         cat = lambda l, r: np.concatenate([l[keep_l], r[keep_r]])
@@ -285,13 +293,13 @@ def rs_crossings(pair) -> List[Crossing]:
 
 def det2_winding(loop: LagrangianPath) -> int:
     """Winding number of det^2 along a loop of Lagrangian subspaces, from the
-    det^2 lift that `rs_index` uses."""
+    det^2 lift that `rs_index` uses; one farther than `FLOW_TOL` from an
+    integer raises `MaslovkitError`."""
     f0, f1 = loop.endpoint_frames()
     if lagrangian_intersection_dim(f0, f1) != loop.n:
         raise EndpointMismatchError("loop endpoints span different subspaces")
-    det2 = lambda ts: np.linalg.det(_unitary(loop, ts)) ** 2
-    _, theta = _lift(det2, loop.domain, loop.sample_resolution)
-    return int(np.round((theta[-1] - theta[0]) / (2 * np.pi)))
+    _, theta = _lift(lambda ts: _det_phase(loop, ts) ** 2, loop.domain, loop.sample_resolution)
+    return int(_turns(theta[-1] - theta[0]))
 
 
 def chord_maslov(flow_path: LagrangianPath, reference: LagrangianPath, n: int) -> HalfInt:

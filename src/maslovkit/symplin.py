@@ -15,6 +15,7 @@ normalized columns.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -30,21 +31,22 @@ from .errors import (
 
 BILINEAR_TOL = 1e-10
 RANK_TOL = 1e-8
-DET2_TOL = 1e-9
 
 
-def omega_matrix(n: int) -> np.ndarray:
-    """Matrix of the standard form Sum dx_j ^ dy_j in (x, y) order."""
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    return np.block([[Z, I], [-I, Z]])
-
-
+@functools.cache
 def complex_structure(n: int) -> np.ndarray:
-    """Matrix of multiplication by i: J(x, y) = (-y, x)."""
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    return np.block([[Z, -I], [I, Z]])
+    """Matrix of multiplication by i: J(x, y) = (-y, x); built once per n, read-only."""
+    j = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
+    j.flags.writeable = False
+    return j
+
+
+@functools.cache
+def omega_matrix(n: int) -> np.ndarray:
+    """Matrix of the standard form Sum dx_j ^ dy_j in (x, y) order: -J; read-only."""
+    omega = -complex_structure(n)
+    omega.flags.writeable = False
+    return omega
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,7 @@ def is_symplectic(m) -> bool:
 
     Accepts a `SymplecticMatrix` or a raw square array of even dimension.
     """
-    a = m.entries if isinstance(m, SymplecticMatrix) else np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
-        raise DimensionMismatchError(
-            f"expected a square matrix of even dimension, got shape {a.shape}"
-        )
+    a = (m if isinstance(m, SymplecticMatrix) else SymplecticMatrix.from_array(m)).entries
     omega = omega_matrix(a.shape[0] // 2)
     return bool(np.max(np.abs(a.T @ omega @ a - omega)) < BILINEAR_TOL)
 

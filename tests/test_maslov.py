@@ -27,6 +27,7 @@ from maslovkit.symplin import (
     SampledPath,
     complex_structure,
     direct_sum_paths,
+    lagrangian_intersection_dim,
     rotation_path,
 )
 
@@ -167,6 +168,13 @@ class TestSpectralFlow:
         right = rs_index((p0.restricted(c, 1.0), p1.restricted(c, 1.0)))
         assert total == left + right
 
+    def test_ends_anchored_to_their_unitaries(self):
+        # n=5, scale 8: the raw-frame lift is 4e-6 turns off the phase of the
+        # orthonormalized end unitaries, so an unanchored flow is no integer
+        rng = np.random.default_rng([880, 370])
+        p0, p1 = draw_generator_path(rng, 5, 8.0), draw_generator_path(rng, 5, 8.0)
+        assert rs_index((p0, p1)) == -rs_index((p1, p0))
+
     def test_crossing_near_endpoint_natural(self):
         # a crossing about 1e-5 before t = 1, before and after Psi
         rng = np.random.default_rng([403, 1, 12, 7])
@@ -218,6 +226,74 @@ class TestSpectralFlow:
             rs_index((jump, ConstantPath(LagrangianFrame.vertical(1))))
 
 
+class RightMultiplied(LagrangianPath):
+    """Frames F(t) G(t) of ``inner``: the same subspaces, other frames."""
+
+    def __init__(self, inner, g):
+        self.inner, self.g = inner, g
+        self.n, self.domain = inner.n, inner.domain
+        self.sample_resolution = inner.sample_resolution
+
+    def frames(self, ts):
+        return self.inner.frames(ts) @ np.stack([self.g(float(t)) for t in ts])
+
+
+def badly_conditioned(n):
+    """t -> a rotated diag(1e3, 1e-3, 1, ...): real, invertible, condition 1e6."""
+    d = np.diag(np.concatenate([[1e3, 1e-3], np.ones(n - 2)]))
+
+    def g(t):
+        c, s = np.cos(2 * t + 0.3), np.sin(2 * t + 0.3)
+        r = np.eye(n)
+        r[:2, :2] = [[c, -s], [s, c]]
+        return r @ d @ r.T
+
+    return g
+
+
+class TestRawFrameLift:
+    """The det^2 lift reads det(X + iY) of the raw frames: only the end
+    stencils are orthonormalized."""
+
+    def test_rotation_lift_closed_form(self):
+        # V = U0* U1 = e^{-i pi s t} for (rotation, R^n): theta(t) - theta(0)
+        # = -2 pi sum(s) t on the whole grid, and the opposite for (R^n, rotation)
+        for n, s in ((1, [2.5]), (2, [1.5, -2.5]), (3, [0.7, 3.0, -1.25]),
+                     (6, [1.0, -2.0, 3.5, 0.25, -0.5, 2.0])):
+            p, ref = rotation_path(n, np.array(s) * np.pi), horizontal_ref(n)
+            for pair, sign in (((p, ref), -1.0), ((ref, p), 1.0)):
+                ts, theta = maslov._Pair(pair).lift()
+                want = sign * 2 * np.pi * sum(s) * ts
+                assert np.max(np.abs(theta - theta[0] - want)) <= 1e-12
+
+    def test_invariant_under_real_frame_change(self):
+        # F(t) G(t) spans what F(t) spans, so the index and the winding agree
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4):
+            p0, p1 = draw_generator_path(rng, n, 2.0), draw_generator_path(rng, n, 2.0)
+            g = badly_conditioned(n)
+            want = rs_index((p0, p1))
+            assert rs_index((RightMultiplied(p0, g), p1)) == want
+            assert rs_index((p0, RightMultiplied(p1, g))) == want
+            loop = rotation_path(n, np.arange(1, n + 1) * np.pi)
+            assert det2_winding(RightMultiplied(loop, g)) == det2_winding(loop) == n * (n + 1) // 2
+
+    def test_only_end_stencils_orthonormalized(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        p0, p1 = draw_generator_path(rng, 3, 2.0), draw_generator_path(rng, 3, 2.0)
+        for a, b in zip(p0.endpoint_frames(), p1.endpoint_frames()):
+            assert lagrangian_intersection_dim(a, b) == 0  # no QR in intersection_basis
+        seen, qr = [], np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            seen.append(int(np.prod(np.shape(a)[:-2])))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        rs_index((p0, p1))
+        assert sum(seen) == 2 * 8  # the two 4-point end stencils, per path
+
+
 class TestDet2Winding:
     def test_constant_loop(self):
         assert det2_winding(ConstantPath(LagrangianFrame.complex_line(0.3))) == 0
@@ -236,6 +312,12 @@ class TestDet2Winding:
     def test_endpoint_mismatch_rejected(self):
         with pytest.raises(EndpointMismatchError):
             det2_winding(rotation_path(1, 0.7 * np.pi))
+
+    def test_winding_off_an_integer_raises(self, monkeypatch):
+        # a winding off an integer is an error, never rounded
+        monkeypatch.setattr(maslov, "FLOW_TOL", -1.0)
+        with pytest.raises(MaslovkitError, match="turns is not within"):
+            det2_winding(rotation_path(1, np.pi))
 
 
 class TestChordMaslov:

@@ -46,6 +46,19 @@ def test_omega_compose_j_is_identity():
         assert np.allclose(omega_matrix(n) @ complex_structure(n), np.eye(2 * n))
 
 
+def test_structure_matrices_built_once_and_read_only():
+    # J(x, y) = (-y, x) entry by entry; both matrices are shared per n, so a
+    # write into one must fail rather than change every later caller's J
+    for n in (1, 3):
+        j = complex_structure(n)
+        x, y = np.arange(1.0, n + 1), -np.arange(2.0, n + 2)
+        assert np.array_equal(j @ np.concatenate([x, y]), np.concatenate([-y, x]))
+        assert complex_structure(n) is j and omega_matrix(n) is omega_matrix(n)
+        for m in (j, omega_matrix(n)):
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+
 class TestIsSymplectic:
     def test_identity(self):
         assert is_symplectic(np.eye(4))

@@ -25,7 +25,6 @@ from .halfint import HalfInt
 from .handle import (
     GridSpec,
     HandleParams,
-    HandlePoint,
     liouville_flow,
     quadratic_model_path,
     transversality_certificate,
@@ -104,11 +103,15 @@ def _emit(payload, args, csv_rows=None) -> None:
 
 def _load_json_input(args) -> dict:
     if getattr(args, "json", None):
-        return json.loads(args.json)
-    if getattr(args, "infile", None):
+        obj = json.loads(args.json)
+    elif getattr(args, "infile", None):
         with open(args.infile) as fh:
-            return json.load(fh)
-    raise MaslovkitError("provide --in FILE or --json STRING")
+            obj = json.load(fh)
+    else:
+        raise MaslovkitError("provide --in FILE or --json STRING")
+    if not isinstance(obj, dict):
+        raise MaslovkitError(f"JSON input must be an object, got {type(obj).__name__}")
+    return obj
 
 
 def _pair_from_obj(obj):
@@ -161,9 +164,8 @@ def _cmd_handle_certify(args):
 
 def _cmd_handle_flow(args):
     params = HandleParams(n=args.n, k=args.k, epsilon=args.eps, delta=args.delta)
-    point = HandlePoint.of([float(v) for v in args.point.split(",")], params)
-    q = liouville_flow(point, args.t, params)
-    _emit({"schema": "v1", "point": q.coords.tolist()}, args)
+    q = liouville_flow([float(v) for v in args.point.split(",")], args.t, params)
+    _emit({"schema": "v1", "point": q.tolist()}, args)
     return 0
 
 

@@ -13,6 +13,12 @@ the Morse function phi = x - y + z, and the cut-off deformation
 The Liouville field is X = 1/2 sum_{i<=k}(3 x_i d_{x_i} - y_i d_{y_i})
 + 1/2 sum_{i>k}(x_i d_{x_i} + y_i d_{y_i}), with closed-form flow scalings
 (e^{3t/2}, e^{-t/2}) on the handle pairs and e^{t/2} on the transverse ones.
+
+Every function of a point takes an array of points of shape (..., 2n) and
+answers per point, with the leading shape (...).  Through one check, a last
+axis of any other length raises `DimensionMismatchError` ("expected 2n
+coordinates, got shape ...") and a non-finite coordinate raises
+`MaslovkitError` ("coordinates must be finite").
 """
 
 from __future__ import annotations
@@ -74,30 +80,29 @@ class HandleParams:
         return inner_z_slope(self.epsilon, self.delta)
 
 
-@dataclass(frozen=True)
-class HandlePoint:
-    """A point of the model, coords in (x_1..x_k, y_1..y_k, x_j, y_j, ...) order."""
-
-    coords: np.ndarray
-
-    @staticmethod
-    def of(values, params: HandleParams) -> "HandlePoint":
-        c = np.asarray(values, dtype=float)
-        if c.shape != (2 * params.n,):
-            raise DimensionMismatchError(
-                f"expected {2 * params.n} coordinates, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise MaslovkitError("coordinates must be finite")
-        return HandlePoint(c)
+def _points(p, params: HandleParams) -> np.ndarray:
+    """p as a float array of points, shape (..., 2n), with finite coordinates."""
+    c = np.asarray(p, dtype=float)
+    if c.ndim == 0 or c.shape[-1] != 2 * params.n:
+        raise DimensionMismatchError(f"expected {2 * params.n} coordinates, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise MaslovkitError("coordinates must be finite")
+    return c
 
 
-def _split(p: np.ndarray, params: HandleParams):
-    """(x_1..x_k, y_1..y_k, transverse x's, transverse y's) along the last axis."""
-    if p.ndim == 0 or p.shape[-1] != 2 * params.n:
-        raise DimensionMismatchError(f"expected {2 * params.n} coordinates, got shape {p.shape}")
+def _per_coord(params: HandleParams, handle_x, handle_y, pair_x, pair_y) -> np.ndarray:
+    """One value per coordinate: on the handle x's, the handle y's, and the x and
+    y of each transverse pair."""
     k = params.k
-    return p[..., :k], p[..., k : 2 * k], p[..., 2 * k :: 2], p[..., 2 * k + 1 :: 2]
+    return np.concatenate([np.full(k, handle_x), np.full(k, handle_y),
+                           np.tile([pair_x, pair_y], params.n - k)])
+
+
+def _swap(params: HandleParams) -> np.ndarray:
+    """The coordinate permutation exchanging each x_i with its y_i."""
+    k = params.k
+    return np.concatenate([np.arange(k, 2 * k), np.arange(k),
+                           np.arange(2 * k, 2 * params.n) ^ 1])
 
 
 @dataclass(frozen=True)
@@ -135,12 +140,12 @@ class CutoffG:
 
 
 def potentials(p, params: HandleParams) -> dict:
-    """The quadratic potentials and derived functions at a point, as floats,
-    or at each point of an array of shape (..., 2n), as arrays of shape (...).
+    """The quadratic potentials and derived functions at each point, as arrays
+    of shape (...); at one point of shape (2n,), as floats.
 
     Returns a dict with keys x, y, z, phi, psi_delta, lyapunov.
     """
-    c = p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float)
+    c = _points(p, params)
     x, y, z = _quadratic(c, params)
     k = params.k
     out = {"x": x, "y": y, "z": z, "phi": x - y + z, "psi_delta": potentials_xyz(x, y, z, params),
@@ -149,12 +154,11 @@ def potentials(p, params: HandleParams) -> dict:
 
 
 def _quadratic(c: np.ndarray, params: HandleParams):
-    """The quadratic potentials (x, y, z) at the points c, shape (..., 2n)."""
-    xk, yk, xr, yr = _split(c, params)
-    if not np.all(np.isfinite(c)):
-        raise MaslovkitError("coordinates must be finite")
-    return (0.75 * np.sum(xk**2, axis=-1), 0.25 * np.sum(yk**2, axis=-1),
-            0.25 * (np.sum(xr**2, axis=-1) + np.sum(yr**2, axis=-1)))
+    """The quadratic potentials (x, y, z) at the checked points c, shape (..., 2n)."""
+    k = params.k
+    return (0.75 * np.sum(c[..., :k] ** 2, axis=-1), 0.25 * np.sum(c[..., k : 2 * k] ** 2, axis=-1),
+            0.25 * (np.sum(c[..., 2 * k :: 2] ** 2, axis=-1)
+                    + np.sum(c[..., 2 * k + 1 :: 2] ** 2, axis=-1)))
 
 
 def potentials_xyz(x, y, z, params: HandleParams):
@@ -165,27 +169,16 @@ def potentials_xyz(x, y, z, params: HandleParams):
     )
 
 
-def liouville_field(p: HandlePoint, params: HandleParams) -> np.ndarray:
-    c = p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float)
-    xk, yk, xr, yr = _split(c, params)
-    out = np.empty_like(c)
-    k = params.k
-    out[:k] = 1.5 * xk
-    out[k : 2 * k] = -0.5 * yk
-    out[2 * k :] = np.stack([0.5 * xr, 0.5 * yr], axis=1).reshape(-1)
-    return out
+def liouville_field(p, params: HandleParams) -> np.ndarray:
+    """The Liouville field X at each point: the coordinates scaled by
+    (3/2, -1/2) on the handle pairs and 1/2 on the transverse ones."""
+    return _points(p, params) * _per_coord(params, 1.5, -0.5, 0.5, 0.5)
 
 
-def liouville_form(p: HandlePoint, params: HandleParams) -> np.ndarray:
-    """The primitive one-form as a covector at p."""
-    c = p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float)
-    xk, yk, xr, yr = _split(c, params)
-    k = params.k
-    out = np.empty_like(c)
-    out[:k] = 0.5 * yk            # coefficient of dx_i, i <= k
-    out[k : 2 * k] = 1.5 * xk     # coefficient of dy_i, i <= k
-    out[2 * k :] = np.stack([-0.5 * yr, 0.5 * xr], axis=1).reshape(-1)
-    return out
+def liouville_form(p, params: HandleParams) -> np.ndarray:
+    """The primitive one-form as a covector at each point,
+    lambda = sum_{i<=k} (1/2 y_i dx_i + 3/2 x_i dy_i) + 1/2 sum_{i>k} (x_i dy_i - y_i dx_i)."""
+    return _points(p, params)[..., _swap(params)] * _per_coord(params, 0.5, 1.5, -0.5, 0.5)
 
 
 def ambient_omega(params: HandleParams) -> np.ndarray:
@@ -202,49 +195,49 @@ def ambient_omega(params: HandleParams) -> np.ndarray:
     return m
 
 
-def hamiltonian_fields(p: HandlePoint, params: HandleParams) -> dict:
-    """The Hamiltonian vector fields of the potentials x, y, z at p."""
-    c = p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float)
-    xk, yk, xr, yr = _split(c, params)
-    k = params.k
-    zero = np.zeros_like(c)
-
-    xx = zero.copy()
-    xx[k : 2 * k] = 1.5 * xk          # X_x = 3/2 sum x_i d_{y_i}
-
-    xy = zero.copy()
-    xy[:k] = -0.5 * yk                # X_y = -1/2 sum y_i d_{x_i}
-
-    xz = zero.copy()                  # X_z = 1/2 sum (x_i d_{y_i} - y_i d_{x_i})
-    xz[2 * k :] = np.stack([-0.5 * yr, 0.5 * xr], axis=1).reshape(-1)
-
-    return {"Xx": xx, "Xy": xy, "Xz": xz}
+def hamiltonian_fields(p, params: HandleParams) -> dict:
+    """The Hamiltonian vector fields of the potentials x, y, z at each point."""
+    c = _points(p, params)[..., _swap(params)]
+    return {"Xx": c * _per_coord(params, 0.0, 1.5, 0.0, 0.0),   # X_x = 3/2 sum x_i d_{y_i}
+            "Xy": c * _per_coord(params, -0.5, 0.0, 0.0, 0.0),  # X_y = -1/2 sum y_i d_{x_i}
+            # X_z = 1/2 sum (x_i d_{y_i} - y_i d_{x_i})
+            "Xz": c * _per_coord(params, 0.0, 0.0, -0.5, 0.5)}
 
 
-def liouville_flow(p: HandlePoint, t: float, params: HandleParams) -> HandlePoint:
-    """Closed-form time-t Liouville flow."""
-    c = (p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float)).copy()
-    k = params.k
-    c[:k] *= np.exp(1.5 * t)
-    c[k : 2 * k] *= np.exp(-0.5 * t)
-    c[2 * k :] *= np.exp(0.5 * t)
-    return HandlePoint(c)
+def liouville_flow(p, t, params: HandleParams) -> np.ndarray:
+    """Closed-form time-t Liouville flow of each point; t is a scalar or an
+    array broadcasting against the points' leading shape (...).  X is linear
+    and diagonal, so each coordinate scales by e^{rt} for its coefficient r in X.
+    A non-finite t, or an image outside the float range, raises `MaslovkitError`."""
+    c = _points(p, params)
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise MaslovkitError("flow time must be finite")
+    scale = t[..., None] * _per_coord(params, 1.5, -0.5, 0.5, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a zero coordinate stays zero, however large its scaling
+        out = np.where(c == 0.0, c, c * np.exp(scale))
+    if not np.all(np.isfinite(out)):
+        raise MaslovkitError("the flow leaves the float range")
+    return out
 
 
-def lyapunov_derivative(p: HandlePoint, coeffs: dict, params: HandleParams) -> float:
-    """d(sum x_i y_i) along X_H = Cx*Xx - Cy*Xy + Cz*Xz.
+def lyapunov_derivative(p, coeffs: dict, params: HandleParams):
+    """d(sum x_i y_i) along X_H = Cx*Xx - Cy*Xy + Cz*Xz at each point, for
+    coefficients broadcasting against the points' leading shape (...); a float
+    at one point with scalar coefficients.
 
     Equals 2*(Cx*x + Cy*y) in the quadratic potentials x, y; in particular it
     is strictly positive away from {x = y = 0}, which is what confines chords
     with endpoints on the conormal model to that locus.
     """
-    cx, cy, cz = coeffs["Cx"], coeffs["Cy"], coeffs["Cz"]
-    if cx <= 0 or cy <= 0 or cz <= 0:
+    cx, cy, cz = (np.asarray(coeffs[key], dtype=float) for key in ("Cx", "Cy", "Cz"))
+    if not (np.all(cx > 0) and np.all(cy > 0) and np.all(cz > 0)):
         raise MaslovkitError("coefficients must be positive (the confinement argument "
                              "needs Cx, Cy, Cz > 0)")
-    x, y, _ = _quadratic(p.coords if isinstance(p, HandlePoint) else np.asarray(p, dtype=float),
-                         params)
-    return float(2.0 * (cx * x + cy * y))
+    x, y, _ = _quadratic(_points(p, params), params)
+    out = 2.0 * (cx * x + cy * y)
+    return float(out) if out.ndim == 0 else out
 
 
 def quadratic_model_flow(z0, k: int, t: float) -> np.ndarray:

@@ -458,8 +458,10 @@ def direct_limit(sys: DirectedSystem, window: int = 3) -> DirectLimitResult:
     dimensions and identical matrices -- the infinite system it extrapolates
     to has limit equal to the eventual rank of the repeated map, and that
     value is reported in ``dims``; otherwise ``dims`` falls back to the
-    finite quotient.
+    finite quotient.  A window below 1 raises `DimensionMismatchError`.
     """
+    if window < 1:
+        raise DimensionMismatchError(f"window must be at least 1, got {window}")
     sys.validate()
     dims: Dict[int, int] = {}
     stab: Dict[int, bool] = {}
@@ -482,18 +484,13 @@ def direct_limit(sys: DirectedSystem, window: int = 3) -> DirectLimitResult:
         finite[deg] = fin
 
         tail_ok = n_stages >= window and len(set(sizes[-window:])) == 1
-        if tail_ok and n_stages >= window:
+        if tail_ok:  # a window of 1 has no tail maps to compare
             tail_maps = [
                 sys.maps[i].get(deg, np.zeros((sizes[i + 1], sizes[i])))
                 for i in range(n_stages - window, n_stages - 1)
             ]
-            if tail_maps:
-                t0 = tail_maps[0]
-                tail_ok = all(
-                    m.shape == t0.shape and np.all(m == t0) for m in tail_maps
-                )
-            else:
-                tail_ok = window == 1
+            tail_ok = all(m.shape == tail_maps[0].shape and np.all(m == tail_maps[0])
+                          for m in tail_maps)
         if tail_ok:
             t0 = sys.maps[-1].get(deg, np.zeros((sizes[-1], sizes[-1]))) \
                 if n_stages >= 2 else np.zeros((sizes[-1], sizes[-1]))

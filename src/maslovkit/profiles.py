@@ -63,9 +63,6 @@ class SpectrumSet:
             return math.inf
         return min(abs(a - p) for p in self.periods)
 
-    def in_range(self, lo: float, hi: float) -> List[float]:
-        return [p for p in self.periods if lo < p < hi]
-
     def to_json(self) -> dict:
         return {"schema": "v1", "periods": list(self.periods)}
 
@@ -187,13 +184,6 @@ class RadialProfile:
                     "r_hi": None})
         return out
 
-    def kink_radii(self) -> List[float]:
-        return [
-            float(kn)
-            for kn, w, i in zip(self.knots, self.blend_widths, range(len(self.knots)))
-            if w == 0.0 and self.slopes[i] != self.slopes[i + 1]
-        ]
-
     def max_breakpoint(self) -> float:
         return float(self.knots[-1] + self.blend_widths[-1])
 
@@ -294,6 +284,8 @@ class TransferSchedule:
     @staticmethod
     def seeded(spectrum: SpectrumSet, C: float, stages: int,
                eps0: float = 0.1, gap: float = 1e-3) -> "TransferSchedule":
+        if stages < 1:
+            raise ProfileConstraintError(f"need at least one stage, got {stages}")
         slopes, _ = choose_slopes(spectrum, stages, 4.0 * C, C=C, gap=gap)
         eps = tuple(eps0 / 2**i for i in range(stages))
         return TransferSchedule(eps=eps, slopes=tuple(slopes))
@@ -641,10 +633,6 @@ class InterpolationBeta:
     flat: float
     grid_r: np.ndarray
     grid_beta: np.ndarray
-
-    @property
-    def v_support(self) -> float:
-        return 2 * self.ramp + self.flat
 
     def _w_integral(self, v):
         """Integral of the window from 0 to v (window height = plateau)."""

@@ -114,8 +114,8 @@ def chord_levels(a: float, prof: CoefficientProfile,
     Solutions at z = 0 exactly are the boundary of the constant locus and are
     reported as the constant chord only, not as a family.
     """
-    if a <= 0:
-        raise DimensionMismatchError("slope a must be positive")
+    if not 0 < a < np.inf:
+        raise DimensionMismatchError(f"slope a must be positive and finite, got {a!r}")
     zm = prof.z_max if z_max is None else min(z_max, prof.z_max)
     out = [HandleChord(0.0, 0, True)]
     c0, c1 = float(prof.cz(prof.z_min)), float(prof.cz(zm))
@@ -137,6 +137,8 @@ def chord_levels(a: float, prof: CoefficientProfile,
 
 def _multiplicity(a: float, cz: float) -> int:
     m_float = a * cz / (2.0 * np.pi)
+    if not np.isfinite(m_float):
+        raise NotAChordLevelError(f"not a chord level: a*Cz/2 = {a * cz / 2.0!r} is not finite")
     m = int(np.round(m_float))
     if abs(a * cz / 2.0 - m * np.pi) > CHORD_LEVEL_TOL:
         raise NotAChordLevelError(

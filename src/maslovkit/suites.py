@@ -23,7 +23,6 @@ from .halfint import HalfInt
 from .handle import (
     GridSpec,
     HandleParams,
-    HandlePoint,
     ambient_omega,
     hamiltonian_fields,
     liouville_field,
@@ -236,56 +235,58 @@ GRAD_TOL = 1e-8  # relative to max(1, |c|_inf); rounding reaches about 1.1e-10
 
 def handle_identity_suite(seed: int = 0, points: int = 1000) -> SuiteResult:
     t0 = time.perf_counter()
-    failures: List[str] = []
     rng = np.random.default_rng(seed)
     params = HandleParams(n=3, k=2, epsilon=0.1, delta=0.05)
-    omega = ambient_omega(params)
+    dim, k = 2 * params.n, params.k
+    # per point, in stream order: c, t, v, s2 and the coefficients Cx, Cy, Cz
+    c, t, v, s2, coef = (np.empty((points, dim)), np.empty(points), np.empty((points, dim)),
+                         np.empty(points), np.empty((points, 3)))
     for i in range(points):
-        c = rng.normal(size=2 * params.n, scale=1.5)
-        x_field = liouville_field(c, params)
-        if np.max(np.abs(x_field @ omega - liouville_form(c, params))) > 1e-9:
-            failures.append(f"point {i}: i_X omega != lambda")
-        # X = grad phi, against central differences of phi from `potentials`
-        # on the stacked +-GRAD_STEP stencil; phi is quadratic, so they have
-        # no truncation error, only rounding
-        step = GRAD_STEP * np.eye(2 * params.n)
-        phi = potentials(np.concatenate([c + step, c - step]), params)["phi"]
-        grad_phi = (phi[: 2 * params.n] - phi[2 * params.n :]) / (2 * GRAD_STEP)
-        if np.max(np.abs(x_field - grad_phi)) > GRAD_TOL * max(1.0, float(np.max(np.abs(c)))):
-            failures.append(f"point {i}: X != grad phi")
-        # flow pullback: lambda(dPhi v) at Phi(p) equals e^t lambda(v), with the
-        # pushforward taken by central finite differences
-        t = float(rng.uniform(-1.0, 1.0))
-        v = rng.normal(size=2 * params.n)
-        h = 1e-4  # the flow is linear, so only cancellation limits accuracy
-        plus = liouville_flow(HandlePoint(c + h * v), t, params).coords
-        minus = liouville_flow(HandlePoint(c - h * v), t, params).coords
-        push = (plus - minus) / (2 * h)
-        lhs = float(liouville_form(liouville_flow(HandlePoint(c), t, params).coords, params) @ push)
-        rhs = math.exp(t) * float(liouville_form(c, params) @ v)
-        if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-            failures.append(f"point {i}: flow does not scale the form by e^t")
-        # group law
-        s2 = float(rng.uniform(-1.0, 1.0))
-        a = liouville_flow(liouville_flow(HandlePoint(c), t, params), s2, params).coords
-        b = liouville_flow(HandlePoint(c), t + s2, params).coords
-        if np.max(np.abs(a - b)) > 1e-12 * max(1.0, float(np.max(np.abs(b)))):
-            failures.append(f"point {i}: flow group law broke")
-        # lyapunov derivative against the field/gradient route
-        coeffs = {
-            "Cx": float(rng.uniform(0.1, 3.0)),
-            "Cy": float(rng.uniform(0.1, 3.0)),
-            "Cz": float(rng.uniform(0.1, 3.0)),
-        }
-        f = hamiltonian_fields(c, params)
-        xh = coeffs["Cx"] * f["Xx"] - coeffs["Cy"] * f["Xy"] + coeffs["Cz"] * f["Xz"]
-        k = params.k
-        grad_l = np.zeros(2 * params.n)
-        grad_l[:k] = c[k: 2 * k]
-        grad_l[k: 2 * k] = c[:k]
-        oracle = float(grad_l @ xh)
-        if abs(oracle - lyapunov_derivative(c, coeffs, params)) > 1e-12 * max(1.0, abs(oracle)):
-            failures.append(f"point {i}: lyapunov derivative mismatch")
+        c[i] = rng.normal(size=dim, scale=1.5)
+        t[i] = rng.uniform(-1.0, 1.0)
+        v[i] = rng.normal(size=dim)
+        s2[i] = rng.uniform(-1.0, 1.0)
+        coef[i] = rng.uniform(0.1, 3.0, size=3)
+    bad = {}  # message -> which points fail the check, in the order of report
+
+    x_field = liouville_field(c, params)
+    err = np.max(np.abs(x_field @ ambient_omega(params) - liouville_form(c, params)), axis=-1)
+    bad["i_X omega != lambda"] = err > 1e-9
+    # X = grad phi, against central differences of phi from `potentials`
+    # on the stacked +-GRAD_STEP stencil; phi is quadratic, so they have
+    # no truncation error, only rounding
+    step = GRAD_STEP * np.eye(dim)
+    phi = potentials(np.stack([c[:, None] + step, c[:, None] - step], axis=1), params)["phi"]
+    grad_phi = (phi[:, 0] - phi[:, 1]) / (2 * GRAD_STEP)
+    bad["X != grad phi"] = (np.max(np.abs(x_field - grad_phi), axis=-1)
+                            > GRAD_TOL * np.maximum(1.0, np.max(np.abs(c), axis=-1)))
+    # flow pullback: lambda(dPhi v) at Phi(p) equals e^t lambda(v), with the
+    # pushforward taken by central finite differences
+    h = 1e-4  # the flow is linear, so only cancellation limits accuracy
+    push = (liouville_flow(c + h * v, t, params) - liouville_flow(c - h * v, t, params)) / (2 * h)
+    lhs = np.sum(liouville_form(liouville_flow(c, t, params), params) * push, axis=-1)
+    rhs = np.exp(t) * np.sum(liouville_form(c, params) * v, axis=-1)
+    bad["flow does not scale the form by e^t"] = (np.abs(lhs - rhs)
+                                                  > 1e-9 * np.maximum(1.0, np.abs(rhs)))
+    # group law
+    a = liouville_flow(liouville_flow(c, t, params), s2, params)
+    b = liouville_flow(c, t + s2, params)
+    bad["flow group law broke"] = (np.max(np.abs(a - b), axis=-1)
+                                   > 1e-12 * np.maximum(1.0, np.max(np.abs(b), axis=-1)))
+    # lyapunov derivative against the field/gradient route
+    f = hamiltonian_fields(c, params)
+    xh = coef[:, :1] * f["Xx"] - coef[:, 1:2] * f["Xy"] + coef[:, 2:] * f["Xz"]
+    grad_l = np.zeros_like(c)
+    grad_l[:, :k] = c[:, k: 2 * k]
+    grad_l[:, k: 2 * k] = c[:, :k]
+    oracle = np.sum(grad_l * xh, axis=-1)
+    got = lyapunov_derivative(c, dict(zip(("Cx", "Cy", "Cz"), coef.T)), params)
+    bad["lyapunov derivative mismatch"] = (np.abs(oracle - got)
+                                           > 1e-12 * np.maximum(1.0, np.abs(oracle)))
+
+    msgs = list(bad)
+    failing = np.stack(list(bad.values()), axis=1)  # (point, check), read by point first
+    failures = [f"point {i}: {msgs[j]}" for i, j in zip(*np.nonzero(failing))]
     return SuiteResult("handle.identities", points, failures, time.perf_counter() - t0)
 
 
@@ -316,14 +317,12 @@ def slope_identity_suite(tol: float = 1e-12) -> SuiteResult:
             params = HandleParams(n=2, k=1, epsilon=eps, delta=delta)
             c_lo = params.z_slope_low()
             z0 = eps / c_lo
-            p0 = HandlePoint(np.array([0.0, 0.0, math.sqrt(4 * z0), 0.0]))
-            t_hi = math.log(delta / z0) * 0.99
-            for t in np.linspace(-2.0, t_hi, 25):
-                q = liouville_flow(p0, float(t), params)
-                psi = potentials(q, params)["psi_delta"]
-                want = eps * math.exp(t) - (1 + eps)
-                if abs(psi - want) > tol:
-                    failures.append(f"eps={eps}, delta={delta}, t={t}: {psi} vs {want}")
+            ts = np.linspace(-2.0, math.log(delta / z0) * 0.99, 25)
+            q = liouville_flow([0.0, 0.0, math.sqrt(4 * z0), 0.0], ts, params)
+            psi = potentials(q, params)["psi_delta"]
+            want = eps * np.exp(ts) - (1 + eps)
+            for i in np.nonzero(np.abs(psi - want) > tol)[0]:
+                failures.append(f"eps={eps}, delta={delta}, t={ts[i]}: {psi[i]} vs {want[i]}")
     return SuiteResult("handle.radial_slope", cases, failures, time.perf_counter() - t0)
 
 
@@ -590,11 +589,3 @@ def suite_args(name: str, seed: int, cases: int) -> tuple:
 
 def run_suite(name: str, seed: int = 0, cases: int = 100) -> SuiteResult:
     return SUITES[name][0](*suite_args(name, seed, cases))
-
-
-def maslov_axiom_suites(seed: int = 0, cases: int = 100) -> List[SuiteResult]:
-    return [run_suite(name, seed, cases) for name in SUITES if name.startswith("maslov.")]
-
-
-def all_suites(seed: int = 0, cases: int = 100) -> List[SuiteResult]:
-    return [run_suite(name, seed, cases) for name in SUITES]

@@ -16,7 +16,6 @@ normalized columns.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -563,10 +562,6 @@ def path_from_json(obj: dict) -> LagrangianPath:
             obj.get("sample_resolution"),
         )
     raise DimensionMismatchError(f"unknown path kind {kind!r}")
-
-
-def path_to_json_str(path: LagrangianPath) -> str:
-    return json.dumps(path.to_json())
 
 
 def rotation_path(n: int, speeds, domain=(0.0, 1.0),

@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from maslovkit import cli
 from maslovkit.cli import build_parser
@@ -17,6 +18,34 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # top-level JSON that is not an object
+    ["rs-index", "--json", "[]"], ["homology", "--json", "[]"],
+    ["complex-validate", "--json", "[]"], ["subquotient", "--a", "0", "--json", "[]"],
+    ["direct-limit", "--json", "[]"], ["diagram-check", "--json", "[]"],
+    ["chord-maslov", "--n", "1", "--json", "[]"], ["det2-winding", "--json", "[1]"],
+    ["rs-index", "--json", "3"],
+    # non-finite angles and slopes
+    ["handle-index", "--aCz", "inf"], ["handle-index", "--aCz", "nan"],
+    ["cluster-bounds", "--n", "3", "--k", "1", "--aCz", "inf"],
+    ["chord-levels", "--a", "inf"], ["chord-levels", "--a", "nan"],
+    # empty schedules and windows
+    ["profile-verify", "--stages", "0"], ["profile-build", "--stages", "0"],
+    ["profile-build", "--stages", "-1"],
+    ["direct-limit", "--system", "identity-z2", "--window", "0"],
+    ["direct-limit", "--system", "zero-z2", "--window", "-2"],
+    # flows that leave the float range or have no time
+    ["handle-flow", "--point", "1,2,3,4", "--t", "1e6"],
+    ["handle-flow", "--point", "1,2,3,4", "--t", "nan"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_one_error_line(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
 
 
 def test_verify_all_rejects_fewer_than_one_case(capsys):

@@ -1,20 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from maslovkit import handle
+from maslovkit import handle, suites
 from maslovkit.errors import DimensionMismatchError, MaslovkitError
 from maslovkit.handle import (
     ROOT_TOL,
     CutoffG,
     GridSpec,
     HandleParams,
-    HandlePoint,
     ambient_omega,
     hamiltonian_fields,
     liouville_field,
     liouville_flow,
+    liouville_form,
     lyapunov_derivative,
     potentials,
     potentials_xyz,
@@ -42,44 +43,64 @@ class TestParams:
 
 class TestPotentials:
     def test_origin(self):
-        pot = potentials(HandlePoint.of([0, 0, 0, 0], PARAMS), PARAMS)
+        pot = potentials([0, 0, 0, 0], PARAMS)
         assert pot["x"] == pot["y"] == pot["z"] == pot["phi"] == 0.0
         # the deformed function misses the undeformed level at the origin
         assert pot["psi_delta"] == pytest.approx(-(1 + PARAMS.epsilon), abs=1e-15)
 
     def test_sphere_point(self):
         # x = z = 0, y = 1 sits on the -1 level of phi
-        pot = potentials(HandlePoint.of([0, 2, 0, 0], PARAMS), PARAMS)
+        pot = potentials([0, 2, 0, 0], PARAMS)
         assert pot["y"] == pytest.approx(1.0) and pot["x"] == pot["z"] == 0.0
         assert pot["phi"] == pytest.approx(-1.0)
 
     def test_y_coordinate_quarter_weight(self):
-        pot = potentials(HandlePoint.of([0, 2, 0, 0], PARAMS), PARAMS)
+        pot = potentials([0, 2, 0, 0], PARAMS)
         assert pot["phi"] == pytest.approx(-1.0)
         assert pot["lyapunov"] == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            HandlePoint.of([0, 0, 0], PARAMS)
-        for bad in (np.zeros((2, 3)), np.zeros(5), 1.0):
-            with pytest.raises(DimensionMismatchError):
-                potentials(bad, PARAMS)
-        for field in (liouville_field, hamiltonian_fields):
-            with pytest.raises(DimensionMismatchError):
-                field(np.zeros(6), PARAMS)
-        with pytest.raises(MaslovkitError, match="finite"):
-            potentials(np.array([[0.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]), PARAMS)
+        # every function of a point goes through the same shape and finiteness check
+        coeffs = {"Cx": 1.0, "Cy": 1.0, "Cz": 1.0}
+        fns = [potentials, liouville_field, liouville_form, hamiltonian_fields,
+               lambda p, params: liouville_flow(p, 0.5, params),
+               lambda p, params: lyapunov_derivative(p, coeffs, params)]
+        for fn in fns:
+            for bad in ([0, 0, 0], np.zeros((2, 3)), np.zeros(5), np.zeros(6), 1.0):
+                with pytest.raises(DimensionMismatchError,
+                                   match="expected 4 coordinates, got shape"):
+                    fn(bad, PARAMS)
+            for bad in ([0.0, np.nan, 0.0, 0.0], [[0.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]):
+                with pytest.raises(MaslovkitError, match="coordinates must be finite"):
+                    fn(bad, PARAMS)
 
     def test_point_array_matches_scalar_calls(self):
         params = HandleParams(n=4, k=2, epsilon=0.05, delta=0.01)
         pts = np.random.default_rng(3).normal(size=(3, 5, 8), scale=1.5)
+        ts = np.linspace(-1.0, 1.0, 15).reshape(3, 5)
+        coeffs = {"Cx": np.linspace(0.5, 2.0, 5), "Cy": 1.5, "Cz": 0.25}
         got = potentials(pts, params)
+        fields = hamiltonian_fields(pts, params)
+        array_calls = [(liouville_field(pts, params), lambda p: liouville_field(p, params)),
+                       (liouville_form(pts, params), lambda p: liouville_form(p, params)),
+                       (liouville_flow(pts, 0.7, params), lambda p: liouville_flow(p, 0.7, params))]
+        flowed = liouville_flow(pts, ts, params)
+        lyap = lyapunov_derivative(pts, coeffs, params)
+        assert flowed.shape == pts.shape and lyap.shape == (3, 5)
         for i, j in np.ndindex(3, 5):
             one = potentials(pts[i, j], params)
             assert all(type(v) is float for v in one.values())
-            assert one == potentials(HandlePoint.of(pts[i, j], params), params)
             for key, v in one.items():
                 assert got[key].shape == (3, 5) and got[key][i, j] == v, key
+            for key, v in hamiltonian_fields(pts[i, j], params).items():
+                assert fields[key].shape == pts.shape and np.array_equal(fields[key][i, j], v)
+            for whole, per_point in array_calls:
+                assert whole.shape == pts.shape
+                assert np.array_equal(whole[i, j], per_point(pts[i, j]))
+            assert np.array_equal(flowed[i, j], liouville_flow(pts[i, j], ts[i, j], params))
+            one_coeffs = {"Cx": coeffs["Cx"][j], "Cy": 1.5, "Cz": 0.25}
+            one_lyap = lyapunov_derivative(pts[i, j], one_coeffs, params)
+            assert type(one_lyap) is float and lyap[i, j] == one_lyap
 
 
 class TestCutoff:
@@ -103,7 +124,7 @@ class TestCutoff:
         # on {y + (x+z)/delta >= 1+3eps} the cut-off is 1 and psi == phi
         pts = [[0.5, 3.0, 0.2, 0.1], [1.0, 4.0, 0.0, 0.0]]
         for c in pts:
-            pot = potentials(HandlePoint.of(c, PARAMS), PARAMS)
+            pot = potentials(c, PARAMS)
             arg = pot["y"] + (pot["x"] + pot["z"]) / PARAMS.delta
             assert arg >= 1 + 3 * PARAMS.epsilon
             assert pot["psi_delta"] == pytest.approx(pot["phi"], abs=1e-12)
@@ -113,7 +134,7 @@ class TestCutoff:
         # -(1+eps) + (1+eps) (y + (x+z)/delta) / (1+2eps)
         e, d = PARAMS.epsilon, PARAMS.delta
         for c in ([0.0, 0.1, 0.01, 0.0], [0.01, 0.0, 0.0, 0.01]):
-            pot = potentials(HandlePoint.of(c, PARAMS), PARAMS)
+            pot = potentials(c, PARAMS)
             arg = pot["y"] + (pot["x"] + pot["z"]) / d
             assert arg <= 1.0
             want = -(1 + e) + (1 + e) * arg / (1 + 2 * e)
@@ -145,30 +166,46 @@ class TestFields:
                     e = np.zeros(4)
                     e[i] = h
                     grad[i] = (
-                        potentials(HandlePoint(c + e), PARAMS)[idx]
-                        - potentials(HandlePoint(c - e), PARAMS)[idx]
+                        potentials(c + e, PARAMS)[idx] - potentials(c - e, PARAMS)[idx]
                     ) / (2 * h)
                 assert np.allclose(f[name] @ omega, -grad, atol=1e-8)
 
 
 class TestFlow:
     def test_time_zero_identity(self):
-        p = HandlePoint.of([0.3, -1.0, 2.0, 0.5], PARAMS)
-        assert np.allclose(liouville_flow(p, 0.0, PARAMS).coords, p.coords)
+        p = np.array([0.3, -1.0, 2.0, 0.5])
+        assert np.allclose(liouville_flow(p, 0.0, PARAMS), p)
 
     def test_closed_form_scalings(self):
-        p = HandlePoint.of([1, 1, 1, 1], PARAMS)
-        q = liouville_flow(p, 2 * math.log(2), PARAMS)
-        assert np.allclose(q.coords, [8.0, 0.5, 2.0, 2.0], atol=1e-12)
+        q = liouville_flow([1, 1, 1, 1], 2 * math.log(2), PARAMS)
+        assert np.allclose(q, [8.0, 0.5, 2.0, 2.0], atol=1e-12)
 
     def test_group_law(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            p = HandlePoint(rng.normal(size=4))
+            p = rng.normal(size=4)
             s, t = rng.uniform(-2, 2, size=2)
-            a = liouville_flow(liouville_flow(p, s, PARAMS), t, PARAMS).coords
-            b = liouville_flow(p, s + t, PARAMS).coords
+            a = liouville_flow(liouville_flow(p, s, PARAMS), t, PARAMS)
+            b = liouville_flow(p, s + t, PARAMS)
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    def test_non_finite_time_and_overflow_raise_without_warning(self):
+        p = np.array([1.0, 2.0, 3.0, 4.0])
+        cases = [(p, np.nan, "time must be finite"), (p, np.inf, "time must be finite"),
+                 (p, [0.0, -np.inf], "time must be finite"), (p, 1e6, "float range"),
+                 (p, -1e6, "float range"), (np.full(4, 1e300), 20.0, "float range")]
+        for point, t, msg in cases:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(MaslovkitError, match=msg):
+                    liouville_flow(point, t, PARAMS)
+            assert seen == [], (t, [str(w.message) for w in seen])
+
+    def test_zero_coordinate_stays_zero_under_a_large_scaling(self):
+        # e^{3t/2} overflows at t = 1000, but the handle x is 0 and stays 0
+        q = liouville_flow([0.0, 1.0, 1.0, 1.0], 1000.0, PARAMS)
+        assert q[0] == 0.0
+        assert np.allclose(q[1:], [math.exp(-500.0), math.exp(500.0), math.exp(500.0)], rtol=1e-12)
 
 
 class TestLyapunov:
@@ -203,6 +240,11 @@ class TestLyapunov:
     def test_positive_coefficients_required(self):
         with pytest.raises(MaslovkitError):
             lyapunov_derivative([1, 0, 0, 0], {"Cx": -1.0, "Cy": 1.0, "Cz": 1.0}, PARAMS)
+        # one bad coefficient among an array's, and NaN, are refused too
+        for coeffs in ({"Cx": [1.0, -1.0], "Cy": 1.0, "Cz": 1.0},
+                       {"Cx": 1.0, "Cy": math.nan, "Cz": 1.0}):
+            with pytest.raises(MaslovkitError, match="positive"):
+                lyapunov_derivative([[1, 0, 0, 0]] * 2, coeffs, PARAMS)
 
 
 class TestQuadraticModelFlow:
@@ -364,6 +406,30 @@ class TestTransversality:
 def test_identity_suite_passes():
     r = handle_identity_suite(seed=0, points=200)
     assert r.passed, r.failures[:5]
+
+
+def test_identity_suite_names_the_points_of_a_wrong_liouville_form(monkeypatch):
+    # lambda off by 1e-6 at the points whose first coordinate exceeds 2; the
+    # points come from the suite's own stream: per point c, t, v, s2, then Cx, Cy, Cz
+    def wrong_form(p, params):
+        p = np.asarray(p)
+        return liouville_form(p, params) + 1e-6 * (p[..., :1] > 2.0)
+
+    monkeypatch.setattr(suites, "liouville_form", wrong_form)
+    rng = np.random.default_rng(4)
+    want = []
+    for i in range(300):
+        if rng.normal(size=6, scale=1.5)[0] > 2.0:
+            want.append(f"point {i}: i_X omega != lambda")
+        rng.uniform(), rng.normal(size=6), rng.uniform(), rng.uniform(size=3)
+    assert len(want) > 5
+    got = handle_identity_suite(seed=4, points=300).failures
+    assert [f for f in got if f.endswith("i_X omega != lambda")] == want
+    # lines are ordered by point, then by check
+    checks = ["i_X omega != lambda", "X != grad phi", "flow does not scale the form by e^t",
+              "flow group law broke", "lyapunov derivative mismatch"]
+    keys = [(int(f.split(":")[0].split()[1]), checks.index(f.split(": ", 1)[1])) for f in got]
+    assert keys == sorted(keys) and len(set(k for _, k in keys)) > 1
 
 
 def test_certification_suite_passes():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maslovkit.errors import IncoherentSystemError, ShapeMismatchError
+from maslovkit.errors import DimensionMismatchError, IncoherentSystemError, ShapeMismatchError
 from maslovkit.homalg import (
     ChainMap,
     DirectedSystem,
@@ -169,6 +169,26 @@ class TestDirectLimit:
         res = direct_limit(model_flow_system(3, 9))
         for k in range(7):
             assert res.dims[3 * k] == 0
+
+    def test_window_below_one_raises(self):
+        for window in (0, -2):
+            with pytest.raises(DimensionMismatchError, match="window must be at least 1"):
+                direct_limit(identity_system(10), window=window)
+
+    def test_windows_one_and_three(self):
+        # (dims, stabilized degrees) per window; the finite quotient does not
+        # depend on the window
+        model = {2 * k: 0 for k in range(9)}
+        cases = [(identity_system(10), {0: 1}, {1: ({0: 1}, {0}), 3: ({0: 1}, {0})}),
+                 (zero_map_system(10), {0: 1}, {1: ({0: 0}, {0}), 3: ({0: 0}, {0})}),
+                 (model_flow_system(2, 9), {**model, 16: 1},
+                  {1: (model, set(model)), 3: ({**model, 16: 1}, set(range(0, 12, 2)))})]
+        for sys_, finite, by_window in cases:
+            for window, (dims, stable) in by_window.items():
+                res = direct_limit(sys_, window=window)
+                assert res.dims == dims and res.finite_quotient_dims == finite
+                assert {d for d, ok in res.stabilized.items() if ok} == stable
+                assert set(res.stabilized) == set(finite)
 
     def test_cofinal_subsequence(self):
         rng = np.random.default_rng(41)

@@ -139,6 +139,11 @@ class TestBuildTransferProfile:
         with pytest.raises(ProfileConstraintError, match="T_min"):
             build_transfer_profile(1, SpectrumSet.of([1.0]), 2.0, sched)
 
+    def test_seeded_needs_a_stage(self):
+        for stages in (0, -1):
+            with pytest.raises(ProfileConstraintError, match="at least one stage"):
+                TransferSchedule.seeded(SPECTRUM, C=2.0, stages=stages)
+
     def test_slope_bound_error(self):
         sched = TransferSchedule(eps=(0.1,), slopes=(7.0,))
         with pytest.raises(ProfileConstraintError, match="4C"):

@@ -54,6 +54,11 @@ class TestChordLevels:
         for c in levels:
             c.check(math.pi, LINEAR)
 
+    def test_non_finite_slope_raises(self):
+        for a in (math.inf, math.nan, -math.inf):
+            with pytest.raises(DimensionMismatchError, match="positive and finite"):
+                chord_levels(a, LINEAR)
+
     def test_small_slope_constant_only(self):
         levels = chord_levels(0.1, LINEAR)
         assert len(levels) == 1 and levels[0].is_constant
@@ -95,6 +100,12 @@ class TestClosedForm:
     def test_not_a_chord_level(self):
         with pytest.raises(NotAChordLevelError):
             handle_rs_index(3, 1, 1.0, 2 * math.pi + 0.1)
+
+    def test_non_finite_angle_is_not_a_chord_level(self):
+        for angle in (math.inf, -math.inf, math.nan):
+            for route in (handle_rs_index, perturbation_cluster_bounds):
+                with pytest.raises(NotAChordLevelError, match="not finite"):
+                    route(3, 1, 1.0, angle)
 
     def test_invalid_range(self):
         with pytest.raises(DimensionMismatchError):

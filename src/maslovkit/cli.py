@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import suites as suites_mod
-from .errors import MaslovkitError
+from .errors import MaslovkitError, expect
 from .halfint import HalfInt
 from .handle import (
     GridSpec,
@@ -109,9 +109,7 @@ def _load_json_input(args) -> dict:
             obj = json.load(fh)
     else:
         raise MaslovkitError("provide --in FILE or --json STRING")
-    if not isinstance(obj, dict):
-        raise MaslovkitError(f"JSON input must be an object, got {type(obj).__name__}")
-    return obj
+    return expect(obj, dict, "JSON input")
 
 
 def _pair_from_obj(obj):

@@ -68,3 +68,25 @@ class IncoherentSystemError(MaslovkitError):
 
 class ShapeMismatchError(MaslovkitError):
     """Chain maps or complexes have incompatible shapes."""
+
+
+class InputTypeError(MaslovkitError):
+    """A member of a serialized (JSON) input has the wrong type."""
+
+
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def expect(value, kind, what: str):
+    """``value`` if it is an instance of ``kind`` (a type or a tuple of types).
+
+    The JSON readers check each member with it before converting, so a member
+    of the wrong type raises `InputTypeError`, not a `TypeError` from inside
+    the conversion.
+    """
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = " or ".join(_JSON_NAMES.get(k, k.__name__) for k in kinds)
+        raise InputTypeError(f"{what} must be {names}, got {type(value).__name__}")
+    return value

@@ -18,7 +18,9 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IncoherentSystemError,
+    InputTypeError,
     ShapeMismatchError,
+    expect,
 )
 
 
@@ -64,6 +66,32 @@ def gf2_eventual_rank(t: np.ndarray) -> int:
     for _ in range(t.shape[0]):
         p = gf2_matmul(p, t)
     return gf2_rank(p)
+
+
+# ---------------------------------------------------------------------------
+# JSON members
+# ---------------------------------------------------------------------------
+
+_ID = (str, int)  # generator ids a JSON input may use
+
+
+def _id_pairs(value, what: str) -> List[Tuple[str, str]]:
+    """A JSON array of [id, id] pairs."""
+    pairs = [tuple(expect(e, list, f"{what} entry")) for e in expect(value, list, what)]
+    for pair in pairs:
+        if len(pair) != 2:
+            raise InputTypeError(f"{what} entries must be [id, id] pairs")
+        for x in pair:
+            expect(x, _ID, f"{what} id")
+    return pairs
+
+
+def _gf2_array(value, what: str) -> np.ndarray:
+    """A JSON array of non-negative integers as a uint8 array."""
+    try:
+        return np.asarray(expect(value, list, what), dtype=np.uint8)
+    except (TypeError, ValueError, OverflowError):
+        raise InputTypeError(f"{what} must be a rectangular array of integers 0..255") from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +236,13 @@ class FilteredZ2Complex:
 
     @staticmethod
     def from_json(obj: dict) -> "FilteredZ2Complex":
-        gens = [
-            Generator(g["id"], int(g["degree"]), float(g["action"]))
-            for g in obj["generators"]
-        ]
-        return FilteredZ2Complex(gens, [tuple(e) for e in obj["differential"]])
+        obj, gens = expect(obj, dict, "complex"), []
+        for g in expect(obj["generators"], list, "generators"):
+            g = expect(g, dict, "generator")
+            gens.append(Generator(expect(g["id"], _ID, "generator id"),
+                                  expect(g["degree"], int, "generator degree"),
+                                  float(expect(g["action"], (int, float), "generator action"))))
+        return FilteredZ2Complex(gens, _id_pairs(obj["differential"], "differential"))
 
     def direct_sum(self, other: "FilteredZ2Complex") -> "FilteredZ2Complex":
         gens = self.generators + [
@@ -319,10 +349,11 @@ class ChainMap:
 
     @staticmethod
     def from_json(obj: dict) -> "ChainMap":
+        obj = expect(obj, dict, "chain map")
         src = FilteredZ2Complex.from_json(obj["source"])
         tgt = FilteredZ2Complex.from_json(obj["target"])
-        return ChainMap(src, tgt, [tuple(e) for e in obj["entries"]],
-                        obj.get("monotone", False))
+        return ChainMap(src, tgt, _id_pairs(obj["entries"], "entries"),
+                        expect(obj.get("monotone", False), bool, "monotone"))
 
 
 def check_square(psi_i: ChainMap, psi_ip1: ChainMap, phi_m: ChainMap,
@@ -422,10 +453,14 @@ class DirectedSystem:
 
     @staticmethod
     def from_json(obj: dict) -> "DirectedSystem":
-        stages = [{int(d): int(v) for d, v in s.items()} for s in obj["stages"]]
+        obj = expect(obj, dict, "directed system")
+        stages = [
+            {int(d): expect(v, int, "stage dimension") for d, v in expect(s, dict, "stage").items()}
+            for s in expect(obj["stages"], list, "stages")
+        ]
         maps = [
-            {int(d): np.asarray(m, dtype=np.uint8) for d, m in mp.items()}
-            for mp in obj["maps"]
+            {int(d): _gf2_array(m, "map matrix") for d, m in expect(mp, dict, "map").items()}
+            for mp in expect(obj["maps"], list, "maps")
         ]
         return DirectedSystem(stages, maps)
 

@@ -25,11 +25,15 @@ from scipy.linalg import expm
 from .errors import (
     DegenerateFrameError,
     DimensionMismatchError,
+    InputTypeError,
+    IntegrationError,
     NonTransverseError,
+    expect,
 )
 
 BILINEAR_TOL = 1e-10
 RANK_TOL = 1e-8
+PROBE_TOL = 1e-10  # closed form vs expm at t1 - t0, relative to the largest entry
 
 
 @functools.cache
@@ -375,12 +379,39 @@ class ConstantPath(LagrangianPath):
         ).copy()
 
 
+def _exp_sum(lam, kernel, dts, r) -> np.ndarray:
+    """Re sum_j e^{lambda_j dt} k_j at each offset dt, shaped like R; R where dt = 0."""
+    e = np.exp(np.outer(dts, lam))
+    out = (np.concatenate([e.real, e.imag], axis=1) @ kernel).reshape((len(dts),) + r.shape)
+    out[dts == 0] = r
+    return out
+
+
+def _refuse_overflow(a) -> None:
+    if not np.all(np.isfinite(a)):
+        raise IntegrationError("the flow leaves the float range on the domain")
+
+
 class GeneratorPath(LagrangianPath):
     """Frames ``Psi(t) @ F0`` where ``Psi' = J S(t) Psi`` and ``Psi(t0) = Id``.
 
     ``S`` is a symmetric 2n x 2n matrix (constant) or a callable ``t -> S(t)``.
-    Constant generators are advanced exactly with the matrix exponential;
-    time-dependent ones with fixed-step RK4 on an internal grid.
+    A constant S with J S = V Lambda V^{-1} is evaluated in closed form,
+
+        Psi(t) R = Re sum_j e^{lambda_j (t - t0)} V[:, j] (V^{-1} R)[j, :],
+
+    for R = F0 (`frames`) and R = Id (`matrices`): the real kernel
+    [Re k; -Im k], with k_j the flattened outer product above, is built once,
+    and a call is one real matrix product [Re E | Im E] @ kernel with
+    E = exp(outer(t - t0, lambda)); t0 itself gives R exactly.  The
+    eigenvectors are accepted when cond(V) <= 1e8 and the closed form at the
+    longest offset it is used for, t1 - t0, matches ``expm(J S (t1 - t0))``
+    to `PROBE_TOL` of that matrix's largest entry.  Only a callable S
+    (fixed-step RK4) or a constant S whose eigenvectors are rejected (the
+    grid doubled from ``expm`` of one step) is evaluated on a grid of
+    ``grid + 1`` nodes, each time advanced from the node at or below it.  A
+    flow that leaves the float range on the domain raises `IntegrationError`
+    when the path is built.
     """
 
     def __init__(self, s, frame0: LagrangianFrame, domain=(0.0, 1.0),
@@ -399,7 +430,8 @@ class GeneratorPath(LagrangianPath):
             self._s_fn, self._s_const = None, s
         self._grid_n = grid
         self._eig = self._try_eig() if self._s_const is not None else None
-        self._ts, self._psis = self._build_grid()
+        if self._eig is None:
+            self._ts, self._psis = self._build_grid()
 
     # -- internal integration ------------------------------------------------
 
@@ -408,8 +440,7 @@ class GeneratorPath(LagrangianPath):
         return self._j @ s
 
     def _try_eig(self):
-        # Diagonalize the constant generator once so that off-grid queries
-        # avoid a matrix exponential; fall back to expm if ill conditioned.
+        """(lambda, kernel for Id, kernel for F0), or None for the grid."""
         m = self._m(0.0)
         try:
             lam, v = np.linalg.eig(m)
@@ -418,17 +449,18 @@ class GeneratorPath(LagrangianPath):
             return None
         if np.linalg.cond(v) > 1e8:
             return None
-        probe = 0.37
-        approx = (v * np.exp(lam * probe)) @ vinv
-        if np.max(np.abs(approx.real - expm(m * probe))) > 1e-10:
+        dim = 2 * self.n
+        k = v.T[:, :, None] * vinv[:, None, :]  # k[j] = outer(V[:, j], V^{-1}[j, :])
+        k_eye = np.concatenate([k.real, -k.imag]).reshape(2 * dim, dim * dim)
+        length = self.domain[1] - self.domain[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = expm(m * length)
+            approx = _exp_sum(lam, k_eye, np.array([length]), np.eye(dim))[0]
+        _refuse_overflow(exact)
+        if not np.max(np.abs(approx - exact)) <= PROBE_TOL * np.max(np.abs(exact)):
             return None
-        return lam, v, vinv
-
-    def _advance(self, dt: float) -> np.ndarray:
-        if self._eig is not None:
-            lam, v, vinv = self._eig
-            return ((v * np.exp(lam * dt)) @ vinv).real
-        return expm(self._m(0.0) * dt)
+        k_f0 = (k_eye.reshape(2 * dim, dim, dim) @ self._f0).reshape(2 * dim, -1)
+        return lam, k_eye, k_f0
 
     def _build_grid(self):
         t0, t1 = self.domain
@@ -437,17 +469,19 @@ class GeneratorPath(LagrangianPath):
         dim = 2 * self.n
         psis = np.empty((self._grid_n + 1, dim, dim))
         psis[0] = np.eye(dim)
-        if self._s_const is not None:
-            # doubling: Psi(t_{m+j}) = Psi(t_m) Psi(t_j) for a constant generator
-            psis[1] = self._advance(dt)
-            m = 1
-            while m < self._grid_n:
-                k = min(m, self._grid_n - m)
-                psis[m + 1 : m + 1 + k] = psis[m] @ psis[1 : 1 + k]
-                m += k
-        else:
-            for i in range(self._grid_n):
-                psis[i + 1] = self._rk4(psis[i], ts[i], dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._s_const is not None:
+                # doubling: Psi(t_{m+j}) = Psi(t_m) Psi(t_j) for a constant generator
+                psis[1] = expm(self._m(0.0) * dt)
+                m = 1
+                while m < self._grid_n:
+                    k = min(m, self._grid_n - m)
+                    psis[m + 1 : m + 1 + k] = psis[m] @ psis[1 : 1 + k]
+                    m += k
+            else:
+                for i in range(self._grid_n):
+                    psis[i + 1] = self._rk4(psis[i], ts[i], dt)
+        _refuse_overflow(psis)
         return ts, psis
 
     def _rk4(self, psi, t, dt):
@@ -464,22 +498,20 @@ class GeneratorPath(LagrangianPath):
     def matrices(self, ts) -> np.ndarray:
         """Fundamental solutions at many times, shape (T, 2n, 2n).
 
-        Each time is advanced from the grid node at or below it; grid nodes
-        themselves are returned exactly.
+        In closed form, or advanced from the grid node at or below each time;
+        Psi(t0) is the identity itself on either route.
         """
         t0, t1 = self.domain
         ts = np.clip(np.asarray(ts, dtype=float), t0, t1)
+        if self._eig is not None:
+            lam, k_eye, _ = self._eig
+            return _exp_sum(lam, k_eye, ts - t0, np.eye(2 * self.n))
         idx = np.clip(np.searchsorted(self._ts, ts, side="right") - 1, 0, self._grid_n)
         dts = ts - self._ts[idx]
         out = self._psis[idx]
         off = np.nonzero(np.abs(dts) >= 1e-15)[0]
-        if self._eig is not None:
-            lam, v, vinv = self._eig
-            steps = ((v * np.exp(np.outer(dts[off], lam))[:, None, :]) @ vinv).real
-            out[off] = steps @ out[off]
-        elif self._s_const is not None:
-            for i in off:
-                out[i] = self._advance(dts[i]) @ out[i]
+        if self._s_const is not None:
+            out[off] = expm(dts[off, None, None] * self._m(0.0)) @ out[off]
         else:
             # callable S: RK4 sub-steps of at most a quarter grid cell
             for i in off:
@@ -494,7 +526,12 @@ class GeneratorPath(LagrangianPath):
     # -- path interface --------------------------------------------------------
 
     def frames(self, ts):
-        return self.matrices(np.asarray(ts)) @ self._f0
+        if self._eig is None:
+            return self.matrices(ts) @ self._f0
+        t0, t1 = self.domain
+        lam, _, k_f0 = self._eig
+        dts = np.clip(np.asarray(ts, dtype=float), t0, t1) - t0
+        return _exp_sum(lam, k_f0, dts, self._f0)
 
     def to_json(self) -> dict:
         if self._s_const is None:
@@ -547,19 +584,33 @@ class SampledPath(LagrangianPath):
         }
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a finite float array."""
+    try:
+        a = np.asarray(expect(value, list, what), dtype=float)
+    except (TypeError, ValueError):
+        raise InputTypeError(f"{what} must be a rectangular array of numbers") from None
+    if not np.all(np.isfinite(a)):
+        raise InputTypeError(f"{what} must hold finite numbers")
+    return a
+
+
 def path_from_json(obj: dict) -> LagrangianPath:
-    kind = obj.get("kind")
+    kind = expect(obj, dict, "path").get("kind")
     if kind == "generator":
+        domain = _float_array(obj.get("domain", [0.0, 1.0]), "domain")
+        if domain.shape != (2,):
+            raise InputTypeError("domain must be an array of two numbers")
         return GeneratorPath(
-            np.asarray(obj["S"], dtype=float),
-            LagrangianFrame.from_columns(np.asarray(obj["frame0"], dtype=float)),
-            tuple(obj.get("domain", (0.0, 1.0))),
-            obj.get("sample_resolution", 512),
+            _float_array(obj["S"], "S"),
+            LagrangianFrame.from_columns(_float_array(obj["frame0"], "frame0")),
+            tuple(domain),
+            expect(obj.get("sample_resolution", 512), int, "sample_resolution"),
         )
     if kind == "samples":
         return SampledPath(
-            obj["times"], np.asarray(obj["frames"], dtype=float),
-            obj.get("sample_resolution"),
+            _float_array(obj["times"], "times"), _float_array(obj["frames"], "frames"),
+            expect(obj.get("sample_resolution"), (int, type(None)), "sample_resolution"),
         )
     raise DimensionMismatchError(f"unknown path kind {kind!r}")
 

@@ -27,6 +27,12 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     ["direct-limit", "--json", "[]"], ["diagram-check", "--json", "[]"],
     ["chord-maslov", "--n", "1", "--json", "[]"], ["det2-winding", "--json", "[1]"],
     ["rs-index", "--json", "3"],
+    # members of the wrong type
+    ["rs-index", "--json", '{"path0": 1, "path1": 1}'],
+    ["homology", "--json", '{"generators": 1, "d": 2}'],
+    ["direct-limit", "--json", '{"stages": 1}'],
+    ["diagram-check", "--json",
+     '{"psi_i": 1, "psi_ip1": 1, "phi_m": 1, "phi_handle": 1}'],
     # non-finite angles and slopes
     ["handle-index", "--aCz", "inf"], ["handle-index", "--aCz", "nan"],
     ["cluster-bounds", "--n", "3", "--k", "1", "--aCz", "inf"],

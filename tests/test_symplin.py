@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from scipy.linalg import expm
 from maslovkit.errors import (
     DegenerateFrameError,
     DimensionMismatchError,
+    IrregularCrossingError,
+    MaslovkitError,
     NonTransverseError,
 )
+from maslovkit.maslov import rs_index
 from maslovkit.symplin import (
+    ConstantPath,
     GeneratorPath,
     LagrangianFrame,
     SampledPath,
@@ -240,6 +245,17 @@ class TestPaths:
         assert np.allclose(f, np.array([[1, 0], [0, 0], [0, 0], [0, 1]]))
 
 
+def _jordan_generator(a):
+    """S with J S = diag(A, -A^T) for the Jordan block A = [[a, 1], [0, a]]."""
+    block = np.array([[a, 1.0], [0.0, a]])
+    return -complex_structure(2) @ np.block([[block, np.zeros((2, 2))],
+                                              [np.zeros((2, 2)), -block.T]])
+
+
+def _no_grid(self):
+    raise AssertionError("a diagonalizable constant generator built a grid")
+
+
 def _random_generator_path(n, rng, scale=1.0):
     a = rng.normal(size=(2 * n, 2 * n), scale=scale)
     return GeneratorPath((a + a.T) / 2, random_lagrangian_frame(n, rng))
@@ -270,6 +286,14 @@ class TestBatchedFrames:
     def expm_frames(s, frame0, ts):
         j = complex_structure(len(s) // 2)
         return np.stack([expm(j @ s * t) @ frame0 for t in ts])
+
+    def assert_matches_expm(self, p, s, frame0, ts):
+        # Psi(t) against expm(J S (t - t0)), and frames against that times F0
+        dts = ts - p.domain[0]
+        for got, exact in ((p.matrices(ts), self.expm_frames(s, np.eye(len(s)), dts)),
+                           (p.frames(ts), self.expm_frames(s, frame0, dts))):
+            for g, e in zip(got, exact):
+                assert np.linalg.norm(g - e) <= 1e-11 * np.linalg.norm(e)
 
     def test_sampled(self):
         grid = np.linspace(0.0, 1.0, 37)
@@ -305,39 +329,98 @@ class TestBatchedFrames:
         self.assert_batched(base.restricted(0.25, 0.75), 0.25 + 0.5 * self.TS)
 
     def test_generator_matrices(self):
-        # one path per way `matrices` leaves a grid node: diagonalized constant
-        # S, constant S with a defective J S (matrix exponential), callable S (RK4)
+        # one path per route of `matrices`: closed form (constant S whose
+        # eigenvectors are accepted), grid with matrix-exponential steps
+        # (defective J S), grid with RK4 steps (callable S)
         rng = np.random.default_rng(6)
         paths = [_random_generator_path(n, rng, scale=2.0) for n in (1, 2, 4)]
         paths.append(GeneratorPath(np.diag([0.0, 1.0]), LagrangianFrame.horizontal(1)))
         a = rng.normal(size=(4, 4))
         paths.append(GeneratorPath(lambda t, s=(a + a.T) / 2: (1 + t) * s,
                                    LagrangianFrame.horizontal(2), grid=256))
-        for p in paths:
+        for i, p in enumerate(paths):
             scalar = np.stack([p.matrix(float(t)) for t in self.TS])
             batched = p.matrices(self.TS)
             self.assert_close(batched, scalar)
-            # grid nodes (0, 1/2, 1) come back exactly, whatever else is in the
-            # batch: Psi(t0) is the identity itself
-            nodes = np.isin(self.TS, (0.0, 0.5, 1.0))
-            assert np.array_equal(batched[nodes], scalar[nodes])
+            # Psi(t0) is the identity itself on every route
             assert np.array_equal(batched[0], np.eye(2 * p.n))
+            if i >= 3:
+                # grid nodes (0, 1/2, 1) come back exactly, whatever else is
+                # in the batch
+                nodes = np.isin(self.TS, (0.0, 0.5, 1.0))
+                assert np.array_equal(batched[nodes], scalar[nodes])
+
+    def test_closed_form_matches_expm_off_the_unit_domain(self, monkeypatch):
+        # on (0.3, 2.3), at t0, t1, the midpoints of the first and last cells
+        # of a 2048-cell grid and random times, with no grid built
+        monkeypatch.setattr(GeneratorPath, "_build_grid", _no_grid)
+        rng = np.random.default_rng(9)
+        t0, t1 = 0.3, 2.3
+        ts = np.concatenate([[t0, t1, t0 + 0.5 / 1024, t1 - 0.5 / 1024],
+                             rng.uniform(t0, t1, 20)])
+        draws = []
+        for n in range(1, 7):
+            a = rng.normal(size=(2 * n, 2 * n), scale=2.0)
+            draws.append(((a + a.T) / 2, random_lagrangian_frame(n, rng)))
+        # the first n=6, scale-8 generator of default_rng([21, 5, 5, 11]):
+        # cond V = 5.5, entries of Psi(1) up to 5e11
+        wide = np.random.default_rng([21, 5, 5, 11])
+        a = wide.normal(size=(12, 12), scale=8.0)
+        b = wide.normal(size=(12, 12))
+        frame = expm(complex_structure(6) @ ((b + b.T) / 2))[:, :6]
+        draws.append(((a + a.T) / 2, LagrangianFrame.from_columns(frame)))
+        for s, frame0 in draws:
+            p = GeneratorPath(s, frame0, (t0, t1))
+            self.assert_matches_expm(p, s, frame0.columns, ts)
+            assert np.array_equal(p.frames([t0])[0], frame0.columns)
+
+    def test_rejected_generator_takes_the_grid_and_matches_expm(self, monkeypatch):
+        # J S has a Jordan block, so its eigenvectors are rejected: the grid
+        # is built, and times off its nodes take one expm of their offsets
+        built = []
+        build = GeneratorPath._build_grid
+        monkeypatch.setattr(GeneratorPath, "_build_grid",
+                            lambda self: built.append(self) or build(self))
+        rng = np.random.default_rng(10)
+        s, frame0 = _jordan_generator(2.0), random_lagrangian_frame(2, rng)
+        p = GeneratorPath(s, frame0, (0.3, 2.3))
+        assert built == [p]
+        ts = np.concatenate([0.3 + 2.0 * self.TS, rng.uniform(0.3, 2.3, 20)])
+        self.assert_matches_expm(p, s, frame0.columns, ts)
+
+    def test_flow_beyond_the_float_range_is_refused_without_warning(self):
+        # e^800 is beyond the float range: J S = diag(-800, 800) on the
+        # closed form, a Jordan block of eigenvalue 800 on the grid (constant
+        # and callable S)
+        line = LagrangianFrame.complex_line(0.3)
+        hyperbolic = lambda c: np.array([[0.0, c], [c, 0.0]])
+        cases = [(hyperbolic(800.0), line),
+                 (_jordan_generator(800.0), LagrangianFrame.horizontal(2)),
+                 (lambda t: _jordan_generator(800.0), LagrangianFrame.horizontal(2))]
+        for s, frame0 in cases:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(MaslovkitError, match="float range"):
+                    GeneratorPath(s, frame0)
+            assert seen == [], [str(w.message) for w in seen]
+        # e^300 is in range; the path reaches the vertical at t = 1 to
+        # within rounding, so the end crossing is refused as degenerate
+        p = GeneratorPath(hyperbolic(300.0), line)
+        with pytest.raises(IrregularCrossingError) as exc:
+            rs_index((p, ConstantPath(LagrangianFrame.vertical(1))))
+        assert exc.value.time == 1.0
 
     def test_generator_grid_matches_expm(self):
-        # grid nodes (the grid is built by doubling, Psi(t_{m+j}) = Psi(t_m) Psi(t_j))
-        # and off-grid times, against expm(J S t) and expm(J S t) F0
+        # the nodes 1, 7, 1000, 2047, 2048 of a 2048-cell grid and other times,
+        # against expm(J S t) and expm(J S t) F0; these generators take the
+        # closed form, the grid routes have tests of their own
         rng = np.random.default_rng(7)
         ts = np.concatenate([np.array([1, 7, 1000, 2047, 2048]) / 2048.0, self.TS])
         for n in (1, 2, 4, 6):
             a = rng.normal(size=(2 * n, 2 * n))
             s = (a + a.T) / 2
             frame0 = random_lagrangian_frame(n, rng)
-            p = GeneratorPath(s, frame0)
-            eye = np.eye(2 * n)
-            for m, exact in zip(p.matrices(ts), self.expm_frames(s, eye, ts)):
-                assert np.linalg.norm(m - exact) <= 1e-11 * np.linalg.norm(exact)
-            for f, exact in zip(p.frames(ts), self.expm_frames(s, frame0.columns, ts)):
-                assert np.linalg.norm(f - exact) <= 1e-11 * np.linalg.norm(exact)
+            self.assert_matches_expm(GeneratorPath(s, frame0), s, frame0.columns, ts)
 
     def test_defective_and_callable_generators_match_expm(self):
         ts = self.TS

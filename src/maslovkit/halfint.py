@@ -26,9 +26,13 @@ class HalfInt:
         return HalfInt(2 * k)
 
     def __add__(self, other: "HalfInt") -> "HalfInt":
+        if not isinstance(other, HalfInt):
+            return NotImplemented
         return HalfInt(self.halves + other.halves)
 
     def __sub__(self, other: "HalfInt") -> "HalfInt":
+        if not isinstance(other, HalfInt):
+            return NotImplemented
         return HalfInt(self.halves - other.halves)
 
     def __neg__(self) -> "HalfInt":

@@ -1,11 +1,12 @@
 """Filtered graded chain complexes over GF(2), homology, and direct limits.
 
-Complexes are desk scale, so GF(2) linear algebra uses dense uint8 arrays
-with XOR elimination.  A complex stores generators (id, degree, action) and a
-differential matrix D with D[i, j] = 1 meaning generator j maps onto
-generator i; validity demands D^2 = 0, degree drop exactly one, and a
-*strict* action decrease on every entry (equality would break the
-well-definedness of action-window subquotients).
+Complexes are desk scale, so GF(2) matrices are dense uint8 arrays, and
+rank is elimination on boolean rows with one masked XOR per pivot column.
+A complex stores generators (id, degree, action) and a differential matrix
+D with D[i, j] = 1 meaning generator j maps onto generator i; validity
+demands D^2 = 0, degree drop exactly one, and a *strict* action decrease on
+every entry (equality would break the well-definedness of action-window
+subquotients).
 """
 
 from __future__ import annotations
@@ -30,26 +31,16 @@ from .errors import (
 
 
 def gf2_rank(m: np.ndarray) -> int:
-    """Rank over GF(2) by Gaussian elimination with XOR row operations."""
-    r = (np.asarray(m, dtype=np.uint8) % 2).copy()
-    rows, cols = r.shape
+    """Rank over GF(2).  Per column the first row holding a 1 is the pivot;
+    one masked XOR adds it to every row holding a 1 there, itself included,
+    so the pivot row leaves as a zero row and each pivot counts once."""
+    r = (np.asarray(m, dtype=np.uint8) % 2).astype(bool)
     rank = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if r[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            r[[rank, pivot]] = r[[pivot, rank]]
-        for i in range(rows):
-            if i != rank and r[i, c]:
-                r[i] ^= r[rank]
-        rank += 1
-        if rank == rows:
-            break
+    for c in range(r.shape[1]):
+        hit = np.flatnonzero(r[:, c])
+        if hit.size:
+            r[hit] ^= r[hit[0]]
+            rank += 1
     return rank
 
 
@@ -487,13 +478,16 @@ def direct_limit(sys: DirectedSystem, window: int = 3) -> DirectLimitResult:
 
     Two computations are reported.  ``finite_quotient_dims`` is the literal
     quotient of the direct sum of the given stages by the span of
-    embed_{i+1}(T_i v) - embed_i(v) over all pairs inside the window (for the
-    finite chain this always leaves the last stage untouched).  When the tail
-    of the system is stable -- the last ``window`` stages have equal
-    dimensions and identical matrices -- the infinite system it extrapolates
-    to has limit equal to the eventual rank of the repeated map, and that
-    value is reported in ``dims``; otherwise ``dims`` falls back to the
-    finite quotient.  A window below 1 raises `DimensionMismatchError`.
+    embed_{i+1}(T_i v) - embed_i(v) over every consecutive pair.  Each such
+    relation has its leading 1 in its own column of stage i, so the relations
+    are independent and the quotient is the last stage: the colimit of a
+    finite chain.  When the tail of the system is stable, the infinite system
+    it extrapolates to has limit equal to the eventual rank of the repeated
+    map, and that value is reported in ``dims``.  The tail is the maps among
+    the last ``max(window, 2)`` stages, so it holds at least one map; it is
+    stable when the system has that many stages and the tail maps are square
+    and identical.  Otherwise ``dims`` falls back to the finite quotient.  A
+    window below 1 raises `DimensionMismatchError`.
     """
     if window < 1:
         raise DimensionMismatchError(f"window must be at least 1, got {window}")
@@ -501,40 +495,15 @@ def direct_limit(sys: DirectedSystem, window: int = 3) -> DirectLimitResult:
     dims: Dict[int, int] = {}
     stab: Dict[int, bool] = {}
     finite: Dict[int, int] = {}
-    n_stages = len(sys.stages)
+    n_stages, n_tail = len(sys.stages), max(window, 2)
     for deg in sys.degrees():
         sizes = [s.get(deg, 0) for s in sys.stages]
-        total = sum(sizes)
-        offs = np.cumsum([0] + sizes)
-        rels = []
-        for i in range(n_stages - 1):
-            t = sys.maps[i].get(deg, np.zeros((sizes[i + 1], sizes[i])))
-            for col in range(sizes[i]):
-                v = np.zeros(total, dtype=np.uint8)
-                v[offs[i] + col] = 1
-                v[offs[i + 1] : offs[i + 1] + sizes[i + 1]] ^= t[:, col]
-                rels.append(v)
-        rank = gf2_rank(np.array(rels, dtype=np.uint8)) if rels else 0
-        fin = total - rank
-        finite[deg] = fin
-
-        tail_ok = n_stages >= window and len(set(sizes[-window:])) == 1
-        if tail_ok:  # a window of 1 has no tail maps to compare
-            tail_maps = [
-                sys.maps[i].get(deg, np.zeros((sizes[i + 1], sizes[i])))
-                for i in range(n_stages - window, n_stages - 1)
-            ]
-            tail_ok = all(m.shape == tail_maps[0].shape and np.all(m == tail_maps[0])
-                          for m in tail_maps)
-        if tail_ok:
-            t0 = sys.maps[-1].get(deg, np.zeros((sizes[-1], sizes[-1]))) \
-                if n_stages >= 2 else np.zeros((sizes[-1], sizes[-1]))
-            val = gf2_eventual_rank(t0) if sizes[-1] else 0
-            dims[deg] = val
-            stab[deg] = True
-        else:
-            dims[deg] = fin
-            stab[deg] = False
+        tail = [sys.maps[i].get(deg, np.zeros((sizes[i + 1], sizes[i]), dtype=np.uint8))
+                for i in range(max(n_stages - n_tail, 0), n_stages - 1)]
+        stab[deg] = n_stages >= n_tail and all(
+            m.shape == (sizes[-1], sizes[-1]) and np.array_equal(m, tail[0]) for m in tail)
+        finite[deg] = sizes[-1]
+        dims[deg] = gf2_eventual_rank(tail[0]) if stab[deg] else sizes[-1]
     return DirectLimitResult(dims, stab, finite)
 
 

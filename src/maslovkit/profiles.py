@@ -445,11 +445,23 @@ class ActionSignReport:
         return rows
 
 
+BLEND_TOL = 1e-15  # a chord root v stops once its Newton step is at most this
+BLEND_STEPS = 60  # cap on the steps per blend
+
+
 def _blend_chord_radii(h: RadialProfile, knot_idx: int, spectrum_w, C,
                        slope_cap=None, samples=100):
     """Radii inside blend `knot_idx` whose inner slope C*h' is a chord period,
     plus dense samples restricted to the band of slopes the spectrum reaches.
-    The periods are bisected together, one `slope` call per step."""
+
+    There h' = s0 + (s1 - s0) smoothstep(u), u = (r - k + w)/(2w), and as
+    smoothstep(1 - u) = 1 - smoothstep(u), each period t is a root v <= 1/2 of
+    smoothstep(v) = min(y, 1 - y), y = (t/C - s0)/(s1 - s0).  Newton solves
+    all periods at once from v0 = (y/4)^(1/3), right of the root since
+    smoothstep(v) >= 4v^3 on [0, 1/2], where smoothstep is convex: it falls
+    monotonically onto the root, in at most 6 steps.  A step that leaves the
+    bracket of the root bisects it instead.
+    """
     kn = h.knots[knot_idx]
     w = h.blend_widths[knot_idx]
     rs = np.linspace(kn - w, kn + w, samples + 2)[1:-1]
@@ -459,16 +471,21 @@ def _blend_chord_radii(h: RadialProfile, knot_idx: int, spectrum_w, C,
     if spectrum_w is not None:
         t = np.asarray(spectrum_w.periods, dtype=float)
         t = t[(slopes_w.min() < t) & (t < slopes_w.max())]
-        a_, b_ = np.full(t.size, kn - w), np.full(t.size, kn + w)
-        for _ in range(80 if t.size else 0):
-            m = 0.5 * (a_ + b_)
-            s_m, s_a, s_b = np.split(C * h.slope(np.concatenate([m, a_, b_])), 3)
-            # the root lies right of m: slope(m) < t on an increasing blend,
-            # or slope(m) >= t on a non-increasing one
-            take_a = (s_m < t) == (s_a < s_b)
-            a_ = np.where(take_a, m, a_)
-            b_ = np.where(take_a, b_, m)
-        radii.append(0.5 * (a_ + b_))
+        s0, s1 = h.slopes[knot_idx], h.slopes[knot_idx + 1]
+        y = (t / C - s0) / (s1 - s0)
+        flip = y > 0.5
+        y = np.where(flip, 1.0 - y, y)  # exact for y in [1/2, 1]
+        lo, hi = np.zeros(t.size), np.cbrt(y / 4.0)
+        v = hi
+        for _ in range(BLEND_STEPS):
+            f = smoothstep(v) - y
+            lo, hi = np.where(f < 0, v, lo), np.where(f < 0, hi, v)
+            new = v - f / (30.0 * (v * (1.0 - v)) ** 2)
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            step, v = np.abs(new - v), new
+            if np.all(step <= BLEND_TOL):
+                break
+        radii.append(kn - w + 2.0 * w * np.where(flip, 1.0 - v, v))
     return np.sort(np.concatenate(radii))
 
 

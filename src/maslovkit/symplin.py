@@ -263,6 +263,14 @@ def symplectic_gram_schmidt(l0: LagrangianFrame, l1: LagrangianFrame) -> Symplec
 # ---------------------------------------------------------------------------
 
 
+def _domain(domain) -> tuple:
+    """``(t0, t1)`` as floats; every path constructor requires finite t0 < t1."""
+    t0, t1 = float(domain[0]), float(domain[1])
+    if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
+        raise DimensionMismatchError(f"a path domain needs finite t0 < t1, got [{t0}, {t1}]")
+    return t0, t1
+
+
 class LagrangianPath:
     """A path of Lagrangian frames on a closed interval.
 
@@ -342,7 +350,7 @@ class _DerivedPath(LagrangianPath):
     def __init__(self, n, frames_of, domain, sample_resolution):
         self.n = n
         self._frames_of = frames_of
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = _domain(domain)
         self.sample_resolution = sample_resolution
 
     def frames(self, ts):
@@ -359,7 +367,7 @@ class FunctionPath(LagrangianPath):
     def __init__(self, n, fn, domain=(0.0, 1.0), sample_resolution=512):
         self.n = n
         self._fn = fn
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = _domain(domain)
         self.sample_resolution = sample_resolution
 
     def frames(self, ts):
@@ -369,7 +377,7 @@ class FunctionPath(LagrangianPath):
 class ConstantPath(LagrangianPath):
     def __init__(self, frame: LagrangianFrame, domain=(0.0, 1.0)):
         self.n = frame.n
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = _domain(domain)
         self.sample_resolution = 512
         self.base_frame = frame
 
@@ -417,7 +425,7 @@ class GeneratorPath(LagrangianPath):
     def __init__(self, s, frame0: LagrangianFrame, domain=(0.0, 1.0),
                  sample_resolution=512, grid=2048):
         self.n = frame0.n
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = _domain(domain)
         self.sample_resolution = sample_resolution
         self._f0 = frame0.columns
         self._j = complex_structure(self.n)
@@ -563,7 +571,7 @@ class SampledPath(LagrangianPath):
             raise DimensionMismatchError("frames must have shape (T, 2n, n)")
         self._times = times
         self._frames = frames
-        self.domain = (float(times[0]), float(times[-1]))
+        self.domain = _domain((times[0], times[-1]))
         self.sample_resolution = sample_resolution or len(times)
 
     def frames(self, ts):

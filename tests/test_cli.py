@@ -42,6 +42,12 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     ["profile-build", "--stages", "-1"],
     ["direct-limit", "--system", "identity-z2", "--window", "0"],
     ["direct-limit", "--system", "zero-z2", "--window", "-2"],
+    # a path domain that is reversed
+    ["rs-index", "--json", json.dumps({
+        "path0": {"kind": "generator", "domain": [1, 0], "S": [[2, 0], [0, 2]],
+                  "frame0": [[1], [0]]},
+        "path1": {"kind": "generator", "domain": [1, 0], "S": [[0, 0], [0, 0]],
+                  "frame0": [[0], [1]]}})],
     # flows that leave the float range or have no time
     ["handle-flow", "--point", "1,2,3,4", "--t", "1e6"],
     ["handle-flow", "--point", "1,2,3,4", "--t", "nan"],
@@ -52,6 +58,13 @@ def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+
+
+def test_direct_limit_window_one_with_a_widening_last_map(capsys):
+    system = {"stages": [{"0": 1}, {"0": 2}], "maps": [{"0": [[1], [0]]}]}
+    assert cli.main(["direct-limit", "--window", "1", "--json", json.dumps(system)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["dims"] == {"0": 2} and out["stabilized"] == {"0": False}
 
 
 def test_verify_all_rejects_fewer_than_one_case(capsys):

@@ -58,3 +58,12 @@ def test_json_roundtrip():
 
 def test_ordering():
     assert HalfInt(1) < HalfInt(2) < HalfInt(4)
+
+
+def test_arithmetic_with_a_non_halfint_is_a_type_error():
+    for other in (1, 1.5, None):
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: b + a, lambda a, b: b - a):
+            with pytest.raises(TypeError):
+                op(HalfInt(3), other)
+    assert HalfInt(3) + HalfInt.from_int(1) == HalfInt(5)

@@ -41,6 +41,31 @@ class TestGf2:
         assert 0 <= r <= min(m.shape)
         assert r == gf2_rank(m.T)
 
+    def test_rank_counts_distinct_row_combinations(self):
+        # the rows span 2^rank distinct vectors: enumerate every XOR
+        # combination of them
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            m = rng.integers(0, 2, size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+            m[:, rng.random(m.shape[1]) < 0.2] = 0
+            signs = (np.arange(2 ** m.shape[0])[:, None] >> np.arange(m.shape[0])) & 1
+            span = {row.tobytes() for row in (signs @ m) % 2}
+            assert 2 ** gf2_rank(m) == len(span)
+
+    def test_rank_of_block_bidiagonal(self):
+        # identity blocks on the diagonal and random blocks above it, except
+        # the last diagonal block, of rank 7: the first 19 block rows have
+        # their pivots in distinct columns left of the last block column,
+        # where the last block row is zero, so the rank is 190 + 7
+        rng = np.random.default_rng(53)
+        m = np.zeros((200, 200), dtype=np.uint8)
+        for b in range(19):
+            m[10 * b:10 * b + 10, 10 * b:10 * b + 10] = np.eye(10, dtype=np.uint8)
+            m[10 * b:10 * b + 10, 10 * b + 10:10 * b + 20] = rng.integers(0, 2, size=(10, 10))
+        m[190:, 190:] = np.diag([1] * 7 + [0] * 3)
+        assert gf2_rank(m) == 197
+        assert gf2_rank(m[rng.permutation(200)][:, rng.permutation(200)]) == 197
+
     def test_eventual_rank_nilpotent(self):
         n = np.zeros((3, 3), dtype=np.uint8)
         n[0, 1] = n[1, 2] = 1
@@ -177,18 +202,54 @@ class TestDirectLimit:
 
     def test_windows_one_and_three(self):
         # (dims, stabilized degrees) per window; the finite quotient does not
-        # depend on the window
+        # depend on the window.  In the model flow the last map is 1 x 0 in
+        # degree 16 and 0 x 1 in degree 14: not square, so even a window of 1
+        # does not extrapolate there
         model = {2 * k: 0 for k in range(9)}
         cases = [(identity_system(10), {0: 1}, {1: ({0: 1}, {0}), 3: ({0: 1}, {0})}),
                  (zero_map_system(10), {0: 1}, {1: ({0: 0}, {0}), 3: ({0: 0}, {0})}),
                  (model_flow_system(2, 9), {**model, 16: 1},
-                  {1: (model, set(model)), 3: ({**model, 16: 1}, set(range(0, 12, 2)))})]
+                  {1: ({**model, 16: 1}, set(range(0, 14, 2))),
+                   3: ({**model, 16: 1}, set(range(0, 12, 2)))})]
         for sys_, finite, by_window in cases:
             for window, (dims, stable) in by_window.items():
                 res = direct_limit(sys_, window=window)
                 assert res.dims == dims and res.finite_quotient_dims == finite
                 assert {d for d, ok in res.stabilized.items() if ok} == stable
                 assert set(res.stabilized) == set(finite)
+
+    def test_finite_quotient_is_the_literal_quotient(self):
+        # the quotient of the direct sum of the stages by the relations
+        # e_i(v) + e_{i+1}(T_i v), built row by row and reduced by gf2_rank
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            n_st = int(rng.integers(1, 7))
+            degs = range(int(rng.integers(1, 4)))
+            stages = [{d: int(rng.integers(0, 4)) for d in degs} for _ in range(n_st)]
+            maps = [{d: rng.integers(0, 2, size=(stages[i + 1][d], stages[i][d])) for d in degs}
+                    for i in range(n_st - 1)]
+            res = direct_limit(DirectedSystem(stages, maps), window=int(rng.integers(1, 4)))
+            for d in degs:
+                sizes = [s_[d] for s_ in stages]
+                offs = np.cumsum([0] + sizes)
+                rels = []
+                for i in range(n_st - 1):
+                    for col in range(sizes[i]):
+                        v = np.zeros(offs[-1], dtype=np.uint8)
+                        v[offs[i] + col] = 1
+                        v[offs[i + 1]:offs[i + 2]] ^= maps[i][d][:, col].astype(np.uint8)
+                        rels.append(v)
+                rank = gf2_rank(np.array(rels)) if rels else 0
+                assert res.finite_quotient_dims[d] == offs[-1] - rank
+
+    def test_window_one_without_a_square_last_map(self):
+        # a non-square last map, or no map at all, is not a stable tail:
+        # the limit is the finite quotient, the last stage
+        widen = DirectedSystem([{0: 1}, {0: 2}], [{0: np.array([[1], [0]])}])
+        for sys_ in (widen, DirectedSystem([{0: 2}], [])):
+            res = direct_limit(sys_, window=1)
+            assert res.dims == {0: 2} and res.finite_quotient_dims == {0: 2}
+            assert res.stabilized == {0: False}
 
     def test_cofinal_subsequence(self):
         rng = np.random.default_rng(41)

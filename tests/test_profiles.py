@@ -210,8 +210,8 @@ def _scalar_action(h, r, side=None):
 
 
 def _scalar_blend_radii(h, knot_idx, spectrum_w, C, slope_cap=None, samples=100):
-    """_blend_chord_radii with one slope call per radius and one bisection
-    per period."""
+    """_blend_chord_radii with one slope call per radius and one 80-step
+    bisection in r per period, through the public `slope`."""
     kn, w = h.knots[knot_idx], h.blend_widths[knot_idx]
     rs = np.linspace(kn - w, kn + w, samples + 2)[1:-1]
     slopes_w = C * np.asarray([h.slope(float(r)) for r in rs])
@@ -220,9 +220,9 @@ def _scalar_blend_radii(h, knot_idx, spectrum_w, C, slope_cap=None, samples=100)
     for t in (spectrum_w.periods if spectrum_w is not None else ()):
         if slopes_w.min() < t < slopes_w.max():
             a_, b_ = kn - w, kn + w
+            increasing = h.slope(a_) * C < h.slope(b_) * C
             for _ in range(80):
                 m = 0.5 * (a_ + b_)
-                increasing = h.slope(a_) * C < h.slope(b_) * C
                 if (C * h.slope(m) < t) == increasing:
                     a_ = m
                 else:
@@ -231,26 +231,66 @@ def _scalar_blend_radii(h, knot_idx, spectrum_w, C, slope_cap=None, samples=100)
     return np.asarray(sorted(radii))
 
 
+def _ledger_cases():
+    """(profile, spectrum, samples per blend): last stages of three families,
+    and the first profile with no spectrum."""
+    cases = []
+    for T, C, stages, keep, samples in [(math.pi, 2.0, 3, 3, 100),
+                                        (1.0, 1.0, 6, 1, 37),
+                                        (2.5, 3.5, 3, 1, 100)]:
+        spec = SpectrumSet.of([T, 2 * T, 3 * T])
+        sched = TransferSchedule.seeded(spec, C=C, stages=stages)
+        cases += [(h, spec, samples)
+                  for h in build_transfer_family(spec, C, sched)[-keep:]]
+    return cases + [(cases[0][0], None, 100)]
+
+
 class TestLedgerArrays:
     def test_ledger_matches_scalar_evaluation(self, monkeypatch):
-        cases = []
-        for T, C, stages, keep, samples in [(math.pi, 2.0, 3, 3, 100),
-                                            (1.0, 1.0, 6, 1, 37),
-                                            (2.5, 3.5, 3, 1, 100)]:
-            spec = SpectrumSet.of([T, 2 * T, 3 * T])
-            sched = TransferSchedule.seeded(spec, C=C, stages=stages)
-            cases += [(h, spec, samples)
-                      for h in build_transfer_family(spec, C, sched)[-keep:]]
-        cases.append((cases[0][0], None, 100))
+        # the chord radii are the same function in both runs; only the
+        # actions switch to one radius at a time
+        cases = _ledger_cases()
         got = [verify_action_signs(h, spectrum_w=s, spectrum_outer=s,
                                    samples_per_blend=n).to_json()
                for h, s, n in cases]
         monkeypatch.setattr(profiles, "radial_action", _scalar_action)
-        monkeypatch.setattr(profiles, "_blend_chord_radii", _scalar_blend_radii)
         for (h, s, n), obj in zip(cases, got):
             want = verify_action_signs(h, spectrum_w=s, spectrum_outer=s,
                                        samples_per_blend=n).to_json()
             assert obj == want
+
+    def test_chord_radii_match_bisection_in_r(self):
+        # Newton on the smoothstep against bisection of C h'(r) = t in r:
+        # per blend the same radii to 2 ulps, and every period the blend's
+        # samples reach is hit to 1e-12 t, or, where one ulp of r moves C h'
+        # by more than that (up to 1e-9 here), bracketed by C h' at the
+        # neighbouring floats of r
+        cases = _ledger_cases()
+        for T, C in [(1.3, 1.5), (3.7, 2.5)]:
+            spec = SpectrumSet.of([T, 2 * T, 3 * T])
+            sched = TransferSchedule.seeded(spec, C=C, stages=2)
+            cases += [(h, spec, 100) for h in build_transfer_family(spec, C, sched)]
+        roots = 0
+        for h, spec, n in cases:
+            c_n = h.metadata["C"]
+            blends = [(0, c_n, None), (1, c_n, h.metadata["a_n"] - h.metadata["delta_n"]),
+                      (2, 1.0, None)]
+            for k, c, cap in blends:
+                got = profiles._blend_chord_radii(h, k, spec, c, slope_cap=cap, samples=n)
+                want = _scalar_blend_radii(h, k, spec, c, slope_cap=cap, samples=n)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+                if spec is None:
+                    continue
+                kn, w = h.knots[k], h.blend_widths[k]
+                reach = c * h.slope(np.linspace(kn - w, kn + w, n + 2)[1:-1])
+                for t in spec.periods:
+                    if reach.min() < t < reach.max():
+                        r = got[np.argmin(np.abs(c * h.slope(got) - t))]
+                        below, above = c * h.slope(np.nextafter(r, [-np.inf, np.inf])) - t
+                        assert abs(c * h.slope(r) - t) <= 1e-12 * t or below * above <= 0
+                        roots += 1
+        assert roots >= 10
 
     def test_radial_action_arrays(self):
         h = RadialProfile([1.0, 2.0], [0.0, 2.0, 0.5], (0.0, -0.1), [0.2, 0.1])

@@ -13,9 +13,11 @@ from maslovkit.errors import (
     MaslovkitError,
     NonTransverseError,
 )
+from maslovkit.halfint import HalfInt
 from maslovkit.maslov import rs_index
 from maslovkit.symplin import (
     ConstantPath,
+    FunctionPath,
     GeneratorPath,
     LagrangianFrame,
     SampledPath,
@@ -235,6 +237,32 @@ class TestPaths:
     def test_frame_json_roundtrip(self):
         fr = LagrangianFrame.complex_line(0.7)
         assert np.allclose(LagrangianFrame.from_json(fr.to_json()).columns, fr.columns)
+
+    def test_domain_needs_finite_increasing_ends(self):
+        h = LagrangianFrame.horizontal(1)
+        rot = rotation_path(1, 2.0)
+        builders = [lambda d: GeneratorPath(np.eye(2), h, d),
+                    lambda d: ConstantPath(h, d),
+                    lambda d: FunctionPath(1, lambda t: h.columns, d),
+                    lambda d: rot.reparametrized(lambda t: t, d),
+                    lambda d: SampledPath(d, rot.frames([0.0, 1.0])),
+                    lambda d: path_from_json({**rot.to_json(), "domain": list(d)})]
+        for build in builders:
+            build((0.0, 1.0))
+            for bad in [(1.0, 0.0), (0.5, 0.5)]:
+                with pytest.raises(DimensionMismatchError):
+                    build(bad)
+            for bad in [(0.0, np.inf), (np.nan, 1.0)]:
+                with pytest.raises(MaslovkitError):  # InputTypeError from JSON
+                    build(bad)
+
+    def test_reversed_domain_is_refused_not_answered(self):
+        # the speed-2 rotation crosses the vertical once on [0, 1]; on [1, 0]
+        # it used to answer 0
+        vertical = ConstantPath(LagrangianFrame.vertical(1))
+        assert rs_index((rotation_path(1, 2.0), vertical)) == HalfInt(2)
+        with pytest.raises(DimensionMismatchError):
+            rs_index((rotation_path(1, 2.0, domain=(1.0, 0.0)), vertical))
 
     def test_direct_sum_coordinate_order(self):
         f = direct_sum_frames(

@@ -276,10 +276,11 @@ class LagrangianPath:
 
     `frames` is the one evaluation primitive: every concrete path evaluates a
     whole array of times in it, and `frame_array`, `frame`, `endpoint_frames`
-    and `validate` are derived from it.  Concrete paths are `GeneratorPath` (a
-    quadratic-Hamiltonian flow applied to an initial frame), `SampledPath` (a
-    dense table with linear frame interpolation), `ConstantPath`, or
-    `FunctionPath` (an arbitrary closed form; not serializable).
+    and `validate` are derived from it.  Concrete paths are `GeneratorPath`
+    (the flow expm(J S (t - t0)) of a constant quadratic Hamiltonian applied
+    to an initial frame), `SampledPath` (a dense table with linear frame
+    interpolation), `ConstantPath`, or `FunctionPath` (an arbitrary closed
+    form; not serializable).
     """
 
     n: int
@@ -323,11 +324,17 @@ class LagrangianPath:
     def transformed(self, mat_path) -> "LagrangianPath":
         """Apply a (time-dependent) symplectic matrix to every frame.
 
-        ``mat_path`` is a callable ``t -> 2n x 2n`` matrix or a `GeneratorPath`.
-        Frames are batched: a callable's matrices are stacked, the path's
-        frames evaluated in one call.
+        ``mat_path`` is a callable ``t -> 2n x 2n`` matrix or a `GeneratorPath`
+        with this path's n and domain (to 1e-12), whose `matrices` give Psi(t)
+        at the same times.  Frames are batched: a callable's matrices are
+        stacked, the path's frames evaluated in one call.
         """
         if isinstance(mat_path, GeneratorPath):
+            if mat_path.n != self.n or np.max(
+                    np.abs(np.subtract(mat_path.domain, self.domain))) > 1e-12:
+                raise DimensionMismatchError(
+                    f"a generator path with n = {mat_path.n} on {mat_path.domain} cannot "
+                    f"transform a path with n = {self.n} on {self.domain}")
             mats = mat_path.matrices
         else:
             mats = lambda ts: np.stack(
@@ -401,10 +408,10 @@ def _refuse_overflow(a) -> None:
 
 
 class GeneratorPath(LagrangianPath):
-    """Frames ``Psi(t) @ F0`` where ``Psi' = J S(t) Psi`` and ``Psi(t0) = Id``.
+    """Frames ``Psi(t) @ F0`` with ``Psi(t) = expm(J S (t - t0))``.
 
-    ``S`` is a symmetric 2n x 2n matrix (constant) or a callable ``t -> S(t)``.
-    A constant S with J S = V Lambda V^{-1} is evaluated in closed form,
+    ``S`` is a constant symmetric 2n x 2n matrix.  When J S = V Lambda V^{-1},
+    Psi is evaluated in closed form,
 
         Psi(t) R = Re sum_j e^{lambda_j (t - t0)} V[:, j] (V^{-1} R)[j, :],
 
@@ -412,46 +419,35 @@ class GeneratorPath(LagrangianPath):
     [Re k; -Im k], with k_j the flattened outer product above, is built once,
     and a call is one real matrix product [Re E | Im E] @ kernel with
     E = exp(outer(t - t0, lambda)); t0 itself gives R exactly.  The
-    eigenvectors are accepted when cond(V) <= 1e8 and the closed form at the
-    longest offset it is used for, t1 - t0, matches ``expm(J S (t1 - t0))``
-    to `PROBE_TOL` of that matrix's largest entry.  Only a callable S
-    (fixed-step RK4) or a constant S whose eigenvectors are rejected (the
-    grid doubled from ``expm`` of one step) is evaluated on a grid of
-    ``grid + 1`` nodes, each time advanced from the node at or below it.  A
-    flow that leaves the float range on the domain raises `IntegrationError`
-    when the path is built.
+    eigenvectors are accepted when cond(V) <= 1e8 and the closed form at
+    t1 - t0 matches ``expm(J S (t1 - t0))`` to `PROBE_TOL` of that matrix's
+    largest entry.  Otherwise (a Jordan block, a nilpotent J S) `matrices`
+    is one batched ``expm`` of (t - t0) J S and `frames` is that times F0.
+    ``expm(J S (t1 - t0))`` is computed when the path is built, and a flow
+    that leaves the float range there raises `IntegrationError`.
     """
 
     def __init__(self, s, frame0: LagrangianFrame, domain=(0.0, 1.0),
-                 sample_resolution=512, grid=2048):
+                 sample_resolution=512):
         self.n = frame0.n
         self.domain = _domain(domain)
         self.sample_resolution = sample_resolution
         self._f0 = frame0.columns
-        self._j = complex_structure(self.n)
-        if callable(s):
-            self._s_fn, self._s_const = s, None
-        else:
-            s = np.asarray(s, dtype=float)
-            if np.max(np.abs(s - s.T)) > BILINEAR_TOL:
-                raise DimensionMismatchError("generator S must be symmetric")
-            self._s_fn, self._s_const = None, s
-        self._grid_n = grid
-        self._eig = self._try_eig() if self._s_const is not None else None
-        if self._eig is None:
-            self._ts, self._psis = self._build_grid()
+        s = np.asarray(s, dtype=float)
+        dim = 2 * self.n
+        if s.shape != (dim, dim) or np.max(np.abs(s - s.T)) > BILINEAR_TOL:
+            raise DimensionMismatchError("generator S must be a symmetric 2n x 2n matrix")
+        self._s = s
+        self._js = complex_structure(self.n) @ s
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi1 = expm(self._js * (self.domain[1] - self.domain[0]))
+        _refuse_overflow(psi1)
+        self._eig = self._try_eig(psi1)
 
-    # -- internal integration ------------------------------------------------
-
-    def _m(self, t):
-        s = self._s_const if self._s_const is not None else self._s_fn(t)
-        return self._j @ s
-
-    def _try_eig(self):
-        """(lambda, kernel for Id, kernel for F0), or None for the grid."""
-        m = self._m(0.0)
+    def _try_eig(self, psi1):
+        """(lambda, kernel for Id, kernel for F0), or None for the batched expm."""
         try:
-            lam, v = np.linalg.eig(m)
+            lam, v = np.linalg.eig(self._js)
             vinv = np.linalg.inv(v)
         except np.linalg.LinAlgError:
             return None
@@ -462,94 +458,47 @@ class GeneratorPath(LagrangianPath):
         k_eye = np.concatenate([k.real, -k.imag]).reshape(2 * dim, dim * dim)
         length = self.domain[1] - self.domain[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            exact = expm(m * length)
             approx = _exp_sum(lam, k_eye, np.array([length]), np.eye(dim))[0]
-        _refuse_overflow(exact)
-        if not np.max(np.abs(approx - exact)) <= PROBE_TOL * np.max(np.abs(exact)):
+        if not np.max(np.abs(approx - psi1)) <= PROBE_TOL * np.max(np.abs(psi1)):
             return None
         k_f0 = (k_eye.reshape(2 * dim, dim, dim) @ self._f0).reshape(2 * dim, -1)
         return lam, k_eye, k_f0
 
-    def _build_grid(self):
+    def _offsets(self, ts) -> np.ndarray:
         t0, t1 = self.domain
-        ts = np.linspace(t0, t1, self._grid_n + 1)
-        dt = (t1 - t0) / self._grid_n
-        dim = 2 * self.n
-        psis = np.empty((self._grid_n + 1, dim, dim))
-        psis[0] = np.eye(dim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self._s_const is not None:
-                # doubling: Psi(t_{m+j}) = Psi(t_m) Psi(t_j) for a constant generator
-                psis[1] = expm(self._m(0.0) * dt)
-                m = 1
-                while m < self._grid_n:
-                    k = min(m, self._grid_n - m)
-                    psis[m + 1 : m + 1 + k] = psis[m] @ psis[1 : 1 + k]
-                    m += k
-            else:
-                for i in range(self._grid_n):
-                    psis[i + 1] = self._rk4(psis[i], ts[i], dt)
-        _refuse_overflow(psis)
-        return ts, psis
-
-    def _rk4(self, psi, t, dt):
-        k1 = self._m(t) @ psi
-        k2 = self._m(t + dt / 2) @ (psi + dt / 2 * k1)
-        k3 = self._m(t + dt / 2) @ (psi + dt / 2 * k2)
-        k4 = self._m(t + dt) @ (psi + dt * k3)
-        return psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return np.clip(np.asarray(ts, dtype=float), t0, t1) - t0
 
     def matrix(self, t: float) -> np.ndarray:
         """The fundamental solution Psi(t)."""
         return self.matrices([t])[0]
 
     def matrices(self, ts) -> np.ndarray:
-        """Fundamental solutions at many times, shape (T, 2n, 2n).
+        """Psi(t) at many times in the domain, shape (T, 2n, 2n).
 
-        In closed form, or advanced from the grid node at or below each time;
-        Psi(t0) is the identity itself on either route.
+        In closed form, or one batched ``expm`` of (t - t0) J S; Psi(t0) is
+        the identity itself on either route.
         """
-        t0, t1 = self.domain
-        ts = np.clip(np.asarray(ts, dtype=float), t0, t1)
-        if self._eig is not None:
-            lam, k_eye, _ = self._eig
-            return _exp_sum(lam, k_eye, ts - t0, np.eye(2 * self.n))
-        idx = np.clip(np.searchsorted(self._ts, ts, side="right") - 1, 0, self._grid_n)
-        dts = ts - self._ts[idx]
-        out = self._psis[idx]
-        off = np.nonzero(np.abs(dts) >= 1e-15)[0]
-        if self._s_const is not None:
-            out[off] = expm(dts[off, None, None] * self._m(0.0)) @ out[off]
-        else:
-            # callable S: RK4 sub-steps of at most a quarter grid cell
-            for i in off:
-                dt, tt = dts[i], self._ts[idx[i]]
-                sub = max(1, int(np.ceil(abs(dt) * self._grid_n / (t1 - t0) * 4)))
-                h = dt / sub
-                for _ in range(sub):
-                    out[i] = self._rk4(out[i], tt, h)
-                    tt += h
-        return out
+        dts = self._offsets(ts)
+        if self._eig is None:
+            return expm(dts[:, None, None] * self._js)
+        lam, k_eye, _ = self._eig
+        return _exp_sum(lam, k_eye, dts, np.eye(2 * self.n))
 
     # -- path interface --------------------------------------------------------
 
     def frames(self, ts):
         if self._eig is None:
             return self.matrices(ts) @ self._f0
-        t0, t1 = self.domain
         lam, _, k_f0 = self._eig
-        dts = np.clip(np.asarray(ts, dtype=float), t0, t1) - t0
-        return _exp_sum(lam, k_f0, dts, self._f0)
+        return _exp_sum(lam, k_f0, self._offsets(ts), self._f0)
 
     def to_json(self) -> dict:
-        if self._s_const is None:
-            raise NotImplementedError("only constant-S generator paths serialize")
         return {
             "schema": "v1",
             "n": self.n,
             "kind": "generator",
             "domain": list(self.domain),
-            "S": self._s_const.tolist(),
+            "S": self._s.tolist(),
             "frame0": self._f0.tolist(),
             "sample_resolution": self.sample_resolution,
         }

@@ -48,6 +48,11 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
                   "frame0": [[1], [0]]},
         "path1": {"kind": "generator", "domain": [1, 0], "S": [[0, 0], [0, 0]],
                   "frame0": [[0], [1]]}})],
+    # a generator S that is not 2n x 2n for its frame, or not square
+    *(["rs-index", "--json", json.dumps({
+        "path0": {"kind": "generator", "S": s, "frame0": [[1], [0]]},
+        "path1": {"kind": "generator", "S": [[0, 0], [0, 0]], "frame0": [[0], [1]]}})]
+      for s in (np.eye(4).tolist(), [[2, 0, 0], [0, 2, 0]])),
     # flows that leave the float range or have no time
     ["handle-flow", "--point", "1,2,3,4", "--t", "1e6"],
     ["handle-flow", "--point", "1,2,3,4", "--t", "nan"],

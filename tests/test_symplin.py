@@ -204,9 +204,10 @@ class TestPaths:
         p.validate(samples=11)
 
     def test_generator_requires_symmetric(self):
-        with pytest.raises(DimensionMismatchError):
-            GeneratorPath(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                          LagrangianFrame.horizontal(1))
+        # not symmetric, square but not 2n x 2n for the frame, and not square
+        for s in ([[0.0, 1.0], [0.0, 0.0]], np.eye(4), np.zeros((2, 3))):
+            with pytest.raises(DimensionMismatchError, match="symmetric 2n x 2n"):
+                GeneratorPath(s, LagrangianFrame.horizontal(1))
 
     def test_rotation_path_closed_form(self):
         p = rotation_path(1, np.pi / 2)
@@ -280,10 +281,6 @@ def _jordan_generator(a):
                                               [np.zeros((2, 2)), -block.T]])
 
 
-def _no_grid(self):
-    raise AssertionError("a diagonalizable constant generator built a grid")
-
-
 def _random_generator_path(n, rng, scale=1.0):
     a = rng.normal(size=(2 * n, 2 * n), scale=scale)
     return GeneratorPath((a + a.T) / 2, random_lagrangian_frame(n, rng))
@@ -350,6 +347,22 @@ class TestBatchedFrames:
         self.assert_batched(base.transformed(psi))
         self.assert_batched(base.transformed(lambda t: psi.matrix(t)))
 
+    def test_transformed_by_a_generator_path_needs_its_domain_and_n(self):
+        # Psi(t) = e^{i t} turns the speed-1.5 rotation into speed 2.5 on (0, 2):
+        # 5 radians pass the vertical at pi/2 and 3 pi/2.  A Psi on (0, 1) or
+        # (1, 3) used to be clipped to its own domain, and the index came out 1
+        base = rotation_path(1, 1.5, domain=(0.0, 2.0))
+        vertical = ConstantPath(LagrangianFrame.vertical(1), (0.0, 2.0))
+        h = LagrangianFrame.horizontal(1)
+        psi = GeneratorPath(np.eye(2), h, (0.0, 2.0))
+        assert rs_index((base.transformed(psi), vertical)) == HalfInt.from_int(2)
+        for domain in ((0.0, 1.0), (1.0, 3.0)):
+            with pytest.raises(DimensionMismatchError):
+                base.transformed(GeneratorPath(np.eye(2), h, domain))
+        with pytest.raises(DimensionMismatchError):
+            base.transformed(GeneratorPath(np.eye(4), LagrangianFrame.horizontal(2),
+                                           (0.0, 2.0)))
+
     def test_reparametrized_and_restricted(self):
         rng = np.random.default_rng(5)
         base = _random_generator_path(3, rng)
@@ -357,31 +370,25 @@ class TestBatchedFrames:
         self.assert_batched(base.restricted(0.25, 0.75), 0.25 + 0.5 * self.TS)
 
     def test_generator_matrices(self):
-        # one path per route of `matrices`: closed form (constant S whose
-        # eigenvectors are accepted), grid with matrix-exponential steps
-        # (defective J S), grid with RK4 steps (callable S)
+        # both routes of `matrices`: closed form (eigenvectors accepted) and
+        # the batched expm (a nilpotent J S)
         rng = np.random.default_rng(6)
         paths = [_random_generator_path(n, rng, scale=2.0) for n in (1, 2, 4)]
         paths.append(GeneratorPath(np.diag([0.0, 1.0]), LagrangianFrame.horizontal(1)))
-        a = rng.normal(size=(4, 4))
-        paths.append(GeneratorPath(lambda t, s=(a + a.T) / 2: (1 + t) * s,
-                                   LagrangianFrame.horizontal(2), grid=256))
-        for i, p in enumerate(paths):
+        assert [p._eig is None for p in paths] == [False, False, False, True]
+        for p in paths:
             scalar = np.stack([p.matrix(float(t)) for t in self.TS])
             batched = p.matrices(self.TS)
             self.assert_close(batched, scalar)
-            # Psi(t0) is the identity itself on every route
+            # Psi(t0) is the identity itself on both routes
             assert np.array_equal(batched[0], np.eye(2 * p.n))
-            if i >= 3:
-                # grid nodes (0, 1/2, 1) come back exactly, whatever else is
-                # in the batch
-                nodes = np.isin(self.TS, (0.0, 0.5, 1.0))
-                assert np.array_equal(batched[nodes], scalar[nodes])
+            if p._eig is None:
+                # expm treats each matrix of the batch on its own
+                assert np.array_equal(batched, scalar)
 
-    def test_closed_form_matches_expm_off_the_unit_domain(self, monkeypatch):
-        # on (0.3, 2.3), at t0, t1, the midpoints of the first and last cells
-        # of a 2048-cell grid and random times, with no grid built
-        monkeypatch.setattr(GeneratorPath, "_build_grid", _no_grid)
+    def test_closed_form_matches_expm_off_the_unit_domain(self):
+        # on (0.3, 2.3), at t0, t1, times 1/2048 of the domain from each end
+        # and random times, all on the closed form
         rng = np.random.default_rng(9)
         t0, t1 = 0.3, 2.3
         ts = np.concatenate([[t0, t1, t0 + 0.5 / 1024, t1 - 0.5 / 1024],
@@ -399,32 +406,35 @@ class TestBatchedFrames:
         draws.append(((a + a.T) / 2, LagrangianFrame.from_columns(frame)))
         for s, frame0 in draws:
             p = GeneratorPath(s, frame0, (t0, t1))
+            assert p._eig is not None
             self.assert_matches_expm(p, s, frame0.columns, ts)
             assert np.array_equal(p.frames([t0])[0], frame0.columns)
 
-    def test_rejected_generator_takes_the_grid_and_matches_expm(self, monkeypatch):
-        # J S has a Jordan block, so its eigenvectors are rejected: the grid
-        # is built, and times off its nodes take one expm of their offsets
-        built = []
-        build = GeneratorPath._build_grid
-        monkeypatch.setattr(GeneratorPath, "_build_grid",
-                            lambda self: built.append(self) or build(self))
+    def test_rejected_generator_takes_the_batched_expm(self):
+        # J S = diag(A, -A^T) has a Jordan block, so its eigenvectors are
+        # rejected; Psi(t) = diag(e^{A dt}, e^{-A^T dt}) with
+        # e^{A dt} = e^{2 dt} [[1, dt], [0, 1]]
         rng = np.random.default_rng(10)
         s, frame0 = _jordan_generator(2.0), random_lagrangian_frame(2, rng)
         p = GeneratorPath(s, frame0, (0.3, 2.3))
-        assert built == [p]
+        assert p._eig is None
         ts = np.concatenate([0.3 + 2.0 * self.TS, rng.uniform(0.3, 2.3, 20)])
-        self.assert_matches_expm(p, s, frame0.columns, ts)
+        exact = np.zeros((len(ts), 4, 4))
+        for k, dt in enumerate(ts - 0.3):
+            a = np.exp(2.0 * dt) * np.array([[1.0, dt], [0.0, 1.0]])
+            exact[k, :2, :2], exact[k, 2:, 2:] = a, np.linalg.inv(a).T
+        for got, want in ((p.matrices(ts), exact), (p.frames(ts), exact @ frame0.columns)):
+            for g, e in zip(got, want):
+                assert np.linalg.norm(g - e) <= 1e-11 * np.linalg.norm(e)
 
     def test_flow_beyond_the_float_range_is_refused_without_warning(self):
-        # e^800 is beyond the float range: J S = diag(-800, 800) on the
-        # closed form, a Jordan block of eigenvalue 800 on the grid (constant
-        # and callable S)
+        # e^800 is beyond the float range: J S = diag(-800, 800), which has
+        # eigenvectors, and a Jordan block of eigenvalue 800, which has not;
+        # both are refused when expm(J S (t1 - t0)) is taken in the constructor
         line = LagrangianFrame.complex_line(0.3)
         hyperbolic = lambda c: np.array([[0.0, c], [c, 0.0]])
         cases = [(hyperbolic(800.0), line),
-                 (_jordan_generator(800.0), LagrangianFrame.horizontal(2)),
-                 (lambda t: _jordan_generator(800.0), LagrangianFrame.horizontal(2))]
+                 (_jordan_generator(800.0), LagrangianFrame.horizontal(2))]
         for s, frame0 in cases:
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
@@ -438,31 +448,46 @@ class TestBatchedFrames:
             rs_index((p, ConstantPath(LagrangianFrame.vertical(1))))
         assert exc.value.time == 1.0
 
-    def test_generator_grid_matches_expm(self):
-        # the nodes 1, 7, 1000, 2047, 2048 of a 2048-cell grid and other times,
-        # against expm(J S t) and expm(J S t) F0; these generators take the
-        # closed form, the grid routes have tests of their own
+    def test_closed_form_matches_expm_on_the_unit_domain(self):
+        # times near both ends and inside, against expm(J S t) and
+        # expm(J S t) F0; the batched expm route has tests of its own
         rng = np.random.default_rng(7)
         ts = np.concatenate([np.array([1, 7, 1000, 2047, 2048]) / 2048.0, self.TS])
         for n in (1, 2, 4, 6):
             a = rng.normal(size=(2 * n, 2 * n))
             s = (a + a.T) / 2
             frame0 = random_lagrangian_frame(n, rng)
-            self.assert_matches_expm(GeneratorPath(s, frame0), s, frame0.columns, ts)
+            p = GeneratorPath(s, frame0)
+            assert p._eig is not None
+            self.assert_matches_expm(p, s, frame0.columns, ts)
 
-    def test_defective_and_callable_generators_match_expm(self):
+    def test_nilpotent_generator_matches_its_polynomial(self):
         ts = self.TS
         shear = GeneratorPath(np.diag([0.0, 1.0]), LagrangianFrame.horizontal(1))
+        assert shear._eig is None
         # J S is nilpotent here, so expm(J S t) = I + J S t
         exact = np.eye(2) + complex_structure(1) @ np.diag([0.0, 1.0]) * ts[:, None, None]
         self.assert_close(shear.matrices(ts), exact)
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(4, 4))
-        s = (a + a.T) / 2
-        # S(t) = (1 + t) S0 commutes with itself, so Psi(t) = expm(J S0 (t + t^2/2))
-        rk4 = GeneratorPath(lambda t: (1 + t) * s, LagrangianFrame.horizontal(2))
-        exact = self.expm_frames(s, np.eye(4), ts + ts * ts / 2)
-        self.assert_close(rk4.matrices(ts), exact, rtol=1e-9)
+
+    def test_graph_paths_on_the_expm_route_match_the_signature_formula(self):
+        # S = [[B, 0], [0, 0]] with B = A1 - A0 moves graph(A0) to
+        # graph(A0 + t B), and J S is nilpotent; against the horizontal the
+        # index is (sig A1 - sig A0) / 2 when A0 and A1 are invertible
+        rng = np.random.default_rng(11)
+        sig = lambda a: int(np.sum(np.sign(np.linalg.eigvalsh(a))))
+        done = 0
+        while done < 18:
+            n = 1 + done % 6
+            a0, a1 = (a + a.T for a in rng.normal(size=(2, n, n)))
+            if min(np.min(np.abs(np.linalg.eigvalsh(a))) for a in (a0, a1)) < 0.05:
+                continue
+            s = np.zeros((2 * n, 2 * n))
+            s[:n, :n] = a1 - a0
+            p = GeneratorPath(s, LagrangianFrame.from_columns(np.vstack([np.eye(n), a0])))
+            assert p._eig is None
+            horizontal = ConstantPath(LagrangianFrame.horizontal(n))
+            assert rs_index((p, horizontal)) == HalfInt(sig(a1) - sig(a0))
+            done += 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -62,8 +62,8 @@ class HandleParams:
             raise DimensionMismatchError(
                 f"need 1 <= k < n (subcritical), got k={self.k}, n={self.n}"
             )
-        if self.epsilon <= 0 or self.delta <= 0:
-            raise MaslovkitError("epsilon and delta must be positive")
+        if not (0 < self.epsilon < np.inf and 0 < self.delta < np.inf):
+            raise MaslovkitError("epsilon and delta must be positive and finite")
         # {r <= 1} inside {z <= delta} on the x=y=0 locus: the radial slope
         # there is epsilon, so the r=1 level sits at z = epsilon / z_slope_low.
         if self.epsilon / self.z_slope_low() > self.delta:
@@ -270,6 +270,12 @@ class GridSpec:
     y_max: float = 3.0
     z_max: float = 1.0
 
+    def __post_init__(self):
+        if self.resolution < 0:
+            raise DimensionMismatchError(f"resolution must be non-negative, got {self.resolution}")
+        if not np.all(np.isfinite([self.x_max, self.y_max, self.z_max])):
+            raise MaslovkitError("the box sides must be finite")
+
 
 @dataclass(frozen=True)
 class TransversalityCertificate:
@@ -302,23 +308,25 @@ def transversality_certificate(
     f = psi_delta + 1 depends on x, z only through s = x + z, and in y it is
     decreasing, f_y = -1 + (1+eps) g'(y + s/delta) < 0 as g' <= 1/(1+2eps),
     and concave, as g' is non-increasing.  So the level set is a graph
-    y = Y(s), an (x, z) grid column crosses it iff f > 0 at its first grid
-    row and f <= 0 at its last, and Newton from the last row falls
-    monotonically onto Y(s).  Y is solved once per distinct s of the crossing
-    columns, each s keeping a bracket [lo, hi] with f(lo) > 0 >= f(hi); a
+    y = Y(s), and everything but the final value is computed once per
+    distinct s of the res^2 (x, z) grid columns, always at x = s, z = 0.  An
+    s crosses the level set iff f > 0 at the first grid row and f <= 0 at
+    the last, and Newton from the last row falls monotonically onto Y(s).
+    Each crossing s keeps a bracket [lo, hi] with f(lo) > 0 >= f(hi); a
     Newton step that leaves it, or is over half the previous step (rounding
     in f can stall Newton), bisects instead.  An s stops at f = 0 or once its
     step or bracket is at most ROOT_TOL * max(1, y), so surface points hold to
     that tolerance, not bit-exactly; an s unsettled after ROOT_STEPS raises
-    `MaslovkitError`.  The directional derivative
+    `MaslovkitError`.  With g' taken once per s at its root, the directional
+    derivative
 
         d(psi_delta)(X) = (1 + (1+eps) g'/delta) 3x
                           - (-1 + (1+eps) g') y
                           + (1 + (1+eps) g'/delta) z
 
-    is evaluated at every surface point found.  A ball of radius 1e-6 around
-    the origin of the (x, y, z) potentials is excluded.  The reported minimum
-    carries a lexicographically smallest witness on ties.
+    is evaluated at the surface point of every crossing column.  A ball of
+    radius 1e-6 around the origin of the (x, y, z) potentials is excluded.
+    The reported minimum carries a lexicographically smallest witness on ties.
     """
     gs = grid_spec or GridSpec()
     e, d = params.epsilon, params.delta
@@ -328,15 +336,16 @@ def transversality_certificate(
     ys = np.linspace(0.0, gs.y_max, res)
     x_c, z_c = (a.ravel() for a in np.meshgrid(np.linspace(0.0, gs.x_max, res),
                                                np.linspace(0.0, gs.z_max, res), indexing="ij"))
-    cols = np.nonzero((potentials_xyz(x_c, ys[:1], z_c, params) + 1.0 > 0)
-                      & (potentials_xyz(x_c, ys[-1:], z_c, params) + 1.0 <= 0))[0]
-    if cols.size == 0:
-        raise MaslovkitError("empty grid intersection: no column of the box crosses the level set")
-    x_c, z_c = x_c[cols], z_c[cols]
     s, col_s = np.unique(x_c + z_c, return_inverse=True)
+    crosses = ((potentials_xyz(s, ys[:1], 0.0, params) + 1.0 > 0)
+               & (potentials_xyz(s, ys[-1:], 0.0, params) + 1.0 <= 0))
+    if not np.any(crosses):
+        raise MaslovkitError("empty grid intersection: no column of the box crosses the level set")
+    cols = crosses[col_s]
+    x_c, z_c, col_s = x_c[cols], z_c[cols], col_s[cols]
     lo, hi = np.full(s.size, ys[0]), np.full(s.size, ys[-1])
     y_s, last = hi.copy(), np.full(s.size, np.inf)
-    act = np.arange(s.size)  # the unsettled values of s
+    act = np.flatnonzero(crosses)  # the unsettled values of s
     for _ in range(ROOT_STEPS):
         sa, y = s[act], y_s[act]
         f = potentials_xyz(sa, y, 0.0, params) + 1.0  # at x = s, z = 0
@@ -352,16 +361,17 @@ def transversality_certificate(
             break
     else:
         raise MaslovkitError(f"level set unresolved: {act.size} roots after {ROOT_STEPS} steps")
+    gp = g.prime(y_s + s / d)  # at the roots; unused where s does not cross
+    radial_coeff, y_coeff = 1.0 + (1.0 + e) * gp / d, -1.0 + (1.0 + e) * gp
     y_c = y_s[col_s]
 
     keep = np.sqrt(x_c**2 + y_c**2 + z_c**2) >= 1e-6
-    x_c, y_c, z_c = x_c[keep], y_c[keep], z_c[keep]
+    x_c, y_c, z_c, col_s = x_c[keep], y_c[keep], z_c[keep], col_s[keep]
     if x_c.size == 0:
         raise MaslovkitError("empty grid intersection after excluding the origin ball")
 
-    gp = g.prime(y_c + (x_c + z_c) / d)
-    radial_coeff = 1.0 + (1.0 + e) * gp / d
-    value = radial_coeff * 3.0 * x_c - (-1.0 + (1.0 + e) * gp) * y_c + radial_coeff * z_c
+    rc = radial_coeff[col_s]
+    value = rc * 3.0 * x_c - y_coeff[col_s] * y_c + rc * z_c
 
     min_value = float(np.min(value))
     ties = np.nonzero(value <= min_value + 0.0)[0]

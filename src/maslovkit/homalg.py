@@ -45,7 +45,11 @@ def gf2_rank(m: np.ndarray) -> int:
 
 
 def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (np.asarray(a, dtype=np.uint8) @ np.asarray(b, dtype=np.uint8)) % 2
+    """The GF(2) product as a uint8 array: one float64 GEMM, then the low bit
+    of each entry.  An entry of the integer product is at most 255^2 times
+    the inner dimension, far inside the integers float64 holds exactly."""
+    fa, fb = (np.asarray(m, dtype=np.uint8).astype(float) for m in (a, b))
+    return ((fa @ fb).astype(np.int64) & 1).astype(np.uint8)
 
 
 def gf2_eventual_rank(t: np.ndarray) -> int:
@@ -174,27 +178,25 @@ class FilteredZ2Complex:
     def degrees(self) -> List[int]:
         return sorted({g.degree for g in self.generators})
 
-    def _degree_indices(self, k: int) -> np.ndarray:
-        return np.array(
-            [i for i, g in enumerate(self.generators) if g.degree == k], dtype=int
-        )
+    def _degree_indices(self) -> Dict[int, np.ndarray]:
+        """The generator indices of each degree, in one pass."""
+        degs = np.array([g.degree for g in self.generators], dtype=int)
+        return {k: np.flatnonzero(degs == k) for k in self.degrees()}
 
     def boundary_matrix(self, k: int) -> np.ndarray:
         """The block of d mapping degree-k generators to degree k-1."""
-        rows = self._degree_indices(k - 1)
-        cols = self._degree_indices(k)
-        if len(rows) == 0 or len(cols) == 0:
-            return np.zeros((len(rows), len(cols)), dtype=np.uint8)
-        return self.d[np.ix_(rows, cols)]
+        by_degree, none = self._degree_indices(), np.zeros(0, dtype=int)
+        return self.d[np.ix_(by_degree.get(k - 1, none), by_degree.get(k, none))]
 
     def homology(self) -> Dict[int, int]:
-        """dim ker d_k - rank d_{k+1} per degree k (zero entries omitted)."""
+        """dim ker d_k - rank d_{k+1} per degree k (zero entries omitted),
+        with the degrees grouped once and each rank d_k taken once."""
+        by_degree, none = self._degree_indices(), np.zeros(0, dtype=int)
+        rank = {k: gf2_rank(self.d[np.ix_(by_degree.get(k - 1, none), idx)])
+                for k, idx in by_degree.items()}
         out: Dict[int, int] = {}
-        for k in self.degrees():
-            nk = len(self._degree_indices(k))
-            rk = gf2_rank(self.boundary_matrix(k))
-            rk1 = gf2_rank(self.boundary_matrix(k + 1))
-            dim = nk - rk - rk1
+        for k, idx in by_degree.items():
+            dim = idx.size - rank[k] - rank.get(k + 1, 0)
             if dim:
                 out[k] = dim
         return out

@@ -47,10 +47,10 @@ class SpectrumSet:
 
     @staticmethod
     def of(values: Sequence[float]) -> "SpectrumSet":
-        vals = sorted(float(v) for v in values)
-        if any(v <= 0 for v in vals):
-            raise DimensionMismatchError("periods must be positive")
-        return SpectrumSet(tuple(vals))
+        vals = [float(v) for v in values]
+        if not all(0 < v < math.inf for v in vals):
+            raise DimensionMismatchError("periods must be positive and finite")
+        return SpectrumSet(tuple(sorted(vals)))
 
     @property
     def t_min(self) -> float:
@@ -131,20 +131,27 @@ class RadialProfile:
         return float(out[0]) if scalar else out
 
     def _raw_value(self, r):
+        """The integral of the slope from 0, slopes[0] holding on (-inf, k0].
+
+        Each slope change ds at a knot kn adds, per point, its blend
+        ds 2w smoothstep_integral(u), u = (r - kn + w)/(2w), evaluated only
+        where 0 < u < 1 and taken as ds 2w smoothstep_integral(1) = ds w
+        where u >= 1, and its linear part ds (r - kn - w) only where r > kn + w
+        (for a kink, w = 0: no blend).
+        """
         rr = np.atleast_1d(np.asarray(r, dtype=float))
-        # integral of the slope from 0, treating slopes[0] as holding on (-inf, k0]
         out = self.slopes[0] * rr
         for i, (kn, w) in enumerate(zip(self.knots, self.blend_widths)):
-            s0, s1 = self.slopes[i], self.slopes[i + 1]
-            ds = s1 - s0
+            ds = self.slopes[i + 1] - self.slopes[i]
             if ds == 0.0:
                 continue
-            if w == 0.0:
-                out = out + np.where(rr > kn, ds * (rr - kn), 0.0)
-            else:
-                u = np.clip((rr - (kn - w)) / (2 * w), 0.0, 1.0)
-                out = out + ds * 2 * w * smoothstep_integral(u)
-                out = out + np.where(rr > kn + w, ds * (rr - kn - w), 0.0)
+            if w != 0.0:
+                u = (rr - (kn - w)) / (2 * w)
+                inside = (u > 0.0) & (u < 1.0)
+                out[u >= 1.0] += ds * w  # ds 2w smoothstep_integral(1), exactly
+                out[inside] += ds * 2 * w * smoothstep_integral(u[inside])
+            right = rr > kn + w
+            out[right] += ds * (rr[right] - kn - w)
         return out if np.asarray(r).ndim else float(out[0])
 
     def value(self, r):
@@ -238,8 +245,8 @@ def choose_slopes(
     Returns (slopes, deltas) where deltas[n] is the distance of a_n to the
     inner spectrum.
     """
-    if lower <= 0:
-        raise SpectrumSearchError("lower bound must be positive")
+    if not 0 < lower < math.inf:
+        raise SpectrumSearchError("lower bound must be positive and finite")
     outer = spectrum_outer or spectrum
     slopes: List[float] = []
     deltas: List[float] = []
@@ -741,8 +748,8 @@ def build_beta(eps: float, delta: float, rho: float, reeb_norm: float,
     plateau * (a + L) = rho * reeb_norm / delta.  Feasibility always holds
     because the envelope integral diverges at r = 1.
     """
-    if min(eps, delta, rho, reeb_norm) <= 0:
-        raise DimensionMismatchError("all cutoff parameters must be positive")
+    if not all(0 < v < math.inf for v in (eps, delta, rho, reeb_norm)):
+        raise DimensionMismatchError("all cutoff parameters must be positive and finite")
     if not (0 < plateau < 1):
         raise DimensionMismatchError("plateau must lie strictly inside (0, 1)")
     i_req = rho * reeb_norm / delta

@@ -56,6 +56,8 @@ class CoefficientProfile:
         t = np.asarray(table, dtype=float)
         if t.ndim != 2 or t.shape[1] != 2 or t.shape[0] < 2:
             raise DimensionMismatchError("table must be a (m, 2) array of (z, Cz)")
+        if not (np.all(np.isfinite(t)) and np.isfinite(cx) and np.isfinite(cy)):
+            raise DimensionMismatchError("the table and coefficients must be finite")
         if cx <= 0 or cy <= 0 or np.any(t[:, 1] <= 0):
             raise DimensionMismatchError("all coefficients must be positive")
         if np.any(np.diff(t[:, 0]) <= 0):
@@ -230,16 +232,18 @@ def handle_rs_index_ode(
 ) -> Tuple[HalfInt, dict]:
     """Index of the chord at z_level via block integration and crossing counts.
 
-    The linearized flow splits into k hyperbolic blocks
+    The linearized flow splits into k copies of the hyperbolic block
         Phi' = a [[0, Cy/2], [3 Cx/2, 0]] Phi
-    and n-k rotation blocks Phi' = (a Cz / 2) J Phi.  Each block's vertical
-    line Phi(t)(0,1) is tracked through [0,1]; crossings of the vertical axis
-    are counted with direction, boundary crossings at half weight per
-    dimension.  A Richardson check against the step-2h endpoint R_2^(N/2) v0,
-    by repeated squaring of the 2h operator, guards the integration.
+    and n-k copies of the rotation block Phi' = (a Cz / 2) J Phi, so only
+    these two distinct blocks are integrated.  Each one's vertical line
+    Phi(t)(0,1) is tracked through [0,1]; crossings of the vertical axis are
+    counted with direction, boundary crossings at half weight per dimension,
+    and the two counts are weighted by k and n-k.  A Richardson check against
+    the step-2h endpoint R_2^(N/2) v0, by repeated squaring of the 2h
+    operator, guards the integration.
 
-    Returns (index, diagnostics); diagnostics carries per-block crossing
-    counts and the hyperbolic blocks' minimum second coordinate.
+    Returns (index, diagnostics); diagnostics carries the crossing count of
+    each of the n blocks and the hyperbolic blocks' minimum second coordinate.
     """
     if not (1 <= k < n):
         raise DimensionMismatchError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -248,8 +252,8 @@ def handle_rs_index_ode(
 
     hyper = a * np.array([[0.0, prof.cy / 2.0], [3.0 * prof.cx / 2.0, 0.0]])
     rot = (a * cz / 2.0) * np.array([[0.0, -1.0], [1.0, 0.0]])
-    mats = np.stack([hyper] * k + [rot] * (n - k))
-    v0 = np.tile(np.array([0.0, 1.0]), (n, 1))
+    mats = np.stack([hyper, rot])
+    v0 = np.array([[0.0, 1.0], [0.0, 1.0]])
 
     traj = _rk4_blocks(mats, step, v0)
     r2, n2 = _rk4_operator(mats, 2 * step)
@@ -259,19 +263,13 @@ def handle_rs_index_ode(
             f"Richardson doubling check failed: endpoint drift {drift:.3e}"
         )
 
-    halves = 0
     # crossing resolution cannot beat the integration accuracy
     zero_tol = max(1e-9, 50.0 * drift)
-    diag = {"blocks": [], "drift": drift}
-    for b in range(n):
-        hb = _count_block_halves(traj[:, b, 0], traj[:, b, 1], zero_tol=zero_tol)
-        kind = "hyperbolic" if b < k else "rotation"
-        entry = {"kind": kind, "halves": hb}
-        if kind == "hyperbolic":
-            entry["min_y_interior"] = float(np.min(traj[1:, b, 1]))
-        diag["blocks"].append(entry)
-        halves += hb
-    return HalfInt(halves), diag
+    hb, rb = (_count_block_halves(traj[:, b, 0], traj[:, b, 1], zero_tol=zero_tol) for b in (0, 1))
+    min_y = float(np.min(traj[1:, 0, 1]))
+    blocks = ([{"kind": "hyperbolic", "halves": hb, "min_y_interior": min_y} for _ in range(k)]
+              + [{"kind": "rotation", "halves": rb} for _ in range(n - k)])
+    return HalfInt(k * hb + (n - k) * rb), {"blocks": blocks, "drift": drift}
 
 
 def perturbation_cluster_bounds(n: int, k: int, a: float,

@@ -337,8 +337,13 @@ class LagrangianPath:
                     f"transform a path with n = {self.n} on {self.domain}")
             mats = mat_path.matrices
         else:
-            mats = lambda ts: np.stack(
-                [np.asarray(mat_path(float(t)), dtype=float) for t in ts])
+            def mats(ts):
+                m = np.stack([np.asarray(mat_path(float(t)), dtype=float) for t in ts])
+                if m.shape[1:] != (2 * self.n, 2 * self.n):
+                    raise DimensionMismatchError(
+                        f"a callable giving {m.shape[1:]} matrices cannot transform "
+                        f"a path with n = {self.n} on {self.domain}")
+                return m
         return _DerivedPath(self.n, lambda ts: mats(ts) @ self.frames(ts),
                             self.domain, self.sample_resolution)
 
@@ -434,6 +439,8 @@ class GeneratorPath(LagrangianPath):
         self.sample_resolution = sample_resolution
         self._f0 = frame0.columns
         s = np.asarray(s, dtype=float)
+        if not np.all(np.isfinite(s)):
+            raise DimensionMismatchError("generator S must hold finite numbers")
         dim = 2 * self.n
         if s.shape != (dim, dim) or np.max(np.abs(s - s.T)) > BILINEAR_TOL:
             raise DimensionMismatchError("generator S must be a symmetric 2n x 2n matrix")

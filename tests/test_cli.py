@@ -56,6 +56,17 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     # flows that leave the float range or have no time
     ["handle-flow", "--point", "1,2,3,4", "--t", "1e6"],
     ["handle-flow", "--point", "1,2,3,4", "--t", "nan"],
+    # non-finite periods, cutoff parameters, handle sizes, tables and scales
+    ["profile-verify", "--spectrum", "1,nan"], ["profile-build", "--spectrum", "inf"],
+    ["beta-build", "--eps", "0.1", "--delta", "0.05", "--rho", "nan", "--reeb-norm", "1"],
+    ["beta-build", "--eps", "0.1", "--delta", "inf", "--rho", "1", "--reeb-norm", "1"],
+    ["handle-certify", "--eps", "nan", "--delta", "0.05"],
+    ["handle-certify", "--eps", "0.1", "--delta", "inf"],
+    ["handle-certify", "--eps", "0.1", "--delta", "0.05", "--y-max", "nan"],
+    ["chord-levels", "--a", "100", "--table", "[[0, 1], [1, NaN]]"],
+    ["chord-levels", "--a", "100", "--eps", "nan"], ["profile-verify", "--C", "nan"],
+    # a certificate grid of negative resolution
+    ["handle-certify", "--eps", "0.1", "--delta", "0.05", "--resolution", "-5"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert cli.main(argv) == 2

@@ -40,6 +40,12 @@ class TestParams:
         with pytest.raises(MaslovkitError):
             HandleParams(n=2, k=1, epsilon=-0.1, delta=0.05)
 
+    @pytest.mark.parametrize("eps,delta", [(math.nan, 0.05), (0.1, math.nan),
+                                           (math.inf, 0.05), (0.1, math.inf)])
+    def test_non_finite_sizes_rejected(self, eps, delta):
+        with pytest.raises(MaslovkitError, match="positive and finite"):
+            HandleParams(n=2, k=1, epsilon=eps, delta=delta)
+
 
 class TestPotentials:
     def test_origin(self):
@@ -263,9 +269,10 @@ class TestQuadraticModelFlow:
 
 
 def _dense_scan_certificate(params, gs):
-    """`transversality_certificate(...).to_json()` from a scan of every grid
-    row of every column: each column's bracket is its first row with
-    psi + 1 <= 0, taken from the full (res, res^2) table of values."""
+    """`transversality_certificate(...).to_json()` from a scan of the grid
+    rows of every column at its own (x, z): each column's bracket is its first
+    row with psi + 1 <= 0, found one row at a time on the columns still open;
+    a column crosses when that row is not the first."""
     res, e, d = gs.resolution, params.epsilon, params.delta
     if res < 2:
         raise MaslovkitError("empty grid intersection: a bracket needs two rows")
@@ -273,10 +280,11 @@ def _dense_scan_certificate(params, gs):
     xg, zg = np.meshgrid(np.linspace(0.0, gs.x_max, res),
                          np.linspace(0.0, gs.z_max, res), indexing="ij")
     xg, zg = xg.ravel(), zg.ravel()
-    vals = np.array([potentials_xyz(xg, y, zg, params) + 1.0 for y in ys])
-    crosses = np.any(vals <= 0, axis=0) & np.any(vals >= 0, axis=0)
-    first_neg = np.argmax(vals <= 0, axis=0)
-    cols = np.nonzero(crosses & (first_neg > 0))[0]
+    first_neg = np.full(xg.size, -1)
+    for i, y in enumerate(ys):
+        open_ = np.flatnonzero(first_neg < 0)
+        first_neg[open_[potentials_xyz(xg[open_], y, zg[open_], params) + 1.0 <= 0]] = i
+    cols = np.nonzero(first_neg > 0)[0]
     if cols.size == 0:
         raise MaslovkitError("empty grid intersection (dense scan)")
     lo, hi = ys[first_neg[cols] - 1], ys[first_neg[cols]]
@@ -327,11 +335,19 @@ class TestTransversality:
                                            (0.05, 0.05), (0.05, 0.01)])
     def test_newton_matches_dense_scan(self, eps, delta):
         # psi_delta of the potentials does not depend on (n, k): one dense
-        # scan per grid serves all three handle shapes.  The last box puts
-        # the witness in the top grid cell of its column.  Newton's surface
-        # points are roots to ROOT_TOL, so the values agree to that tolerance.
+        # scan per grid serves all three handle shapes.  The box of side 0.2
+        # puts the witness in the top grid cell of its column.  The boxes
+        # with x_max != z_max give columns of one s = x + z at different
+        # (x, z), which the certificate tests once at (s, y, 0) and the scan
+        # at each column's own point; their y_max is above every root, which
+        # is at most s + 1 as g <= 1, so no root sits on the top row, where
+        # the two may decide a column differently at rounding level.
+        # Newton's surface points are roots to ROOT_TOL, so the values agree
+        # to that tolerance.
         grids = [GridSpec(resolution=res) for res in (7, 50, 200)]
-        for gs in grids + [GridSpec(7, x_max=0.2, y_max=1.2, z_max=0.2)]:
+        for gs in grids + [GridSpec(7, x_max=0.2, y_max=1.2, z_max=0.2),
+                           GridSpec(50, x_max=1.3, y_max=3.0, z_max=0.4),
+                           GridSpec(301, x_max=0.6, y_max=2.9, z_max=1.1)]:
             want = _dense_scan_certificate(HandleParams(2, 1, eps, delta), gs)
             assert ROOT_TOL * max(1.0, want["min_value"]) < 1e-9 * want["min_value"]
             for n, k in [(2, 1), (4, 2), (5, 4)]:
@@ -368,6 +384,13 @@ class TestTransversality:
                 assert cert.n_surface_points == 2
                 for a, b in zip(cert.witness_point, point):
                     assert abs(a - b) <= ROOT_TOL * max(1.0, abs(b)), (s, box)
+
+    def test_grid_needs_a_non_negative_resolution_and_a_finite_box(self):
+        with pytest.raises(DimensionMismatchError, match="non-negative"):
+            GridSpec(resolution=-5)
+        for box in ((math.nan, 3.0, 1.0), (1.0, math.inf, 1.0), (1.0, 3.0, -math.inf)):
+            with pytest.raises(MaslovkitError, match="finite"):
+                GridSpec(50, *box)
 
     def test_unsettled_column_raises(self, monkeypatch):
         # one Newton step settles no column whose root is below the top row

@@ -128,6 +128,55 @@ class TestHomology:
                 assert hsum.get(deg, 0) == ha.get(deg, 0) + hb.get(deg, 0)
 
 
+def _random_chain_complex(rng, sizes):
+    """Blocks d_k: C_k -> C_{k-1} with d_{k-1} d_k = 0, each column of d_k a
+    random sum of vectors of ker d_{k-1} (found by enumeration)."""
+    blocks = {0: np.zeros((0, sizes[0]), dtype=np.uint8)}
+    for k in range(1, len(sizes)):
+        kernel = [v for v in _all_vectors(sizes[k - 1]) if not np.any(blocks[k - 1] @ v % 2)]
+        picks = rng.integers(0, 2, (sizes[k], len(kernel)))
+        cols = [sum((kernel[j] for j in np.flatnonzero(p)), np.zeros(sizes[k - 1], dtype=int)) % 2
+                for p in picks]
+        blocks[k] = np.array(cols, dtype=np.uint8).reshape(sizes[k], sizes[k - 1]).T
+    return blocks
+
+
+def _all_vectors(n):
+    return [np.array([(i >> b) & 1 for b in range(n)], dtype=int) for i in range(2 ** n)]
+
+
+def _brute_force_homology(blocks, sizes):
+    """log2 |ker d_k| - log2 |im d_{k+1}| per degree, by listing every vector."""
+    out = {}
+    for k, size in enumerate(sizes):
+        kernel = sum(not np.any(blocks[k] @ v % 2) for v in _all_vectors(size))
+        image = ({tuple(blocks[k + 1] @ v % 2) for v in _all_vectors(sizes[k + 1])}
+                 if k + 1 < len(sizes) else {()})
+        dim = int(np.log2(kernel)) - int(np.log2(len(image)))
+        if dim:
+            out[k] = dim
+    return out
+
+
+class TestHomologyBruteForce:
+    def test_homology_matches_kernel_and_image_counts(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            sizes = [int(v) for v in rng.integers(0, 6, int(rng.integers(1, 5)))]
+            blocks = _random_chain_complex(rng, sizes)
+            degrees = np.repeat(np.arange(len(sizes)), sizes)
+            order = rng.permutation(degrees.size)  # interleave the degrees
+            start = np.concatenate([[0], np.cumsum(sizes)])
+            d = np.zeros((degrees.size, degrees.size), dtype=np.uint8)
+            for k in range(1, len(sizes)):
+                d[start[k - 1]:start[k], start[k]:start[k + 1]] = blocks[k]
+            gens = [Generator(f"g{i}", int(degrees[i]), float(degrees[i]) + rng.uniform(0, 0.5))
+                    for i in order]
+            c = FilteredZ2Complex.from_matrix(gens, d[np.ix_(order, order)])
+            assert c.validate().ok
+            assert homology(c) == _brute_force_homology(blocks, sizes), sizes
+
+
 class TestSubquotient:
     def test_full_window_is_identity(self):
         rng = np.random.default_rng(31)

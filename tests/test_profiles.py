@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from maslovkit import profiles
 from maslovkit.errors import (
+    DimensionMismatchError,
     KinkEvaluationError,
     ProfileConstraintError,
     SpectrumSearchError,
@@ -95,6 +97,37 @@ class TestRadialAction:
                 )
 
 
+def _value_probe_profiles():
+    sched = TransferSchedule.seeded(SPECTRUM, C=2.0, stages=3)
+    family = build_transfer_family(SPECTRUM, 2.0, sched)
+    rng = np.random.default_rng(12)
+    mixed = []
+    for _ in range(4):  # kinks and blends, slopes of either sign
+        knots = np.cumsum(rng.uniform(1.0, 3.0, 4))
+        widths = rng.uniform(0.05, 0.4, 4) * (rng.random(4) < 0.7)
+        mixed.append(RadialProfile(knots, rng.normal(scale=3.0, size=5),
+                                   (-1.0, float(rng.normal())), widths))
+    return family + mixed
+
+
+class TestProfileValue:
+    @pytest.mark.parametrize("h", _value_probe_profiles())
+    def test_value_differences_are_slope_integrals(self, h):
+        # value is evaluated per blend window; its differences must be the
+        # integrals of the slope, taken by adaptive quadrature between
+        # consecutive probes, which include every knot and window edge
+        edges = np.concatenate([h.knots - h.blend_widths, h.knots, h.knots + h.blend_widths])
+        inside = np.concatenate([h.knots + f * h.blend_widths for f in (-0.8, -0.31, 0.5, 0.93)])
+        rs = np.unique(np.concatenate([edges, inside, [-2.0, -0.5, 0.0, 2.0 * h.max_breakpoint()]]))
+        values = h.value(rs)
+        assert np.array_equal(values, [h.value(float(r)) for r in rs])
+        scale = max(1.0, float(np.max(np.abs(values))))
+        for a, b, va, vb in zip(rs, rs[1:], values, values[1:]):
+            want, _ = quad(lambda r: h.slope(r, side="right"), a, b, epsabs=1e-13, epsrel=1e-13)
+            assert abs((vb - va) - want) <= 1e-11 * scale, (a, b)
+        assert h.value(h.anchor[0]) == pytest.approx(h.anchor[1], abs=1e-14 * scale)
+
+
 class TestChooseSlopes:
     def test_reference_case(self):
         slopes, deltas = choose_slopes(SPECTRUM, 1, 8.0, C=2.0)
@@ -104,6 +137,16 @@ class TestChooseSlopes:
     def test_empty_spectrum_arithmetic(self):
         slopes, _ = choose_slopes(SpectrumSet.of([]), 4, 2.0)
         assert slopes == [3.0, 4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("periods", [[1.0, math.nan], [math.inf], [-math.inf, 2.0]])
+    def test_non_finite_periods_rejected(self, periods):
+        with pytest.raises(DimensionMismatchError, match="positive and finite"):
+            SpectrumSet.of(periods)
+
+    @pytest.mark.parametrize("lower", [math.nan, math.inf])
+    def test_non_finite_lower_bound_rejected(self, lower):
+        with pytest.raises(SpectrumSearchError, match="positive and finite"):
+            choose_slopes(SPECTRUM, 1, lower)
 
     def test_exact_member_skipped(self):
         slopes, _ = choose_slopes(SpectrumSet.of([3.0]), 1, 2.0)
@@ -344,6 +387,14 @@ class TestHomotopyCheck:
 
 
 class TestBeta:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        for i in range(4):
+            args = [0.1, 0.01, 1.0, 1.0]
+            args[i] = bad
+            with pytest.raises(DimensionMismatchError, match="positive and finite"):
+                build_beta(*args)
+
     def test_knots_exact(self):
         b = build_beta(0.1, 0.01, 1.0, 1.0)
         assert b.beta(1.0 - 0.1) == 0.0

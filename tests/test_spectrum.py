@@ -14,6 +14,7 @@ from maslovkit.spectrum import (
     CoefficientProfile,
     _count_block_halves,
     _rk4_blocks,
+    agreement_cases,
     chord_levels,
     handle_rs_index,
     handle_rs_index_ode,
@@ -39,6 +40,13 @@ class TestCoefficientProfile:
     def test_negative_coefficients_rejected(self):
         with pytest.raises(DimensionMismatchError):
             CoefficientProfile.of(-1.0, 1.0, [[0.0, 2.0], [1.0, 3.0]])
+
+    @pytest.mark.parametrize("cx,cy,table", [
+        (math.nan, 1.0, [[0.0, 2.0], [1.0, 3.0]]), (1.0, math.inf, [[0.0, 2.0], [1.0, 3.0]]),
+        (1.0, 1.0, [[0.0, 2.0], [1.0, math.nan]]), (1.0, 1.0, [[0.0, 2.0], [math.inf, 3.0]])])
+    def test_non_finite_coefficients_rejected(self, cx, cy, table):
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            CoefficientProfile.of(cx, cy, table)
 
 
 class TestChordLevels:
@@ -130,6 +138,15 @@ class TestOdeRoute:
         assert kinds == ["hyperbolic", "rotation"]
         assert diag["blocks"][0]["halves"] == 1  # +1/2 per handle plane
         assert diag["blocks"][1]["halves"] == 2  # one full turn
+
+    def test_blocks_sum_to_the_closed_form_on_the_agreement_grid(self):
+        # two blocks are integrated and reported n times: one half per
+        # handle plane and m full turns per transverse plane
+        for n, k, m, _, _, (ode, diag), _ in agreement_cases(n_max=6, m_max=4):
+            blocks = diag["blocks"]
+            assert [b["kind"] for b in blocks] == ["hyperbolic"] * k + ["rotation"] * (n - k)
+            assert [b["halves"] for b in blocks] == [1] * k + [2 * m] * (n - k), (n, k, m)
+            assert sum(b["halves"] for b in blocks) == ode.halves == k + 2 * (n - k) * m
 
     def test_hyperbolic_second_coordinate_grows(self):
         cz = float(LINEAR.cz(0.5))

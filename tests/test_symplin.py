@@ -209,6 +209,13 @@ class TestPaths:
             with pytest.raises(DimensionMismatchError, match="symmetric 2n x 2n"):
                 GeneratorPath(s, LagrangianFrame.horizontal(1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_generator_refuses_non_finite_s(self):
+        # refused as non-finite before the symmetry check and the flow, with no warning
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DimensionMismatchError, match="finite"):
+                GeneratorPath(np.full((2, 2), bad), LagrangianFrame.horizontal(1))
+
     def test_rotation_path_closed_form(self):
         p = rotation_path(1, np.pi / 2)
         f = p.frame_array(1.0)
@@ -362,6 +369,12 @@ class TestBatchedFrames:
         with pytest.raises(DimensionMismatchError):
             base.transformed(GeneratorPath(np.eye(4), LagrangianFrame.horizontal(2),
                                            (0.0, 2.0)))
+
+    def test_transformed_by_a_callable_of_the_wrong_size(self):
+        vertical = ConstantPath(LagrangianFrame.vertical(1))
+        moved = rotation_path(1, 2.0).transformed(lambda t: np.eye(4))
+        with pytest.raises(DimensionMismatchError, match=r"\(4, 4\) matrices cannot transform"):
+            rs_index((moved, vertical))
 
     def test_reparametrized_and_restricted(self):
         rng = np.random.default_rng(5)

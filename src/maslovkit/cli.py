@@ -234,12 +234,14 @@ def _cmd_profile_build(args):
     sched = TransferSchedule.seeded(spec, C=args.C, stages=args.stages)
     family = build_transfer_family(spec, args.C, sched)
     payload = {"schema": "v1", "profiles": [p.to_json() for p in family]}
+    if args.samples < 0:
+        raise MaslovkitError(f"--samples must be non-negative, got {args.samples}")
     if args.samples:
         rows = [["stage", "r", "value"]]
         for p in family:
             rs = np.linspace(0.0, 1.2 * p.max_breakpoint(), args.samples)
-            for r in rs:
-                rows.append([p.metadata["stage"], float(r), float(p.value(float(r)))])
+            values = p.value(rs).tolist()
+            rows += [[p.metadata["stage"], r, v] for r, v in zip(rs.tolist(), values)]
         _emit(payload, args, csv_rows=rows)
     else:
         _emit(payload, args)

@@ -498,10 +498,11 @@ def direct_limit(sys: DirectedSystem, window: int = 3) -> DirectLimitResult:
     stab: Dict[int, bool] = {}
     finite: Dict[int, int] = {}
     n_stages, n_tail = len(sys.stages), max(window, 2)
+    first = max(n_stages - n_tail, 0)
     for deg in sys.degrees():
-        sizes = [s.get(deg, 0) for s in sys.stages]
-        tail = [sys.maps[i].get(deg, np.zeros((sizes[i + 1], sizes[i]), dtype=np.uint8))
-                for i in range(max(n_stages - n_tail, 0), n_stages - 1)]
+        sizes = [s.get(deg, 0) for s in sys.stages[first:]]  # the tail stages only
+        tail = [m.get(deg, np.zeros((b, a), dtype=np.uint8))
+                for m, a, b in zip(sys.maps[first:], sizes, sizes[1:])]
         stab[deg] = n_stages >= n_tail and all(
             m.shape == (sizes[-1], sizes[-1]) and np.array_equal(m, tail[0]) for m in tail)
         finite[deg] = sizes[-1]

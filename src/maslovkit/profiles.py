@@ -5,7 +5,9 @@ realized as a piecewise-constant slope with optional quintic-smoothstep
 joins at the knots.  Because the blended slope interpolates the two adjacent
 constant slopes symmetrically, the blended profile coincides exactly with the
 max-of-segments construction outside every blend window, and all slope
-bounds hold segmentwise by construction.
+bounds hold segmentwise by construction.  Between windows the profile is
+s_j r + c_j, with intercepts c_j fixed at construction; evaluation looks each
+radius up by `searchsorted` and runs the smoothstep only inside a window.
 
 The action of a chord sitting at radius r of a radial Hamiltonian h is
 
@@ -68,7 +70,14 @@ class SpectrumSet:
 
 
 class RadialProfile:
-    """Piecewise slope profile with C^1 smoothstep joins.
+    """Piecewise slope profile with C^1 smoothstep joins, evaluated by lookup.
+
+    The window edges L = knots - w and R = knots + w cut the line into linear
+    segments, segment j from R_{j-1} to L_j, and open windows (L_j, R_j).  On
+    segment j the profile is s_j r + c_j plus the anchor offset, with the
+    intercepts c_j = -sum_{i<j} (s_{i+1} - s_i) k_i fixed at construction.
+    Each call takes one `searchsorted` on R for the segments and one on L for
+    the window interiors, where alone the smoothstep runs, for its own knot.
 
     Args:
         knots: strictly increasing radii where the slope changes.
@@ -78,85 +87,86 @@ class RadialProfile:
         blend_widths: per-knot half-widths of the smoothing window (0 keeps a
             genuine kink there).
         metadata: free-form dict (a_n, eps_n, r_n, A_n, C, ...).
+
+    Non-finite knots, slopes, widths, anchor or radii raise
+    `DimensionMismatchError`.
     """
 
     def __init__(self, knots, slopes, anchor, blend_widths=None, metadata=None):
         self.knots = np.asarray(knots, dtype=float)
         self.slopes = np.asarray(slopes, dtype=float)
-        if len(self.slopes) != len(self.knots) + 1:
-            raise DimensionMismatchError("need len(slopes) == len(knots) + 1")
-        if np.any(np.diff(self.knots) <= 0):
-            raise DimensionMismatchError("knots must be strictly increasing")
         if blend_widths is None:
             blend_widths = np.zeros(len(self.knots))
-        self.blend_widths = np.asarray(blend_widths, dtype=float)
-        if np.any(self.blend_widths < 0):
-            raise DimensionMismatchError("blend widths must be nonnegative")
-        for i in range(len(self.knots) - 1):
-            if (
-                self.knots[i] + self.blend_widths[i]
-                > self.knots[i + 1] - self.blend_widths[i + 1]
-            ):
-                raise DimensionMismatchError("blend windows overlap")
+        self.blend_widths = w = np.asarray(blend_widths, dtype=float)
         self.anchor = (float(anchor[0]), float(anchor[1]))
+        if len(self.slopes) != len(self.knots) + 1 or w.shape != self.knots.shape:
+            raise DimensionMismatchError("need len(slopes) - 1 == len(knots) == len(blend_widths)")
+        if not np.isfinite(np.concatenate((self.knots, self.slopes, w, self.anchor))).all():
+            raise DimensionMismatchError("knots, slopes, blend widths and anchor must be finite")
+        if (self.knots[1:] <= self.knots[:-1]).any():
+            raise DimensionMismatchError("knots must be strictly increasing")
+        if (w < 0).any():
+            raise DimensionMismatchError("blend widths must be nonnegative")
+        self._left, self._right = self.knots - w, self.knots + w
+        if (self._right[:-1] > self._left[1:]).any():
+            raise DimensionMismatchError("blend windows overlap")
+        # for side='left', a kink's edge one ulp up keeps the kink on its left segment
+        self._right_of_kinks = np.where(w == 0.0, np.nextafter(self.knots, np.inf), self._right)
+        self._ds = self.slopes[1:] - self.slopes[:-1]
+        self._intercepts = -np.concatenate(([0.0], np.cumsum(self._ds * self.knots)))
+        kinks = np.where((w == 0.0) & (self._ds != 0.0), self.knots, np.nan)
+        # the nearest kink left of knot j, and at or right of knot j (+-inf for none)
+        self._kinks_around = None if np.isnan(kinks).all() else (
+            np.fmax.accumulate(np.concatenate(([-np.inf], kinks))),
+            np.fmin.accumulate(np.concatenate((kinks, [np.inf]))[::-1])[::-1])
         self.metadata = dict(metadata or {})
         self._anchor_offset = 0.0
-        self._anchor_offset = self.anchor[1] - self._raw_value(self.anchor[0])
+        self._anchor_offset = self.anchor[1] - self.value(self.anchor[0])
 
     # -- evaluation ----------------------------------------------------------
 
-    def slope(self, r, side: Optional[str] = None):
-        """One-sided slope; `side` in {None, 'left', 'right'} (None = two-sided)."""
-        rr = np.asarray(r, dtype=float)
-        scalar = rr.ndim == 0
-        rr = np.atleast_1d(rr)
-        out = np.full_like(rr, self.slopes[0])
-        for i, (kn, w) in enumerate(zip(self.knots, self.blend_widths)):
-            s0, s1 = self.slopes[i], self.slopes[i + 1]
-            if w == 0.0:
-                if side == "left":
-                    out = np.where(rr > kn, s1, out)
-                else:
-                    out = np.where(rr >= kn, s1, out)
-                at_kink = np.isclose(rr, kn, rtol=0, atol=1e-14)
-                if side is None and np.any(at_kink) and s0 != s1:
-                    raise KinkEvaluationError(
-                        f"slope evaluated exactly at the kink r={kn}; pass "
-                        "side='left' or side='right'"
-                    )
-            else:
-                u = (rr - (kn - w)) / (2 * w)
-                out = np.where(rr > kn - w, s0 + (s1 - s0) * smoothstep(u), out)
-                out = np.where(rr >= kn + w, s1, out)
-        return float(out[0]) if scalar else out
-
-    def _raw_value(self, r):
-        """The integral of the slope from 0, slopes[0] holding on (-inf, k0].
-
-        Each slope change ds at a knot kn adds, per point, its blend
-        ds 2w smoothstep_integral(u), u = (r - kn + w)/(2w), evaluated only
-        where 0 < u < 1 and taken as ds 2w smoothstep_integral(1) = ds w
-        where u >= 1, and its linear part ds (r - kn - w) only where r > kn + w
-        (for a kink, w = 0: no blend).
-        """
+    def _lookup(self, r, side=None):
+        """(rr, j, inside, u): r as an array, the count j of right edges at or
+        left of each radius (its segment, or its window if inside), the mask of
+        radii strictly inside window j, and their u = (rr - L_j)/(2 w_j).  With
+        side None, a radius within 1e-14 of a kink raises."""
         rr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = self.slopes[0] * rr
-        for i, (kn, w) in enumerate(zip(self.knots, self.blend_widths)):
-            ds = self.slopes[i + 1] - self.slopes[i]
-            if ds == 0.0:
-                continue
-            if w != 0.0:
-                u = (rr - (kn - w)) / (2 * w)
-                inside = (u > 0.0) & (u < 1.0)
-                out[u >= 1.0] += ds * w  # ds 2w smoothstep_integral(1), exactly
-                out[inside] += ds * 2 * w * smoothstep_integral(u[inside])
-            right = rr > kn + w
-            out[right] += ds * (rr[right] - kn - w)
-        return out if np.asarray(r).ndim else float(out[0])
+        if not np.isfinite(rr).all():
+            raise DimensionMismatchError("radii must be finite")
+        j = (self._right_of_kinks if side == "left" else self._right).searchsorted(rr, "right")
+        inside = self._left.searchsorted(rr, "left") > j
+        if side is None and self._kinks_around is not None:
+            # a radius in segment j, or inside window j, lies between knots j - 1 and j + inside
+            lo, hi = self._kinks_around
+            if ((rr - lo[j] <= 1e-14) | (hi[j + inside] - rr <= 1e-14)).any():
+                raise KinkEvaluationError(
+                    "slope evaluated within 1e-14 of a kink; pass side='left' or side='right'")
+        k = j[inside]
+        return rr, j, inside, (rr[inside] - self._left[k]) / (2 * self.blend_widths[k])
+
+    def _slope_at(self, rr, j, inside, u):
+        out = self.slopes[j]
+        if u.size:
+            out[inside] += self._ds[j[inside]] * smoothstep(u)
+        return out
+
+    def _value_at(self, rr, j, inside, u):
+        out = self.slopes[j] * rr + self._intercepts[j]
+        if u.size:
+            k = j[inside]
+            out[inside] += self._ds[k] * 2 * self.blend_widths[k] * smoothstep_integral(u)
+        return out + self._anchor_offset
+
+    def slope(self, r, side: Optional[str] = None):
+        """One-sided slope; `side` in {None, 'left', 'right'} (None = two-sided).
+        The sides differ only exactly at a kink, not at a window edge."""
+        out = self._slope_at(*self._lookup(r, side))
+        return out if np.ndim(r) else float(out[0])
 
     def value(self, r):
-        v = self._raw_value(r)
-        return v + self._anchor_offset
+        """The profile at r; it is continuous, so a kink needs no side."""
+        out = self._value_at(*self._lookup(r, "right"))
+        return out if np.ndim(r) else float(out[0])
 
     __call__ = value
 
@@ -215,11 +225,11 @@ class RadialProfile:
 
 
 def radial_action(h: RadialProfile, r, side: Optional[str] = None):
-    """r h'(r) - h(r), for one radius or an array of them; at a kink a side
-    must be selected explicitly."""
-    r = np.asarray(r, dtype=float)
-    out = r * h.slope(r, side=side) - h.value(r)
-    return out if out.ndim else float(out)
+    """r h'(r) - h(r), for one radius or an array of them, from one lookup;
+    at a kink a side must be selected explicitly."""
+    pos = h._lookup(r, side)
+    out = pos[0] * h._slope_at(*pos) - h._value_at(*pos)
+    return out if np.ndim(r) else float(out[0])
 
 
 # ---------------------------------------------------------------------------

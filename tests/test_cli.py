@@ -65,8 +65,9 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     ["handle-certify", "--eps", "0.1", "--delta", "0.05", "--y-max", "nan"],
     ["chord-levels", "--a", "100", "--table", "[[0, 1], [1, NaN]]"],
     ["chord-levels", "--a", "100", "--eps", "nan"], ["profile-verify", "--C", "nan"],
-    # a certificate grid of negative resolution
+    # a certificate grid of negative resolution, a negative sample count
     ["handle-certify", "--eps", "0.1", "--delta", "0.05", "--resolution", "-5"],
+    ["profile-build", "--samples", "-5", "--format", "csv"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert cli.main(argv) == 2

@@ -11,6 +11,7 @@ from maslovkit.errors import (
     ProfileConstraintError,
     SpectrumSearchError,
 )
+from maslovkit.handle import smoothstep, smoothstep_integral
 from maslovkit.profiles import (
     RadialProfile,
     SpectrumSet,
@@ -126,6 +127,199 @@ class TestProfileValue:
             want, _ = quad(lambda r: h.slope(r, side="right"), a, b, epsabs=1e-13, epsrel=1e-13)
             assert abs((vb - va) - want) <= 1e-11 * scale, (a, b)
         assert h.value(h.anchor[0]) == pytest.approx(h.anchor[1], abs=1e-14 * scale)
+
+
+def _per_knot_slope(h, r, side=None):
+    """The slope by one pass per knot over every radius: the evaluation the
+    segment lookup replaced, kept as an independent oracle."""
+    rr = np.asarray(r, dtype=float)
+    scalar = rr.ndim == 0
+    rr = np.atleast_1d(rr)
+    out = np.full_like(rr, h.slopes[0])
+    for i, (kn, w) in enumerate(zip(h.knots, h.blend_widths)):
+        s0, s1 = h.slopes[i], h.slopes[i + 1]
+        if w == 0.0:
+            if side == "left":
+                out = np.where(rr > kn, s1, out)
+            else:
+                out = np.where(rr >= kn, s1, out)
+            at_kink = np.isclose(rr, kn, rtol=0, atol=1e-14)
+            if side is None and np.any(at_kink) and s0 != s1:
+                raise KinkEvaluationError(f"slope evaluated exactly at the kink r={kn}")
+        else:
+            u = (rr - (kn - w)) / (2 * w)
+            out = np.where(rr > kn - w, s0 + (s1 - s0) * smoothstep(u), out)
+            out = np.where(rr >= kn + w, s1, out)
+    return float(out[0]) if scalar else out
+
+
+def _per_knot_value(h, r):
+    """The value by one pass per knot: each slope change ds at a knot kn
+    adds ds 2w smoothstep_integral(u), u = (r - kn + w)/(2w), inside its
+    window, ds w right of it, and ds (r - kn - w) where r > kn + w; the
+    anchor fixes the constant."""
+    def raw(r):
+        rr = np.atleast_1d(np.asarray(r, dtype=float))
+        out = h.slopes[0] * rr
+        for i, (kn, w) in enumerate(zip(h.knots, h.blend_widths)):
+            ds = h.slopes[i + 1] - h.slopes[i]
+            if w != 0.0:
+                u = (rr - (kn - w)) / (2 * w)
+                inside = (u > 0.0) & (u < 1.0)
+                out[u >= 1.0] += ds * w
+                out[inside] += ds * 2 * w * smoothstep_integral(u[inside])
+            right = rr > kn + w
+            out[right] += ds * (rr[right] - kn - w)
+        return out
+
+    out = raw(r) + (h.anchor[1] - raw(h.anchor[0])[0])
+    return out if np.ndim(r) else float(out[0])
+
+
+def _random_profiles(count=40):
+    """Profiles with 1-5 knots, kinks and blends mixed, slopes of either
+    sign, some knots with no slope change, anchors left of the first knot."""
+    rng = np.random.default_rng(1414)
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(1, 6))
+        knots = np.cumsum(rng.uniform(0.2, 2.0, m))
+        gaps = np.diff(np.concatenate(([0.0], knots, [knots[-1] + 1.0])))
+        room = 0.5 * np.minimum(gaps[:-1], gaps[1:])
+        widths = rng.uniform(0.05, 0.95, m) * room * (rng.random(m) < 0.6)
+        slopes = rng.normal(scale=3.0, size=m + 1)
+        flat = np.flatnonzero(rng.random(m) < 0.15)
+        slopes[flat + 1] = slopes[flat]
+        out.append(RadialProfile(knots, slopes, (float(rng.uniform(-1.0, 0.0)),
+                                                 float(rng.normal())), widths))
+    return out
+
+
+def _lookup_probes(h, rng):
+    """Every knot and window edge, the floats and 1e-14, 3e-14 next to them,
+    window interiors, radii below 0 and beyond the last knot; shuffled."""
+    edges = np.concatenate([h.knots - h.blend_widths, h.knots, h.knots + h.blend_widths])
+    near = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    near += [edges + d for d in (-3e-14, -1e-14, 1e-14, 3e-14)]
+    inside = [h.knots + f * h.blend_widths for f in (-0.999, -0.5, 0.01, 0.7)]
+    spread = rng.uniform(-2.0, h.knots[-1] + 3.0, 60)
+    far = [-50.0, -1e-300, 0.0, 10.0 * (h.knots[-1] + 1.0)]
+    return rng.permutation(np.concatenate([edges, *near, *inside, spread, far]))
+
+
+def _term_scale(h, r):
+    """1 + |r| max|s| + sum |ds k| + |anchor value|: a bound on the linear
+    terms the value sums."""
+    return (1.0 + np.abs(r) * np.abs(h.slopes).max()
+            + np.abs(np.diff(h.slopes) * h.knots).sum() + abs(h.anchor[1]))
+
+
+def _near_kink(h, rs):
+    kinks = h.knots[(h.blend_widths == 0) & (np.diff(h.slopes) != 0)]
+    return np.isclose(rs[:, None], kinks, rtol=0, atol=1e-14).any(axis=1)
+
+
+class TestLookupOracle:
+    """The segment lookup against the per-knot passes it replaced."""
+
+    PROFILES = _random_profiles()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_sided_slope_is_bitwise_equal(self, side):
+        rng = np.random.default_rng(21)
+        for h in self.PROFILES:
+            rs = _lookup_probes(h, rng)
+            assert h.slope(rs, side=side).tobytes() == _per_knot_slope(h, rs, side).tobytes()
+            for r in rs[:25]:
+                got = h.slope(float(r), side=side)
+                assert isinstance(got, float) and got == _per_knot_slope(h, float(r), side)
+
+    def test_two_sided_slope_and_kink_refusal(self):
+        rng = np.random.default_rng(22)
+        refused = 0
+        for h in self.PROFILES:
+            rs = _lookup_probes(h, rng)
+            near = _near_kink(h, rs)
+            far = rs[~near]
+            assert h.slope(far).tobytes() == _per_knot_slope(h, far).tobytes()
+            for r in rs[near]:
+                for fn in (h.slope, _per_knot_slope):
+                    with pytest.raises(KinkEvaluationError):
+                        fn(h, r) if fn is _per_knot_slope else fn(r)
+                with pytest.raises(KinkEvaluationError):
+                    radial_action(h, np.array([0.5 * r, r]))
+                refused += 1
+            if near.any():
+                with pytest.raises(KinkEvaluationError):
+                    h.slope(rs)
+        assert refused >= 50
+
+    def test_kink_refused_across_a_knot_with_no_slope_change(self):
+        # the knot at 1 + 4e-15 changes no slope; the kink at 1 is the one
+        # within 1e-14 of every probe
+        h = RadialProfile([1.0, 1.0 + 4e-15, 3.0], [0.0, 2.0, 2.0, 1.0], (0.0, 0.0),
+                          [0.0, 0.0, 0.5])
+        for r in (1.0 - 8e-15, 1.0, 1.0 + 4e-15, 1.0 + 8e-15):
+            with pytest.raises(KinkEvaluationError):
+                _per_knot_slope(h, r)
+            with pytest.raises(KinkEvaluationError):
+                h.slope(r)
+        assert h.slope(1.0 + 2e-14) == _per_knot_slope(h, 1.0 + 2e-14) == 2.0
+
+    def test_window_edges_do_not_depend_on_side(self):
+        for h in self.PROFILES:
+            w = h.blend_widths
+            edges = np.concatenate([(h.knots - w)[w > 0], (h.knots + w)[w > 0]])
+            assert np.array_equal(h.slope(edges, side="left"), h.slope(edges, side="right"))
+            assert np.array_equal(h.slope(edges, side="left"), h.slope(edges))
+
+    def test_value_matches_per_knot_passes(self):
+        # both routes sum linear terms of the size of |s r| and |sum ds k|
+        # and round there: where those cancel to a value near 0 they differ
+        # by up to 1.5e-14 |value| on these probes, but by at most 4.4e-16
+        # of the term scale
+        rng = np.random.default_rng(23)
+        for h in self.PROFILES:
+            rs = _lookup_probes(h, rng)
+            got, want = h.value(rs), _per_knot_value(h, rs)
+            assert np.all(np.abs(got - want) <= 1e-14 * _term_scale(h, rs))
+            for r in rs[:25]:
+                v = h.value(float(r))
+                assert isinstance(v, float)
+                assert abs(v - _per_knot_value(h, float(r))) <= 1e-14 * _term_scale(h, r)
+
+    def test_radial_action_matches_per_knot_passes(self):
+        rng = np.random.default_rng(24)
+        for h in self.PROFILES:
+            rs = _lookup_probes(h, rng)
+            for side in ("left", "right"):
+                want = rs * _per_knot_slope(h, rs, side) - _per_knot_value(h, rs)
+                got = radial_action(h, rs, side=side)
+                assert np.all(np.abs(got - want) <= 2e-14 * _term_scale(h, rs))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radii_refused(self, bad):
+        h = self.PROFILES[0]
+        for r in (bad, np.array([1.0, bad]), [[0.5], [bad]]):
+            for call in (h.value, h.slope, lambda r: radial_action(h, r)):
+                with pytest.raises(DimensionMismatchError, match="finite"):
+                    call(r)
+            with pytest.raises(DimensionMismatchError, match="finite"):
+                h.slope(r, side="left")
+
+    @pytest.mark.parametrize("field", ["knots", "slopes", "widths", "anchor_r", "anchor_value"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_profile_refused(self, field, bad):
+        args = {"knots": [1.0, 2.0], "slopes": [0.0, 1.0, 0.5], "widths": [0.1, 0.0],
+                "anchor_r": 0.0, "anchor_value": -0.1}
+        if field in ("knots", "slopes", "widths"):
+            args[field] = list(args[field])
+            args[field][-1] = bad
+        else:
+            args[field] = bad
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            RadialProfile(args["knots"], args["slopes"],
+                          (args["anchor_r"], args["anchor_value"]), args["widths"])
 
 
 class TestChooseSlopes:

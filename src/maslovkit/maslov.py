@@ -21,17 +21,39 @@ crossings need not be regular, and none is located to compute the index.
 reads det(X + iY) of the raw frames: (X; Y) = Q R with Q orthonormal and R
 real gives X + iY = U R, so det(X + iY)^2 = det U^2 det R^2 with det R^2 > 0,
 and only the unit phase (the `slogdet` sign) is kept, so no frame overflows.
-The grid has at least 256 cells and doubles until no step exceeds pi/4 and
-each step is the sum of its half steps.  Paths are evaluated in ``frames(ts)``
-calls of at most `BATCH` times: three per path per index (the ends, the grid,
-its midpoints) while the grid stays under `BATCH` cells.  QR orthonormalizes
-only the frames whose eigenphases of W are needed: the two 4-point end
-stencils, and the grid and bisection points of `rs_crossings`.  Raw and
-orthonormalized phases differ by about eps cond(F), above `FLOW_TOL` on
-ill-conditioned frames, so `_anchor` moves the lift there to arg det V^2 of
-those unitaries.  The crossing form at each end is computed (a one-sided
-finite difference of the moving frame written as a graph over itself) only
-to refuse a degenerate end; t0 is checked first, before the lift.
+
+Its grid is certified when every path reports a constant generator S
+(`LagrangianPath.generator`, F' = J S F): a uniform grid of
+
+    N = max(1, ceil((t1 - t0) max_i |S_i|_2 (1 + z)^2 / z)),  z = tan(pi / 16 n),
+
+cells.  The bound is a Riccati comparison (Reid 1972).  At a cell start let
+Q be an orthonormal frame of L and B = [Q, JQ]; B is orthogonal and
+symplectic and commutes with J.  In the chart B, L(start + tau) is the graph
+of a symmetric Z(tau) with Z(0) = 0 and
+
+    Z' = P11 + P12 Z + Z P21 + Z P22 Z,   P = B^T S B,
+
+and every block of P has norm at most |P| = |S|_2, so |Z'| <= |S| (1 + |Z|)^2
+and |Z| <= z while tau <= z / (|S| (1 + z)^2), the cell width.  The raw frame
+is U_Q (I + iZ) X with X real, so within a cell arg det^2 moves by at most
+2 n arctan z = pi/8 per path, pi/4 for the pair: no turn can hide in a cell.
+A lift on that grid whose steps are all at most pi/4 is returned as it is,
+with no midpoint pass; rounding on ill-conditioned frames can push a step
+past pi/4, and such a lift goes on as an uncertified one.  Any other path
+pair, and one whose N exceeds `MAX_CELLS`, starts at max(256, resolution)
+cells and doubles until no step exceeds pi/4 and each step is the sum of its
+half steps.  `rs_crossings` takes at least max(256, resolution) cells in
+either case.  Paths are evaluated in ``frames(ts)`` calls of at most `BATCH`
+times: per path and index, two on a certified grid (the ends, the grid) and
+three otherwise (and the midpoints) while the grid stays under `BATCH` cells.
+QR orthonormalizes only the frames whose eigenphases of W are needed: the
+two 4-point end stencils, and the grid and bisection points of
+`rs_crossings`.  Raw and orthonormalized phases differ by about eps cond(F),
+above `FLOW_TOL` on ill-conditioned frames, so `_anchor` moves the lift there
+to arg det V^2 of those unitaries.  The crossing form at each end is computed
+(a one-sided finite difference of the moving frame written as a graph over
+itself) only to refuse a degenerate end; t0 is checked first, before the lift.
 
 An index is an exact `HalfInt` or an error: a flow farther than `FLOW_TOL`
 from an integer raises `MaslovkitError`.
@@ -127,25 +149,44 @@ def _turns(x) -> np.ndarray:
     return k.astype(int)
 
 
-def _lift(det2, domain, resolution):
+def _cells(paths, resolution):
+    """(cells, certified): the certified cell count when every path reports a
+    generator and it needs at most `MAX_CELLS` cells, else max(256, resolution)."""
+    gens = [p.generator() for p in paths]
+    if all(s is not None for s in gens):
+        (t0, t1), zeta = paths[0].domain, np.tan(np.pi / (16 * paths[0].n))
+        norm = max(np.linalg.norm(s, 2) for s in gens)
+        cells = max(1, int(np.ceil((t1 - t0) * norm * (1 + zeta) ** 2 / zeta)))
+        if cells <= MAX_CELLS:
+            return cells, True
+    return max(256, resolution), False
+
+
+def _lift(det2, domain, cells, certified):
     """A continuous arg of ``det2`` (ts -> det^2 up to positive factors), unanchored.
 
-    The grid starts at max(256, resolution) cells and doubles, one ``det2``
-    call on the new midpoints each time, until no step exceeds pi/4 and every
-    step equals the sum of its two half steps.  Returns the grid and the lift.
+    The grid starts at ``cells`` cells.  On a certified grid a lift whose
+    steps are all at most pi/4 is returned at once.  Otherwise the grid
+    doubles, one ``det2`` call on the new midpoints each time, until no step
+    exceeds pi/4 and every step equals the sum of its two half steps.
+    Returns the grid and the lift.
     """
-    ts = np.linspace(*domain, max(256, resolution) + 1)
+    ts = np.linspace(*domain, cells + 1)
     arg = np.angle(det2(ts))
     while True:
-        mid = np.angle(det2((ts[:-1] + ts[1:]) / 2))
         step = _wrap(np.diff(arg))
+        if certified and np.max(np.abs(step)) <= np.pi / 4:
+            break
+        mid = np.angle(det2((ts[:-1] + ts[1:]) / 2))
         halves = _wrap(mid - arg[:-1]) + _wrap(arg[1:] - mid)
         if np.max(np.abs(step)) <= np.pi / 4 and np.max(np.abs(halves - step)) < np.pi:
-            return ts, arg[0] + np.concatenate([[0.0], np.cumsum(step)])
+            break
         if len(ts) > MAX_CELLS:
             raise MaslovkitError(f"det^2 argument did not settle on {len(ts) - 1} cells")
+        certified = False
         ts = np.insert(ts, np.arange(1, len(ts)), (ts[:-1] + ts[1:]) / 2)
         arg = np.insert(arg, np.arange(1, len(arg)), mid)
+    return ts, arg[0] + np.concatenate([[0.0], np.cumsum(step)])
 
 
 class _Pair:
@@ -159,6 +200,7 @@ class _Pair:
             raise DimensionMismatchError(f"paths have domains {path0.domain} and {path1.domain}")
         self.n, self.domain, self.paths = path0.n, path0.domain, (path0, path1)
         self.resolution = max(path0.sample_resolution, path1.sample_resolution)
+        self.cells, self.certified = _cells(self.paths, self.resolution)
 
     def unitaries(self, ts):
         """(U0, U1) at the times ts."""
@@ -201,10 +243,11 @@ class _Pair:
         c.check_invariants()
         return c
 
-    def lift(self):
+    def lift(self, floor=1):
+        """The lift on at least ``floor`` cells."""
         p0, p1 = self.paths
         return _lift(lambda ts: (np.conj(_det_phase(p0, ts)) * _det_phase(p1, ts)) ** 2,
-                     self.domain, self.resolution)
+                     self.domain, max(self.cells, floor), self.certified)
 
 
 def _end_phase_sum(u0, u1, k: int) -> float:
@@ -255,7 +298,7 @@ def rs_crossings(pair) -> List[Crossing]:
     """
     pr = _Pair(pair)
     (a0, a1, start), (b0, b1, end) = pr.ends()
-    ts, theta = pr.lift()
+    ts, theta = pr.lift(max(256, pr.resolution))
     t0, t1 = pr.domain
     u0, u1 = pr.unitaries(ts)
     e, theta = _phases(u0, u1).sum(axis=-1), _anchor(theta, u0, u1)
@@ -298,7 +341,8 @@ def det2_winding(loop: LagrangianPath) -> int:
     f0, f1 = loop.endpoint_frames()
     if lagrangian_intersection_dim(f0, f1) != loop.n:
         raise EndpointMismatchError("loop endpoints span different subspaces")
-    _, theta = _lift(lambda ts: _det_phase(loop, ts) ** 2, loop.domain, loop.sample_resolution)
+    _, theta = _lift(lambda ts: _det_phase(loop, ts) ** 2, loop.domain,
+                     *_cells([loop], loop.sample_resolution))
     return int(_turns(theta[-1] - theta[0]))
 
 

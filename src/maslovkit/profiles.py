@@ -599,15 +599,24 @@ class MonotoneReport:
 
 def verify_monotone(h1: RadialProfile, h2: RadialProfile,
                     grid: int = 10_000, r_max: Optional[float] = None) -> MonotoneReport:
-    """Grid check that h2 >= h1 - 1e-12 everywhere, plus the critical radius.
+    """Check that h2 >= h1 - 1e-12 everywhere, plus the critical radius.
 
     Both profiles extend linearly beyond their last breakpoint, so the common
-    domain is [0, r_max].  The critical radius is r = 2 C r_{n+1} taken from
-    h2's metadata, where the two outer climbs come closest.
+    domain is [0, r_max].  h2 - h1 is taken on a grid of ``grid`` points and,
+    after them, at both profiles' kinks and window edges and at three points
+    inside each window, in [0, r_max]: outside the windows h2 - h1 is linear
+    between these points, so a dip narrower than the grid step is still seen.
+    The first minimum is the witness, so a grid point wins a tie.  The
+    critical radius is r = 2 C r_{n+1} taken from h2's metadata, where the two
+    outer climbs come closest.
     """
     if r_max is None:
         r_max = 1.5 * max(h1.max_breakpoint(), h2.max_breakpoint())
-    rs = np.linspace(0.0, r_max, grid)
+    extra = np.concatenate([h._left + np.multiply.outer([0.0, 0.25, 0.5, 0.75, 1.0],
+                                                        h._right - h._left)
+                            for h in (h1, h2)], axis=None)
+    rs = np.concatenate([np.linspace(0.0, r_max, grid),
+                         extra[(extra >= 0.0) & (extra <= r_max)]])
     d = np.asarray(h2.value(rs)) - np.asarray(h1.value(rs))
     i = int(np.argmin(d))
     min_gap = float(d[i])

@@ -280,7 +280,10 @@ class LagrangianPath:
     (the flow expm(J S (t - t0)) of a constant quadratic Hamiltonian applied
     to an initial frame), `SampledPath` (a dense table with linear frame
     interpolation), `ConstantPath`, or `FunctionPath` (an arbitrary closed
-    form; not serializable).
+    form; not serializable).  `generator` reports the constant symmetric S
+    with F' = J S F where the path knows one: a `GeneratorPath`, a
+    `ConstantPath` (S = 0), their restrictions and direct sums; every other
+    path reports None.
     """
 
     n: int
@@ -299,6 +302,10 @@ class LagrangianPath:
         """The frame at one time: a batch of one."""
         return self.frames([t])[0]
 
+    def generator(self) -> Optional[np.ndarray]:
+        """The constant symmetric 2n x 2n S with F'(t) = J S F(t), or None."""
+        return None
+
     def frame(self, t: float) -> LagrangianFrame:
         return LagrangianFrame.from_columns(self.frame_array(t), validate=False)
 
@@ -311,7 +318,8 @@ class LagrangianPath:
         lo, hi = self.domain
         if not (lo - 1e-12 <= t0 < t1 <= hi + 1e-12):
             raise DimensionMismatchError(f"[{t0}, {t1}] is not inside {self.domain}")
-        return _DerivedPath(self.n, self.frames, (t0, t1), self.sample_resolution)
+        return _DerivedPath(self.n, self.frames, (t0, t1), self.sample_resolution,
+                            self.generator())
 
     def reparametrized(self, tau: Callable[[float], float],
                        domain: tuple = (0.0, 1.0)) -> "LagrangianPath":
@@ -359,14 +367,18 @@ class LagrangianPath:
 class _DerivedPath(LagrangianPath):
     """A path built from other paths by a batched map ``ts -> frames``."""
 
-    def __init__(self, n, frames_of, domain, sample_resolution):
+    def __init__(self, n, frames_of, domain, sample_resolution, generator=None):
         self.n = n
         self._frames_of = frames_of
         self.domain = _domain(domain)
         self.sample_resolution = sample_resolution
+        self._generator = generator
 
     def frames(self, ts):
         return self._frames_of(np.asarray(ts, dtype=float))
+
+    def generator(self):
+        return self._generator
 
 
 class FunctionPath(LagrangianPath):
@@ -397,6 +409,9 @@ class ConstantPath(LagrangianPath):
         return np.broadcast_to(
             self.base_frame.columns, (len(ts), 2 * self.n, self.n)
         ).copy()
+
+    def generator(self):
+        return np.zeros((2 * self.n, 2 * self.n))
 
 
 def _exp_sum(lam, kernel, dts, r) -> np.ndarray:
@@ -492,6 +507,9 @@ class GeneratorPath(LagrangianPath):
         return _exp_sum(lam, k_eye, dts, np.eye(2 * self.n))
 
     # -- path interface --------------------------------------------------------
+
+    def generator(self):
+        return self._s
 
     def frames(self, ts):
         if self._eig is None:
@@ -622,11 +640,17 @@ def direct_sum_frames(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 def direct_sum_paths(p1: LagrangianPath, p2: LagrangianPath) -> LagrangianPath:
     if p1.domain != p2.domain:
         raise DimensionMismatchError("paths must share their domain")
+    s1, s2 = p1.generator(), p2.generator()
+    # diag(S1, S2) re-interleaved: its x columns and its y columns, each a direct sum
+    s = None if s1 is None or s2 is None else np.hstack(
+        [direct_sum_frames(s1[:, :p1.n], s2[:, :p2.n]),
+         direct_sum_frames(s1[:, p1.n:], s2[:, p2.n:])])
     return _DerivedPath(
         p1.n + p2.n,
         lambda ts: direct_sum_frames(p1.frames(ts), p2.frames(ts)),
         p1.domain,
         max(p1.sample_resolution, p2.sample_resolution),
+        s,
     )
 
 

@@ -63,6 +63,28 @@ class CountingPath(LagrangianPath):
         return self.inner.frames(ts)
 
 
+class CountingGeneratorPath(CountingPath):
+    """A `CountingPath` that reports the inner path's generator, so that its
+    pairs are lifted on the certified grid; ``sizes`` lists each call's length."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.sizes = []
+
+    def frames(self, ts):
+        self.sizes.append(len(ts))
+        return super().frames(ts)
+
+    def generator(self):
+        return self.inner.generator()
+
+
+def certified_cells(n, norm, length=1.0):
+    """The certified cell count, ceil(L |S| (1 + z)^2 / z) with z = tan(pi / 16 n)."""
+    z = np.tan(np.pi / (16 * n))
+    return max(1, int(np.ceil(length * norm * (1 + z) ** 2 / z)))
+
+
 class TestRsIndexAnchors:
     def test_half_rotation_counts(self):
         # e^{i (k+1/2) pi t} R against R gives k + 1/2
@@ -294,6 +316,66 @@ class TestRawFrameLift:
         assert sum(seen) == 2 * 8  # the two 4-point end stencils, per path
 
 
+def det2_args(path, ts):
+    """arg det(X + iY)^2 of the raw frames at the times ts, computed here."""
+    f = path.frames(ts)
+    return np.angle(np.linalg.det(f[:, : path.n] + 1j * f[:, path.n :]) ** 2)
+
+
+class TestCertifiedLift:
+    """Pairs whose paths report a generator are lifted on the certified grid
+    of ceil(L max |S_i| (1 + z)^2 / z) cells, z = tan(pi / 16 n), with no
+    midpoint pass."""
+
+    def test_cells_and_calls_of_a_rotation_against_a_constant(self):
+        for n, s in ((1, [1.5 * np.pi]), (2, [2.0, -9.5]), (4, [0.5, 3.0, -1.0, 7.0]),
+                     (6, [1.0, -2.0, 3.5, 0.25, -0.5, 2.0])):
+            p = CountingGeneratorPath(rotation_path(n, s))
+            ref = CountingGeneratorPath(ConstantPath(LagrangianFrame.vertical(n)))
+            cells = certified_cells(n, max(np.abs(s)))
+            ts, _ = maslov._Pair((p, ref)).lift()
+            assert len(ts) == cells + 1
+            p.sizes.clear()
+            ref.sizes.clear()
+            rs_index((p, ref))
+            # the two 4-point end stencils in one call, then the grid in one more
+            assert p.sizes == ref.sizes == [8, cells + 1]
+
+    def test_lift_matches_a_dense_lift(self):
+        # the total turn of det^2 on the certified grid against np.unwrap on a
+        # grid 16 times denser; and each path's det^2 turns by at most pi/8
+        # per certified cell
+        rng = np.random.default_rng(77)
+        for n in range(1, 7):
+            for scale in (2.0, 8.0):
+                for _ in range(2):
+                    pair = (draw_generator_path(rng, n, scale), draw_generator_path(rng, n, scale))
+                    ts, theta = maslov._Pair(pair).lift()
+                    norm = max(np.linalg.norm(p.generator(), 2) for p in pair)
+                    assert len(ts) == certified_cells(n, norm) + 1
+                    dense = np.linspace(0.0, 1.0, 16 * (len(ts) - 1) + 1)
+                    total = np.unwrap(det2_args(pair[1], dense) - det2_args(pair[0], dense))
+                    # raw phases round by about eps cond(F); a lost turn would be 2 pi
+                    assert abs(theta[-1] - theta[0] - (total[-1] - total[0])) <= 1e-3
+                    for p in pair:
+                        step = np.abs(np.diff(np.unwrap(det2_args(p, ts))))
+                        assert np.max(step) <= np.pi / 8
+
+    def test_crossings_keep_the_uncertified_grid_as_a_floor(self):
+        p = CountingGeneratorPath(rotation_path(1, 1.5 * np.pi))
+        ref = CountingGeneratorPath(horizontal_ref(1))
+        rs_crossings((p, ref))
+        assert certified_cells(1, 1.5 * np.pi) < 512 and 513 in p.sizes
+
+    def test_too_many_cells_falls_back_to_the_checked_grid(self):
+        s = 2 * maslov.MAX_CELLS
+        pair = (rotation_path(1, s), ConstantPath(LagrangianFrame.vertical(1)))
+        assert maslov._cells(pair, 512) == (512, False)
+        assert maslov._cells(pair[:1], 512) == (512, False)
+        assert maslov._cells((rotation_path(1, 1.0), pair[1]), 512) == (
+            certified_cells(1, 1.0), True)
+
+
 class TestDet2Winding:
     def test_constant_loop(self):
         assert det2_winding(ConstantPath(LagrangianFrame.complex_line(0.3))) == 0
@@ -308,6 +390,15 @@ class TestDet2Winding:
     def test_multiple_turns(self):
         for m in (-3, -1, 2, 4):
             assert det2_winding(rotation_path(1, m * np.pi)) == m
+
+    def test_rotation_loops_on_the_certified_grid(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 7):
+            k = rng.integers(-3, 4, n)
+            loop = CountingGeneratorPath(rotation_path(n, k * np.pi))
+            assert det2_winding(loop) == np.sum(k)
+            # the two endpoint frames, then the certified grid in one call
+            assert loop.sizes == [2, certified_cells(n, np.max(np.abs(k)) * np.pi) + 1]
 
     def test_endpoint_mismatch_rejected(self):
         with pytest.raises(EndpointMismatchError):

@@ -542,6 +542,30 @@ class TestMonotone:
         h = build_transfer_profile(1, SPECTRUM, 2.0, sched)
         rep = verify_monotone(h, h)
         assert rep.passed and rep.min_gap == pytest.approx(0.0, abs=1e-15)
+        assert rep.witness_r == 0.0  # a tie keeps the first grid point
+
+    def test_dip_between_grid_points_is_seen(self):
+        # h2 - h1 is a kinked V of depth 1e-6 and width 2e-6 that starts 1e-7
+        # right of a grid point, so no grid point sees it; its tip is a kink
+        h1 = RadialProfile([1.0], [0.0, 0.0], (0.0, 0.0))
+        grid = np.linspace(0.0, 1.5, 10_000)
+        a = grid[3333] + 1e-7
+        h2 = RadialProfile([a, a + 1e-6, a + 2e-6], [0.0, -1.0, 1.0, 0.0], (0.0, 0.0))
+        assert np.min(h2.value(grid)) > -1e-15
+        rep = verify_monotone(h1, h2)
+        assert not rep.passed
+        assert rep.min_gap == pytest.approx(-1e-6, rel=1e-6)
+        assert rep.witness_r == a + 1e-6
+
+    def test_dip_inside_a_window_is_seen(self):
+        # the same V with its three knots blended over 4e-7: the tip lies in a
+        # window, and the window's middle sees it within 2e-7
+        h1 = RadialProfile([1.0], [0.0, 0.0], (0.0, 0.0))
+        a = np.linspace(0.0, 1.5, 10_000)[3333] + 1e-6
+        h2 = RadialProfile([a, a + 1e-6, a + 2e-6], [0.0, -1.0, 1.0, 0.0], (0.0, 0.0),
+                           [4e-7] * 3)
+        rep = verify_monotone(h1, h2)
+        assert not rep.passed and -1e-6 < rep.min_gap < -8e-7
 
     def test_consecutive_stages_pass(self):
         fam = build_transfer_family(SPECTRUM, 2.0,

@@ -503,6 +503,58 @@ class TestBatchedFrames:
             done += 1
 
 
+class TestGenerator:
+    """``generator()`` against the flow it claims: frames(t) must equal
+    expm(J S (t - t0)) frames(t0), computed here with scipy."""
+
+    TS = np.array([0.0, 0.1234567, 0.5, 0.77777, 1.0])
+
+    @staticmethod
+    def assert_flow(path, rtol=1e-10):
+        s = path.generator()
+        assert s.shape == (2 * path.n, 2 * path.n) and np.array_equal(s, s.T)
+        t0, t1 = path.domain
+        ts = t0 + (t1 - t0) * TestGenerator.TS
+        f0 = path.frames([t0])[0]
+        j = complex_structure(path.n)
+        for t, got in zip(ts, path.frames(ts)):
+            want = expm(j @ s * (t - t0)) @ f0
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+    def test_generator_path_and_its_restriction(self):
+        rng = np.random.default_rng(40)
+        for n in (1, 3, 6):
+            p = _random_generator_path(n, rng, scale=2.0)
+            self.assert_flow(p)
+            self.assert_flow(p.restricted(0.3, 0.8))
+            self.assert_flow(p.restricted(0.3, 0.8).restricted(0.5, 0.6))
+
+    def test_direct_sum_of_unequal_parts(self):
+        rng = np.random.default_rng(41)
+        for n1, n2 in ((1, 3), (2, 1), (3, 2)):
+            a, b = _random_generator_path(n1, rng, 2.0), _random_generator_path(n2, rng, 2.0)
+            self.assert_flow(direct_sum_paths(a, b))
+            self.assert_flow(direct_sum_paths(a, ConstantPath(random_lagrangian_frame(n2, rng))))
+            self.assert_flow(direct_sum_paths(a.restricted(0.2, 0.9), b.restricted(0.2, 0.9)))
+
+    def test_constant_path_reports_zero(self):
+        p = ConstantPath(random_lagrangian_frame(2, np.random.default_rng(42)))
+        assert not np.any(p.generator())
+        self.assert_flow(p)
+
+    def test_other_paths_report_none(self):
+        rng = np.random.default_rng(43)
+        p = _random_generator_path(2, rng)
+        grid = np.linspace(0.0, 1.0, 9)
+        for q in (p.transformed(_random_generator_path(2, rng)),
+                  p.transformed(lambda t: np.eye(4)),
+                  p.reparametrized(lambda t: t * t),
+                  FunctionPath(2, lambda t: p.frame_array(t)),
+                  SampledPath(grid, p.frames(grid)),
+                  direct_sum_paths(p, FunctionPath(1, lambda t: np.array([[1.0], [t]])))):
+            assert q.generator() is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_det_squared_modulus_one(seed):

@@ -17,36 +17,48 @@ or reaches 0 from above at t1 adds 1/2, and the reverse directions subtract.
 Only the total change of arg det^2 and the spectra at the ends enter: interior
 crossings need not be regular, and none is located to compute the index.
 
-`_lift` is the one det^2 lift, shared by `rs_index` and `det2_winding`.  It
-reads det(X + iY) of the raw frames: (X; Y) = Q R with Q orthonormal and R
-real gives X + iY = U R, so det(X + iY)^2 = det U^2 det R^2 with det R^2 > 0,
-and only the unit phase (the `slogdet` sign) is kept, so no frame overflows.
+`_lift` is the one det^2 lift.  `rs_index` and `det2_winding` share
+`_path_lift`, which lifts one path alone: arg det V^2 = arg (det U1)^2 -
+arg (det U0)^2, so the index needs only each path's lift at its ends.  It reads
+det(X + iY) of the raw frames: (X; Y) = Q R with Q orthonormal and R real
+gives X + iY = U R, so det(X + iY)^2 = det U^2 det R^2 with det R^2 > 0, and
+only the unit phase (the `slogdet` sign) is kept, so no frame overflows.
 
-Its grid is certified when every path reports a constant generator S
-(`LagrangianPath.generator`, F' = J S F): a uniform grid of
+A path's grid is certified when it reports a constant generator S
+(`LagrangianPath.generator`, F' = J S F: a `GeneratorPath`, a `ConstantPath`,
+a constant path moved by a `GeneratorPath`, their restrictions and direct
+sums): a uniform grid of
 
-    N = max(1, ceil((t1 - t0) max_i |S_i|_2 (1 + z)^2 / z)),  z = tan(pi / 16 n),
+    N = max(1, ceil((t1 - t0) |S|_2 (1 + z) / z)),  z = tan(pi / 16 n),
 
-cells.  The bound is a Riccati comparison (Reid 1972).  At a cell start let
-Q be an orthonormal frame of L and B = [Q, JQ]; B is orthogonal and
-symplectic and commutes with J.  In the chart B, L(start + tau) is the graph
-of a symmetric Z(tau) with Z(0) = 0 and
+cells, sized by that path's own S; a constant path takes one cell.  The bound
+is a Riccati comparison (Reid 1972).  At a cell start let Q be an orthonormal
+frame of L and B = [Q, JQ]; B is orthogonal and symplectic and commutes with
+J.  In the chart B, L(start + tau) is the graph of a symmetric Z(tau) with
+Z(0) = 0 and
 
     Z' = P11 + P12 Z + Z P21 + Z P22 Z,   P = B^T S B,
 
-and every block of P has norm at most |P| = |S|_2, so |Z'| <= |S| (1 + |Z|)^2
-and |Z| <= z while tau <= z / (|S| (1 + z)^2), the cell width.  The raw frame
-is U_Q (I + iZ) X with X real, so within a cell arg det^2 moves by at most
-2 n arctan z = pi/8 per path, pi/4 for the pair: no turn can hide in a cell.
-A lift on that grid whose steps are all at most pi/4 is returned as it is,
-with no midpoint pass; rounding on ill-conditioned frames can push a step
-past pi/4, and such a lift goes on as an uncertified one.  Any other path
-pair, and one whose N exceeds `MAX_CELLS`, starts at max(256, resolution)
-cells and doubles until no step exceeds pi/4 and each step is the sum of its
-half steps.  `rs_crossings` takes at least max(256, resolution) cells in
-either case.  Paths are evaluated in ``frames(ts)`` calls of at most `BATCH`
-times: per path and index, two on a certified grid (the ends, the grid) and
-three otherwise (and the midpoints) while the grid stays under `BATCH` cells.
+and every block of P has norm at most |P| = |S|_2, so |Z'| <= |S| (1 + |Z|)^2.
+The comparison solution of z' = |S| (1 + z)^2, z(0) = 0, is
+|S| tau / (1 - |S| tau), so |Z| <= z while tau <= z / (|S| (1 + z)), the cell
+width.  The raw frame is U_Q (I + iZ) X with X real, so within a cell arg det^2
+moves by at most 2 n arctan z = pi/8: no turn can hide in a cell.  A lift on
+that grid whose steps are all at most pi/4 is returned as it is, with no
+midpoint pass; rounding on ill-conditioned frames can push a step past pi/4,
+and such a lift goes on as an uncertified one.  A path that reports no
+generator (any other transform, a reparametrization, a `FunctionPath`, a
+`SampledPath`), and one whose N exceeds `MAX_CELLS`, starts at
+max(256, resolution) cells and doubles until no step exceeds pi/4 and each
+step is the sum of its half steps.  Paths are evaluated in ``frames(ts)``
+calls of at most `BATCH` times: per path and index, two on a certified grid
+(the end stencils, the grid) and three otherwise (and the midpoints) while
+the grid stays under `BATCH` cells.
+
+`rs_crossings` needs the eigenphases of W on one grid, so `_Pair.lift` lifts
+the pair's arg det V^2 together, on at least max(256, resolution) cells:
+certified by the larger |S_i|_2 when both paths report a generator (pi/8 per
+path, pi/4 for the pair), checked by the doubling loop otherwise.
 QR orthonormalizes only the frames whose eigenphases of W are needed: the
 two 4-point end stencils, and the grid and bisection points of
 `rs_crossings`.  Raw and orthonormalized phases differ by about eps cond(F),
@@ -129,7 +141,8 @@ def _phases(u0, u1) -> np.ndarray:
 
 
 def _wrap(x):
-    return (x + np.pi) % (2 * np.pi) - np.pi
+    """x moved by whole turns into [-pi, pi]."""
+    return x - 2 * np.pi * np.rint(x / (2 * np.pi))
 
 
 def _anchor(theta, u0, u1):
@@ -155,8 +168,8 @@ def _cells(paths, resolution):
     gens = [p.generator() for p in paths]
     if all(s is not None for s in gens):
         (t0, t1), zeta = paths[0].domain, np.tan(np.pi / (16 * paths[0].n))
-        norm = max(np.linalg.norm(s, 2) for s in gens)
-        cells = max(1, int(np.ceil((t1 - t0) * norm * (1 + zeta) ** 2 / zeta)))
+        norm = max(np.linalg.svd(s, compute_uv=False)[0] for s in gens)  # |S|_2
+        cells = max(1, int(np.ceil((t1 - t0) * norm * (1 + zeta) / zeta)))
         if cells <= MAX_CELLS:
             return cells, True
     return max(256, resolution), False
@@ -165,21 +178,22 @@ def _cells(paths, resolution):
 def _lift(det2, domain, cells, certified):
     """A continuous arg of ``det2`` (ts -> det^2 up to positive factors), unanchored.
 
-    The grid starts at ``cells`` cells.  On a certified grid a lift whose
-    steps are all at most pi/4 is returned at once.  Otherwise the grid
-    doubles, one ``det2`` call on the new midpoints each time, until no step
-    exceeds pi/4 and every step equals the sum of its two half steps.
-    Returns the grid and the lift.
+    The grid starts at ``cells`` cells.  On a certified grid (`_cells`: every
+    path behind ``det2`` reports a generator) a lift whose steps are all at
+    most pi/4 is returned at once.  Otherwise the grid doubles, one ``det2``
+    call on the new midpoints each time, until no step exceeds pi/4 and every
+    step equals the sum of its two half steps.  Returns the grid and the lift.
     """
     ts = np.linspace(*domain, cells + 1)
     arg = np.angle(det2(ts))
     while True:
         step = _wrap(np.diff(arg))
-        if certified and np.max(np.abs(step)) <= np.pi / 4:
+        small = np.max(np.abs(step)) <= np.pi / 4
+        if certified and small:
             break
         mid = np.angle(det2((ts[:-1] + ts[1:]) / 2))
         halves = _wrap(mid - arg[:-1]) + _wrap(arg[1:] - mid)
-        if np.max(np.abs(step)) <= np.pi / 4 and np.max(np.abs(halves - step)) < np.pi:
+        if small and np.max(np.abs(halves - step)) < np.pi:
             break
         if len(ts) > MAX_CELLS:
             raise MaslovkitError(f"det^2 argument did not settle on {len(ts) - 1} cells")
@@ -200,7 +214,6 @@ class _Pair:
             raise DimensionMismatchError(f"paths have domains {path0.domain} and {path1.domain}")
         self.n, self.domain, self.paths = path0.n, path0.domain, (path0, path1)
         self.resolution = max(path0.sample_resolution, path1.sample_resolution)
-        self.cells, self.certified = _cells(self.paths, self.resolution)
 
     def unitaries(self, ts):
         """(U0, U1) at the times ts."""
@@ -244,10 +257,20 @@ class _Pair:
         return c
 
     def lift(self, floor=1):
-        """The lift on at least ``floor`` cells."""
+        """The pair's lift on one grid of at least ``floor`` cells, certified
+        by the larger |S_i|_2 (for the eigenphases `rs_crossings` reads)."""
+        cells, certified = _cells(self.paths, self.resolution)
         p0, p1 = self.paths
         return _lift(lambda ts: (np.conj(_det_phase(p0, ts)) * _det_phase(p1, ts)) ** 2,
-                     self.domain, max(self.cells, floor), self.certified)
+                     self.domain, max(cells, floor), certified)
+
+
+def _path_lift(path) -> np.ndarray:
+    """A continuous arg of det(X + iY)^2 of the raw frames of ``path``, on its
+    own grid (`_cells`), at t0 and at t1."""
+    _, arg = _lift(lambda ts: _det_phase(path, ts) ** 2, path.domain,
+                   *_cells([path], path.sample_resolution))
+    return arg[[0, -1]]
 
 
 def _end_phase_sum(u0, u1, k: int) -> float:
@@ -277,9 +300,11 @@ def rs_index(pair) -> HalfInt:
     """
     pr = _Pair(pair)
     (a0, a1, start), (b0, b1, end) = pr.ends()
-    _, theta = pr.lift()
-    # anchor both ends to the unitaries that give E there
-    th0, th1 = _anchor(theta[[0, -1]], np.stack([a0, b0]), np.stack([a1, b1]))
+    p0, p1 = pr.paths
+    # arg det V^2 = arg det(U1)^2 - arg det(U0)^2, each path lifted alone; then
+    # both ends anchored to the unitaries that give E there
+    th0, th1 = _anchor(_path_lift(p1) - _path_lift(p0), np.stack([a0, b0]),
+                       np.stack([a1, b1]))
     k0, k1 = start.intersection_dim, end.intersection_dim
     flow = _turns(_end_phase_sum(a0, a1, k0) + th1 - th0 - _end_phase_sum(b0, b1, k1))
     return HalfInt(int(-2 * flow - k0 + k1))
@@ -341,9 +366,8 @@ def det2_winding(loop: LagrangianPath) -> int:
     f0, f1 = loop.endpoint_frames()
     if lagrangian_intersection_dim(f0, f1) != loop.n:
         raise EndpointMismatchError("loop endpoints span different subspaces")
-    _, theta = _lift(lambda ts: _det_phase(loop, ts) ** 2, loop.domain,
-                     *_cells([loop], loop.sample_resolution))
-    return int(_turns(theta[-1] - theta[0]))
+    start, end = _path_lift(loop)
+    return int(_turns(end - start))
 
 
 def chord_maslov(flow_path: LagrangianPath, reference: LagrangianPath, n: int) -> HalfInt:

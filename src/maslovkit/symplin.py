@@ -282,8 +282,9 @@ class LagrangianPath:
     interpolation), `ConstantPath`, or `FunctionPath` (an arbitrary closed
     form; not serializable).  `generator` reports the constant symmetric S
     with F' = J S F where the path knows one: a `GeneratorPath`, a
-    `ConstantPath` (S = 0), their restrictions and direct sums; every other
-    path reports None.
+    `ConstantPath` (S = 0), a path of S = 0 moved by a `GeneratorPath` Psi
+    (S_Psi), and their restrictions and direct sums.  Every other path,
+    including every other transform, reports None.
     """
 
     n: int
@@ -335,8 +336,12 @@ class LagrangianPath:
         ``mat_path`` is a callable ``t -> 2n x 2n`` matrix or a `GeneratorPath`
         with this path's n and domain (to 1e-12), whose `matrices` give Psi(t)
         at the same times.  Frames are batched: a callable's matrices are
-        stacked, the path's frames evaluated in one call.
+        stacked, the path's frames evaluated in one call.  A path whose
+        generator is zero (a constant one) moved by a `GeneratorPath` reports
+        that path's S, since G = Psi(t) F gives G' = J S_Psi G; every other
+        transformed path reports None.
         """
+        generator = None
         if isinstance(mat_path, GeneratorPath):
             if mat_path.n != self.n or np.max(
                     np.abs(np.subtract(mat_path.domain, self.domain))) > 1e-12:
@@ -344,6 +349,9 @@ class LagrangianPath:
                     f"a generator path with n = {mat_path.n} on {mat_path.domain} cannot "
                     f"transform a path with n = {self.n} on {self.domain}")
             mats = mat_path.matrices
+            s = self.generator()
+            if s is not None and not np.any(s):
+                generator = mat_path.generator()
         else:
             def mats(ts):
                 m = np.stack([np.asarray(mat_path(float(t)), dtype=float) for t in ts])
@@ -353,7 +361,7 @@ class LagrangianPath:
                         f"a path with n = {self.n} on {self.domain}")
                 return m
         return _DerivedPath(self.n, lambda ts: mats(ts) @ self.frames(ts),
-                            self.domain, self.sample_resolution)
+                            self.domain, self.sample_resolution, generator)
 
     def validate(self, samples: int = 7) -> None:
         t0, t1 = self.domain

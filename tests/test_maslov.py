@@ -45,6 +45,19 @@ def draw_generator_path(rng, n, scale):
     return GeneratorPath((a + a.T) / 2, LagrangianFrame.from_columns(frame))
 
 
+def moved_rotation_pairs(rng):
+    """The pairs-hard shape: Psi(t) rotation(ms pi) against Psi(t) vertical
+    for n 2-5, two or three speeds repeated, Psi the flow of S = sym(N(0, 1));
+    yields (pair, ms, Psi)."""
+    for ms in ([2, 2], [-1, -1, 3], [3, 3, 3, -2], [1, 1, -2, 0, 2]):
+        n = len(ms)
+        a = rng.normal(size=(2 * n, 2 * n))
+        psi = GeneratorPath((a + a.T) / 2, LagrangianFrame.horizontal(n))
+        rot = rotation_path(n, np.array(ms) * np.pi).transformed(psi)
+        vert = ConstantPath(LagrangianFrame.vertical(n)).transformed(psi)
+        yield (rot, vert), ms, psi
+
+
 def crossing_halves(cs):
     return sum(c.crossing_form_signature * (1 if c.boundary else 2) for c in cs)
 
@@ -80,9 +93,9 @@ class CountingGeneratorPath(CountingPath):
 
 
 def certified_cells(n, norm, length=1.0):
-    """The certified cell count, ceil(L |S| (1 + z)^2 / z) with z = tan(pi / 16 n)."""
+    """The certified cell count, ceil(L |S| (1 + z) / z) with z = tan(pi / 16 n)."""
     z = np.tan(np.pi / (16 * n))
-    return max(1, int(np.ceil(length * norm * (1 + z) ** 2 / z)))
+    return max(1, int(np.ceil(length * norm * (1 + z) / z)))
 
 
 class TestRsIndexAnchors:
@@ -222,6 +235,11 @@ class TestSpectralFlow:
         rng = np.random.default_rng(11)
         pairs += [(draw_generator_path(rng, n, 2.0), draw_generator_path(rng, n, 2.0))
                   for n in (1, 2, 3, 4) for _ in range(3)]
+        # each path of these lifted alone by rs_index, the pair on one grid here
+        pairs += [pair for pair, _, _ in moved_rotation_pairs(rng)]
+        m = expm(complex_structure(3) @ draw_generator_path(rng, 3, 1.0).generator())
+        pairs.append((rotation_path(3, [np.pi, -2 * np.pi, 3 * np.pi]).transformed(lambda t: m),
+                      ConstantPath(LagrangianFrame.vertical(3)).transformed(lambda t: m)))
         for pair in pairs:
             assert crossing_halves(rs_crossings(pair)) == rs_index(pair).halves
 
@@ -323,9 +341,9 @@ def det2_args(path, ts):
 
 
 class TestCertifiedLift:
-    """Pairs whose paths report a generator are lifted on the certified grid
-    of ceil(L max |S_i| (1 + z)^2 / z) cells, z = tan(pi / 16 n), with no
-    midpoint pass."""
+    """A path that reports a generator is lifted on its own certified grid of
+    ceil(L |S|_2 (1 + z) / z) cells, z = tan(pi / 16 n), with no midpoint
+    pass; the pair grid of `rs_crossings` takes the larger |S_i|_2."""
 
     def test_cells_and_calls_of_a_rotation_against_a_constant(self):
         for n, s in ((1, [1.5 * np.pi]), (2, [2.0, -9.5]), (4, [0.5, 3.0, -1.0, 7.0]),
@@ -338,28 +356,44 @@ class TestCertifiedLift:
             p.sizes.clear()
             ref.sizes.clear()
             rs_index((p, ref))
-            # the two 4-point end stencils in one call, then the grid in one more
-            assert p.sizes == ref.sizes == [8, cells + 1]
+            # the two 4-point end stencils in one call, then each path's own
+            # grid in one more: the constant's is one cell
+            assert p.sizes == [8, cells + 1]
+            assert ref.sizes == [8, 2]
 
     def test_lift_matches_a_dense_lift(self):
         # the total turn of det^2 on the certified grid against np.unwrap on a
-        # grid 16 times denser; and each path's det^2 turns by at most pi/8
-        # per certified cell
+        # grid 16 times denser, for the pair grid and for each path's own
+        # grid; and each path's det^2 turns by at most pi/8 per own cell
         rng = np.random.default_rng(77)
         for n in range(1, 7):
             for scale in (2.0, 8.0):
                 for _ in range(2):
                     pair = (draw_generator_path(rng, n, scale), draw_generator_path(rng, n, scale))
                     ts, theta = maslov._Pair(pair).lift()
-                    norm = max(np.linalg.norm(p.generator(), 2) for p in pair)
-                    assert len(ts) == certified_cells(n, norm) + 1
+                    norms = [np.linalg.norm(p.generator(), 2) for p in pair]
+                    assert len(ts) == certified_cells(n, max(norms)) + 1
                     dense = np.linspace(0.0, 1.0, 16 * (len(ts) - 1) + 1)
+                    totals = [np.unwrap(det2_args(p, dense)) for p in pair]
                     total = np.unwrap(det2_args(pair[1], dense) - det2_args(pair[0], dense))
                     # raw phases round by about eps cond(F); a lost turn would be 2 pi
                     assert abs(theta[-1] - theta[0] - (total[-1] - total[0])) <= 1e-3
-                    for p in pair:
-                        step = np.abs(np.diff(np.unwrap(det2_args(p, ts))))
+                    for p, norm, dense_p in zip(pair, norms, totals):
+                        own = np.linspace(0.0, 1.0, certified_cells(n, norm) + 1)
+                        step = np.abs(np.diff(np.unwrap(det2_args(p, own))))
                         assert np.max(step) <= np.pi / 8
+                        start, end = maslov._path_lift(p)
+                        assert abs(end - start - (dense_p[-1] - dense_p[0])) <= 1e-3
+
+    def test_moved_vertical_on_its_own_grid(self):
+        # Psi(t) rotation reports no generator and takes the checked grid;
+        # Psi(t) vertical reports S_Psi and takes Psi's certified grid alone
+        for (rot, vert), ms, psi in moved_rotation_pairs(np.random.default_rng(12)):
+            vert = CountingGeneratorPath(vert)
+            assert rot.generator() is None
+            assert rs_index((rot, vert)) == HalfInt.from_int(int(np.sum(ms)))
+            cells = certified_cells(rot.n, np.linalg.norm(psi.generator(), 2))
+            assert vert.sizes == [8, cells + 1]
 
     def test_crossings_keep_the_uncertified_grid_as_a_floor(self):
         p = CountingGeneratorPath(rotation_path(1, 1.5 * np.pi))

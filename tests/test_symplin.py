@@ -542,12 +542,23 @@ class TestGenerator:
         assert not np.any(p.generator())
         self.assert_flow(p)
 
+    def test_constant_path_moved_by_a_generator_path(self):
+        # G = Psi(t) F with F constant gives G' = J S_Psi G
+        rng = np.random.default_rng(44)
+        for n in (1, 3, 6):
+            psi = _random_generator_path(n, rng, scale=2.0)
+            q = ConstantPath(random_lagrangian_frame(n, rng)).transformed(psi)
+            assert np.array_equal(q.generator(), psi.generator())
+            self.assert_flow(q)
+            self.assert_flow(q.restricted(0.3, 0.8))
+
     def test_other_paths_report_none(self):
         rng = np.random.default_rng(43)
         p = _random_generator_path(2, rng)
         grid = np.linspace(0.0, 1.0, 9)
         for q in (p.transformed(_random_generator_path(2, rng)),
                   p.transformed(lambda t: np.eye(4)),
+                  ConstantPath(random_lagrangian_frame(2, rng)).transformed(lambda t: np.eye(4)),
                   p.reparametrized(lambda t: t * t),
                   FunctionPath(2, lambda t: p.frame_array(t)),
                   SampledPath(grid, p.frames(grid)),

@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file")
         p.add_argument("--format", choices=["json", "csv"] if csv_ok else ["json"],
                        default="json")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     def with_input(p):
         p.add_argument("--in", dest="infile", help="JSON input file")
@@ -525,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--jobs", type=int, default=0,
                    help="parallel workers (default: one per processor)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p, csv_ok=False)
     p.set_defaults(func=_cmd_verify_all)
 

@@ -17,8 +17,8 @@ or reaches 0 from above at t1 adds 1/2, and the reverse directions subtract.
 Only the total change of arg det^2 and the spectra at the ends enter: interior
 crossings need not be regular, and none is located to compute the index.
 
-`_lift` is the one det^2 lift.  `rs_index` and `det2_winding` share
-`_path_lift`, which lifts one path alone: arg det V^2 = arg (det U1)^2 -
+`_path_lift` is the one det^2 lift.  `rs_index` and `det2_winding` share
+it; it lifts one path alone: arg det V^2 = arg (det U1)^2 -
 arg (det U0)^2, so the index needs only each path's lift at its ends.  It reads
 det(X + iY) of the raw frames: (X; Y) = Q R with Q orthonormal and R real
 gives X + iY = U R, so det(X + iY)^2 = det U^2 det R^2 with det R^2 > 0, and
@@ -55,17 +55,19 @@ calls of at most `BATCH` times: per path and index, two on a certified grid
 (the end stencils, the grid) and three otherwise (and the midpoints) while
 the grid stays under `BATCH` cells.
 
-`rs_crossings` needs the eigenphases of W on one grid, so `_Pair.lift` lifts
-the pair's arg det V^2 together, on at least max(256, resolution) cells:
-certified by the larger |S_i|_2 when both paths report a generator (pi/8 per
-path, pi/4 for the pair), checked by the doubling loop otherwise.
+`rs_crossings` reads the eigenphases of W on one grid: `np.unique` of
+max(256, resolution) uniform cells and both paths' own grids.  That grid
+refines each path's certified (pi/8 per cell) or checked (pi/4 per step)
+grid, and arg det V^2 = arg (det U1)^2 - arg (det U0)^2, so no step of it
+reaches pi and `np.unwrap` of it on the orthonormalized frames is its lift.
 QR orthonormalizes only the frames whose eigenphases of W are needed: the
 two 4-point end stencils, and the grid and bisection points of
 `rs_crossings`.  Raw and orthonormalized phases differ by about eps cond(F),
-above `FLOW_TOL` on ill-conditioned frames, so `_anchor` moves the lift there
-to arg det V^2 of those unitaries.  The crossing form at each end is computed
-(a one-sided finite difference of the moving frame written as a graph over
-itself) only to refuse a degenerate end; t0 is checked first, before the lift.
+above `FLOW_TOL` on ill-conditioned frames, so `_anchor` moves the raw lift's
+ends, and each bisection point, to arg det V^2 of those unitaries.  The
+crossing form at each end is computed (a one-sided finite difference of the
+moving frame written as a graph over itself) only to refuse a degenerate end;
+t0 is checked first, before the lift.
 
 An index is an exact `HalfInt` or an error: a flow farther than `FLOW_TOL`
 from an integer raises `MaslovkitError`.
@@ -128,9 +130,9 @@ def _unitary(path, ts) -> np.ndarray:
     return _complex(path, ts, lambda f: np.linalg.qr(f)[0])
 
 
-def _det_phase(path, ts) -> np.ndarray:
-    """det(X + iY) / |det(X + iY)| of the raw frames of ``path`` at the times ts."""
-    return np.linalg.slogdet(_complex(path, ts, lambda f: f))[0]
+def _det2_arg(path, ts) -> np.ndarray:
+    """arg det(X + iY)^2 of the raw frames of ``path`` at the times ts."""
+    return np.angle(np.linalg.slogdet(_complex(path, ts, lambda f: f))[0] ** 2)
 
 
 def _phases(u0, u1) -> np.ndarray:
@@ -145,10 +147,14 @@ def _wrap(x):
     return x - 2 * np.pi * np.rint(x / (2 * np.pi))
 
 
+def _v2_arg(u0, u1):
+    """arg det V^2 of the unitaries U0, U1."""
+    return np.angle((np.conj(np.linalg.det(u0)) * np.linalg.det(u1)) ** 2)
+
+
 def _anchor(theta, u0, u1):
     """The lift theta moved, by less than pi, to arg det V^2 of the unitaries."""
-    det2 = (np.conj(np.linalg.det(u0)) * np.linalg.det(u1)) ** 2
-    return theta + _wrap(np.angle(det2) - theta)
+    return theta + _wrap(_v2_arg(u0, u1) - theta)
 
 
 def _turns(x) -> np.ndarray:
@@ -162,36 +168,38 @@ def _turns(x) -> np.ndarray:
     return k.astype(int)
 
 
-def _cells(paths, resolution):
-    """(cells, certified): the certified cell count when every path reports a
+def _cells(path):
+    """(cells, certified): the certified cell count when ``path`` reports a
     generator and it needs at most `MAX_CELLS` cells, else max(256, resolution)."""
-    gens = [p.generator() for p in paths]
-    if all(s is not None for s in gens):
-        (t0, t1), zeta = paths[0].domain, np.tan(np.pi / (16 * paths[0].n))
-        norm = max(np.linalg.svd(s, compute_uv=False)[0] for s in gens)  # |S|_2
+    s = path.generator()
+    if s is not None:
+        (t0, t1), zeta = path.domain, np.tan(np.pi / (16 * path.n))
+        norm = np.linalg.svd(s, compute_uv=False)[0]  # |S|_2
         cells = max(1, int(np.ceil((t1 - t0) * norm * (1 + zeta) / zeta)))
         if cells <= MAX_CELLS:
             return cells, True
-    return max(256, resolution), False
+    return max(256, path.sample_resolution), False
 
 
-def _lift(det2, domain, cells, certified):
-    """A continuous arg of ``det2`` (ts -> det^2 up to positive factors), unanchored.
+def _path_lift(path):
+    """(grid, lift): a continuous arg of det(X + iY)^2 of the raw frames of
+    ``path`` on its own grid, unanchored.
 
-    The grid starts at ``cells`` cells.  On a certified grid (`_cells`: every
-    path behind ``det2`` reports a generator) a lift whose steps are all at
-    most pi/4 is returned at once.  Otherwise the grid doubles, one ``det2``
-    call on the new midpoints each time, until no step exceeds pi/4 and every
-    step equals the sum of its two half steps.  Returns the grid and the lift.
+    The grid starts at `_cells` cells.  On a certified grid (``path`` reports
+    a generator) a lift whose steps are all at most pi/4 is returned at once.
+    Otherwise the grid doubles, one ``frames`` pass on the new midpoints each
+    time, until no step exceeds pi/4 and every step equals the sum of its two
+    half steps.
     """
-    ts = np.linspace(*domain, cells + 1)
-    arg = np.angle(det2(ts))
+    cells, certified = _cells(path)
+    ts = np.linspace(*path.domain, cells + 1)
+    arg = _det2_arg(path, ts)
     while True:
         step = _wrap(np.diff(arg))
         small = np.max(np.abs(step)) <= np.pi / 4
         if certified and small:
             break
-        mid = np.angle(det2((ts[:-1] + ts[1:]) / 2))
+        mid = _det2_arg(path, (ts[:-1] + ts[1:]) / 2)
         halves = _wrap(mid - arg[:-1]) + _wrap(arg[1:] - mid)
         if small and np.max(np.abs(halves - step)) < np.pi:
             break
@@ -203,74 +211,50 @@ def _lift(det2, domain, cells, certified):
     return ts, arg[0] + np.concatenate([[0.0], np.cumsum(step)])
 
 
-class _Pair:
-    """A pair (L0, L1) of paths on one domain, evaluated a batch at a time."""
+def _ends(pair):
+    """(U0, U1, crossing) at t0 and at t1, from one call per path.
 
-    def __init__(self, pair):
-        path0, path1 = pair
-        if path0.n != path1.n:
-            raise DimensionMismatchError(f"paths have n={path0.n} and n={path1.n}")
-        if np.max(np.abs(np.subtract(path0.domain, path1.domain))) > 1e-12:
-            raise DimensionMismatchError(f"paths have domains {path0.domain} and {path1.domain}")
-        self.n, self.domain, self.paths = path0.n, path0.domain, (path0, path1)
-        self.resolution = max(path0.sample_resolution, path1.sample_resolution)
-
-    def unitaries(self, ts):
-        """(U0, U1) at the times ts."""
-        return tuple(_unitary(p, ts) for p in self.paths)
-
-    def ends(self):
-        """(U0, U1, crossing) at t0 and at t1, from one call per path.
-
-        Raises `IrregularCrossingError` at a degenerate end, t0 first.
-        """
-        t0, t1 = self.domain
-        h = min(FD_STEP, (t1 - t0) / 16.0)
-        offsets, weights = _ONE_SIDED
-        u0, u1 = self.unitaries(np.concatenate([t0 + offsets * h, t1 - offsets * h]))
-        return [(u0[i], u1[i], self._crossing(t, u0[i:i + 4], u1[i:i + 4], weights, step))
-                for i, t, step in ((0, t0, h), (4, t1, -h))]
-
-    def _crossing(self, t, u0, u1, weights, step) -> Crossing:
-        """The crossing at the end t, from (U0, U1) on its stencil (t first)."""
-        n = self.n
-        g = np.zeros((len(u0), 4 * n, 2 * n))  # orthonormal frames of L0 + L1
-        g[:, : 2 * n, :n] = np.concatenate([u0.real, u0.imag], axis=1)
-        g[:, 2 * n :, n:] = np.concatenate([u1.real, u1.imag], axis=1)
-        b = g[0]
-        # the graph construction: (L0, L1) in (R^{4n}, omega + (-omega)) meets
-        # the diagonal in L0 ∩ L1
-        basis = intersection_basis(b, np.vstack([np.eye(2 * n)] * 2) / np.sqrt(2.0))
-        if basis.shape[1] == 0:
-            return Crossing(t, 0, 0, True)
-        # symmetrized d/dt of the moving frame written as a graph over itself
-        jb = np.concatenate([complex_structure(n) @ b[: 2 * n], omega_matrix(n) @ b[2 * n :]])
-        s = (jb.T @ g) @ np.linalg.inv(b.T @ g)
-        ds = np.tensordot(weights, s, axes=1) / (6.0 * step)
-        u = b.T @ basis
-        gamma = u.T @ ((ds + ds.T) / 2.0) @ u
-        eig = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)
-        if np.min(np.abs(eig)) <= REGULARITY_TOL * max(1.0, float(np.max(np.abs(eig)))):
-            raise IrregularCrossingError(t)
-        c = Crossing(t, basis.shape[1], int(np.sum(eig > 0) - np.sum(eig < 0)), True)
-        c.check_invariants()
-        return c
-
-    def lift(self, floor=1):
-        """The pair's lift on one grid of at least ``floor`` cells, certified
-        by the larger |S_i|_2 (for the eigenphases `rs_crossings` reads)."""
-        cells, certified = _cells(self.paths, self.resolution)
-        p0, p1 = self.paths
-        return _lift(lambda ts: (np.conj(_det_phase(p0, ts)) * _det_phase(p1, ts)) ** 2,
-                     self.domain, max(cells, floor), certified)
+    Raises `DimensionMismatchError` for paths of other n or domains, and
+    `IrregularCrossingError` at a degenerate end, t0 first.
+    """
+    path0, path1 = pair
+    if path0.n != path1.n:
+        raise DimensionMismatchError(f"paths have n={path0.n} and n={path1.n}")
+    if np.max(np.abs(np.subtract(path0.domain, path1.domain))) > 1e-12:
+        raise DimensionMismatchError(f"paths have domains {path0.domain} and {path1.domain}")
+    t0, t1 = path0.domain
+    h = min(FD_STEP, (t1 - t0) / 16.0)
+    offsets, weights = _ONE_SIDED
+    stencil = np.concatenate([t0 + offsets * h, t1 - offsets * h])
+    u0, u1 = (_unitary(p, stencil) for p in pair)
+    return [(u0[i], u1[i], _crossing(t, u0[i:i + 4], u1[i:i + 4], weights, step))
+            for i, t, step in ((0, t0, h), (4, t1, -h))]
 
 
-def _path_lift(path) -> np.ndarray:
-    """A continuous arg of det(X + iY)^2 of the raw frames of ``path``, on its
-    own grid (`_cells`), at t0 and at t1."""
-    _, arg = _lift(lambda ts: _det_phase(path, ts) ** 2, path.domain,
-                   *_cells([path], path.sample_resolution))
-    return arg[[0, -1]]
+def _crossing(t, u0, u1, weights, step) -> Crossing:
+    """The crossing at the end t, from (U0, U1) on its stencil (t first)."""
+    n = u0.shape[-1]
+    g = np.zeros((len(u0), 4 * n, 2 * n))  # orthonormal frames of L0 + L1
+    g[:, : 2 * n, :n] = np.concatenate([u0.real, u0.imag], axis=1)
+    g[:, 2 * n :, n:] = np.concatenate([u1.real, u1.imag], axis=1)
+    b = g[0]
+    # the graph construction: (L0, L1) in (R^{4n}, omega + (-omega)) meets
+    # the diagonal in L0 ∩ L1
+    basis = intersection_basis(b, np.vstack([np.eye(2 * n)] * 2) / np.sqrt(2.0))
+    if basis.shape[1] == 0:
+        return Crossing(t, 0, 0, True)
+    # symmetrized d/dt of the moving frame written as a graph over itself
+    jb = np.concatenate([complex_structure(n) @ b[: 2 * n], omega_matrix(n) @ b[2 * n :]])
+    s = (jb.T @ g) @ np.linalg.inv(b.T @ g)
+    ds = np.tensordot(weights, s, axes=1) / (6.0 * step)
+    u = b.T @ basis
+    gamma = u.T @ ((ds + ds.T) / 2.0) @ u
+    eig = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)
+    if np.min(np.abs(eig)) <= REGULARITY_TOL * max(1.0, float(np.max(np.abs(eig)))):
+        raise IrregularCrossingError(t)
+    c = Crossing(t, basis.shape[1], int(np.sum(eig > 0) - np.sum(eig < 0)), True)
+    c.check_invariants()
+    return c
 
 
 def _end_phase_sum(u0, u1, k: int) -> float:
@@ -298,12 +282,11 @@ def rs_index(pair) -> HalfInt:
         MaslovkitError: the flow is not within `FLOW_TOL` of an integer, or
             the det^2 lift did not settle.
     """
-    pr = _Pair(pair)
-    (a0, a1, start), (b0, b1, end) = pr.ends()
-    p0, p1 = pr.paths
+    (a0, a1, start), (b0, b1, end) = _ends(pair)
     # arg det V^2 = arg det(U1)^2 - arg det(U0)^2, each path lifted alone; then
     # both ends anchored to the unitaries that give E there
-    th0, th1 = _anchor(_path_lift(p1) - _path_lift(p0), np.stack([a0, b0]),
+    (_, lift0), (_, lift1) = (_path_lift(p) for p in pair)
+    th0, th1 = _anchor(lift1[[0, -1]] - lift0[[0, -1]], np.stack([a0, b0]),
                        np.stack([a1, b1]))
     k0, k1 = start.intersection_dim, end.intersection_dim
     flow = _turns(_end_phase_sum(a0, a1, k0) + th1 - th0 - _end_phase_sum(b0, b1, k1))
@@ -314,19 +297,22 @@ def rs_crossings(pair) -> List[Crossing]:
     """The crossings of a pair, in time order (for diagnostics).
 
     The ends carry their crossing-form signature.  An interior crossing is
-    found by bisecting each cell of the lift's grid where the flow is
+    found by bisecting each cell of its grid where the flow is
     nonzero, keeping every half with a nonzero flow, one batched call per
     step; its dimension is the number of eigenvalues of W passing 0 there
     and its signature their net direction.  Eigenvalues that pass 0 in
     opposite directions within one cell of the grid cancel and are not
     listed.  The halves of the crossings sum to ``rs_index(pair).halves``.
     """
-    pr = _Pair(pair)
-    (a0, a1, start), (b0, b1, end) = pr.ends()
-    ts, theta = pr.lift(max(256, pr.resolution))
-    t0, t1 = pr.domain
-    u0, u1 = pr.unitaries(ts)
-    e, theta = _phases(u0, u1).sum(axis=-1), _anchor(theta, u0, u1)
+    (a0, a1, start), (b0, b1, end) = _ends(pair)
+    t0, t1 = pair[0].domain
+    floor = max(256, max(p.sample_resolution for p in pair))
+    # each path's own grid without its ends, so that domains that differ by
+    # rounding add no cell
+    ts = np.unique(np.concatenate([np.linspace(t0, t1, floor + 1)]
+                                  + [_path_lift(p)[0][1:-1] for p in pair]))
+    u0, u1 = (_unitary(p, ts) for p in pair)
+    e, theta = _phases(u0, u1).sum(axis=-1), np.unwrap(_v2_arg(u0, u1))
     # eigenvalues leaving 0 downward at t0, or reaching it from below at t1,
     # are end crossings: put them at 2 pi so that no cell counts them
     k0, k1 = start.intersection_dim, end.intersection_dim
@@ -337,7 +323,7 @@ def rs_crossings(pair) -> List[Crossing]:
     lo, hi, flow, e_lo, th_lo = ts[live], ts[live + 1], flow[live], e[live], theta[live]
     while len(lo) and np.max(hi - lo) > TIME_TOL * (t1 - t0):
         mid = (lo + hi) / 2
-        u0, u1 = pr.unitaries(mid)
+        u0, u1 = (_unitary(p, mid) for p in pair)
         e_mid = _phases(u0, u1).sum(axis=-1)
         th_mid = _anchor(th_lo, u0, u1)
         left = _turns(e_lo + th_mid - th_lo - e_mid)
@@ -366,8 +352,8 @@ def det2_winding(loop: LagrangianPath) -> int:
     f0, f1 = loop.endpoint_frames()
     if lagrangian_intersection_dim(f0, f1) != loop.n:
         raise EndpointMismatchError("loop endpoints span different subspaces")
-    start, end = _path_lift(loop)
-    return int(_turns(end - start))
+    _, lift = _path_lift(loop)
+    return int(_turns(lift[-1] - lift[0]))
 
 
 def chord_maslov(flow_path: LagrangianPath, reference: LagrangianPath, n: int) -> HalfInt:

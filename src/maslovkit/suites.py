@@ -54,9 +54,9 @@ from .profiles import (
 from .spectrum import agreement_cases
 from .symplin import (
     ConstantPath,
-    FunctionPath,
     GeneratorPath,
     LagrangianFrame,
+    SampledPath,
     direct_sum_paths,
     random_lagrangian_frame,
     random_symplectic,
@@ -98,7 +98,6 @@ def _run_cases(name: str, cases: int, one_case: Callable[[np.random.Generator, i
     Case ``i`` draws from ``default_rng((seed, attempt))``; a failure line
     reads ``case i (seed s, attempt a): ...``.
     """
-    t0 = time.perf_counter()
     failures: List[str] = []
     done = 0
     attempt = 0
@@ -117,7 +116,7 @@ def _run_cases(name: str, cases: int, one_case: Callable[[np.random.Generator, i
         done += 1
     if done < cases:
         failures.append(f"only {done}/{cases} regular cases found")
-    return SuiteResult(name, done, failures, time.perf_counter() - t0)
+    return SuiteResult(name, done, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +169,8 @@ def localization_suite(seed: int = 0, cases: int = 100) -> SuiteResult:
         a0 = rng.normal(size=(n, n))
         a1 = rng.normal(size=(n, n))
         a0, a1 = (a0 + a0.T) / 2, (a1 + a1.T) / 2
-
-        def frame(t, a0=a0, a1=a1, n=n):
-            return np.vstack([np.eye(n), (1 - t) * a0 + t * a1])
-
-        path = FunctionPath(n, frame)
+        # [I; (1 - t) A0 + t A1] is the linear interpolation of its two nodes
+        path = SampledPath([0.0, 1.0], np.stack([np.vstack([np.eye(n), a]) for a in (a0, a1)]))
         ref = ConstantPath(LagrangianFrame.horizontal(n))
         got = rs_index((path, ref))
 
@@ -234,7 +230,6 @@ GRAD_TOL = 1e-8  # relative to max(1, |c|_inf); rounding reaches about 1.1e-10
 
 
 def handle_identity_suite(seed: int = 0, points: int = 1000) -> SuiteResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     params = HandleParams(n=3, k=2, epsilon=0.1, delta=0.05)
     dim, k = 2 * params.n, params.k
@@ -287,11 +282,10 @@ def handle_identity_suite(seed: int = 0, points: int = 1000) -> SuiteResult:
     msgs = list(bad)
     failing = np.stack(list(bad.values()), axis=1)  # (point, check), read by point first
     failures = [f"point {i}: {msgs[j]}" for i, j in zip(*np.nonzero(failing))]
-    return SuiteResult("handle.identities", points, failures, time.perf_counter() - t0)
+    return SuiteResult("handle.identities", points, failures)
 
 
 def handle_certification_suite(resolution: int = 50) -> SuiteResult:
-    t0 = time.perf_counter()
     failures: List[str] = []
     cases = 0
     for eps in (0.1, 0.05):
@@ -304,11 +298,10 @@ def handle_certification_suite(resolution: int = 50) -> SuiteResult:
                     f"eps={eps}, delta={delta}: min {cert.min_value} at "
                     f"{cert.witness_point}"
                 )
-    return SuiteResult("handle.certification", cases, failures, time.perf_counter() - t0)
+    return SuiteResult("handle.certification", cases, failures)
 
 
 def slope_identity_suite(tol: float = 1e-12) -> SuiteResult:
-    t0 = time.perf_counter()
     failures: List[str] = []
     cases = 0
     for eps in (0.1, 0.05):
@@ -323,7 +316,7 @@ def slope_identity_suite(tol: float = 1e-12) -> SuiteResult:
             want = eps * np.exp(ts) - (1 + eps)
             for i in np.nonzero(np.abs(psi - want) > tol)[0]:
                 failures.append(f"eps={eps}, delta={delta}, t={ts[i]}: {psi[i]} vs {want[i]}")
-    return SuiteResult("handle.radial_slope", cases, failures, time.perf_counter() - t0)
+    return SuiteResult("handle.radial_slope", cases, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +325,6 @@ def slope_identity_suite(tol: float = 1e-12) -> SuiteResult:
 
 
 def profile_ledger_suite(stages: int = 3) -> SuiteResult:
-    t0 = time.perf_counter()
     failures: List[str] = []
     spec = SpectrumSet.of([math.pi, 2 * math.pi, 3 * math.pi])
     sched = TransferSchedule.seeded(spec, C=2.0, stages=stages)
@@ -359,12 +351,10 @@ def profile_ledger_suite(stages: int = 3) -> SuiteResult:
             failures.append(
                 f"checkpoint r=2*C*r_(n+1) gap {rep.checkpoint_gap} not positive"
             )
-    return SuiteResult("profiles.transfer_ledger", len(family), failures,
-                       time.perf_counter() - t0)
+    return SuiteResult("profiles.transfer_ledger", len(family), failures)
 
 
 def beta_envelope_suite(grid: int = 10_000) -> SuiteResult:
-    t0 = time.perf_counter()
     failures: List[str] = []
     b = build_beta(0.1, 0.01, 1.0, 1.0, grid=grid)
     checks = b.validate()
@@ -378,8 +368,7 @@ def beta_envelope_suite(grid: int = 10_000) -> SuiteResult:
         failures.append("derivative envelope violated")
     if not checks["envelope_margin"] > 1.0:
         failures.append(f"envelope margin {checks['envelope_margin']} not strict")
-    return SuiteResult("profiles.beta_envelope", grid, failures,
-                       time.perf_counter() - t0)
+    return SuiteResult("profiles.beta_envelope", grid, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +378,6 @@ def beta_envelope_suite(grid: int = 10_000) -> SuiteResult:
 
 def spectrum_agreement_suite(n_max: int = 5, m_max: int = 4,
                              step: float = 1e-4) -> SuiteResult:
-    t0 = time.perf_counter()
     failures: List[str] = []
     cases = 0
     for n, k, m, _, f, (o, diag), ((l1, h1), (l2, h2)) in agreement_cases(
@@ -412,7 +400,7 @@ def spectrum_agreement_suite(n_max: int = 5, m_max: int = 4,
             )
         if abs((h1 - l1) - n) > 1e-12 or abs((h2 - l2) - n) > 1e-12:
             failures.append(f"(n={n},k={k},m={m}): cluster width != n")
-    return SuiteResult("spectrum.agreement", cases, failures, time.perf_counter() - t0)
+    return SuiteResult("spectrum.agreement", cases, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +502,6 @@ def mutate_complex(c: FilteredZ2Complex, rng: np.random.Generator) -> FilteredZ2
 
 
 def homalg_suite(seed: int = 0, mutations: int = 50) -> SuiteResult:
-    t0 = time.perf_counter()
     failures: List[str] = []
     rng = np.random.default_rng(seed)
 
@@ -548,7 +535,7 @@ def homalg_suite(seed: int = 0, mutations: int = 50) -> SuiteResult:
     if not check_square(ident, ident, ident, ident):
         failures.append("identity square does not commute")
 
-    return SuiteResult("homalg.checks", mutations, failures, time.perf_counter() - t0)
+    return SuiteResult("homalg.checks", mutations, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -588,4 +575,8 @@ def suite_args(name: str, seed: int, cases: int) -> tuple:
 
 
 def run_suite(name: str, seed: int = 0, cases: int = 100) -> SuiteResult:
-    return SUITES[name][0](*suite_args(name, seed, cases))
+    """The named suite's result, with its wall time in ``elapsed``."""
+    t0 = time.perf_counter()
+    result = SUITES[name][0](*suite_args(name, seed, cases))
+    result.elapsed = time.perf_counter() - t0
+    return result

@@ -1,6 +1,7 @@
 """The command-line front end: its exit-code contract (0/1/2, no traceback),
 its parser, and the suite registry that ``verify-all`` runs."""
 
+import argparse
 import json
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from maslovkit import cli
 from maslovkit.cli import build_parser
 from maslovkit.errors import IrregularCrossingError
-from maslovkit.suites import SUITES, _run_cases, suite_args
+from maslovkit.suites import SUITES, _run_cases, run_suite, suite_args
 
 
 def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
@@ -113,6 +114,21 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
         cli._parser.cache_clear()
     assert len(built) == 1
     assert capsys.readouterr().err.startswith("error: handle-index needs")
+
+
+def test_only_verify_all_takes_a_seed(capsys):
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    seeded = [name for name, p in sub.choices.items()
+              if any("--seed" in a.option_strings for a in p._actions)]
+    assert len(sub.choices) == 17 and seeded == ["verify-all"]
+    # elsewhere it is an unknown option, exit 2 like any other
+    assert cli.main(["handle-index", "--aCz", "1.0", "--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_run_suite_sets_the_wall_time():
+    assert run_suite("handle.radial_slope").elapsed > 0
 
 
 def test_suite_registry_seeds_and_counts():

@@ -77,15 +77,17 @@ class CountingPath(LagrangianPath):
 
 
 class CountingGeneratorPath(CountingPath):
-    """A `CountingPath` that reports the inner path's generator, so that its
-    pairs are lifted on the certified grid; ``sizes`` lists each call's length."""
+    """A `CountingPath` that reports the inner path's generator, so that it is
+    lifted on its certified grid; ``times`` lists each call's times and
+    ``sizes`` their lengths."""
 
     def __init__(self, inner):
         super().__init__(inner)
-        self.sizes = []
+        self.sizes, self.times = [], []
 
     def frames(self, ts):
         self.sizes.append(len(ts))
+        self.times.append(np.asarray(ts, dtype=float))
         return super().frames(ts)
 
     def generator(self):
@@ -249,6 +251,16 @@ class TestSpectralFlow:
         got = [(round(c.time, 9), c.intersection_dim, c.crossing_form_signature)
                for c in rs_crossings((p, horizontal_ref(2)))]
         assert got == [(0.0, 2, 0), (0.4, 1, -1), (round(2 / 3, 9), 1, 1), (0.8, 1, -1)]
+        # rotations whose own certified grids (763 and 6028 cells) are finer
+        # than the 512-cell floor; at speed 1000 det^2 turns by 3.9 per floor
+        # cell, so only the rotation's own grid resolves it
+        for s, cells in ((126.44, 763), (1000.0, 6028)):
+            assert certified_cells(1, s) == cells
+            got = rs_crossings((rotation_path(1, s), horizontal_ref(1)))
+            want = np.arange(int(s / np.pi) + 1) * np.pi / s
+            assert [(c.intersection_dim, c.crossing_form_signature) for c in got] == (
+                [(1, 1)] * len(want))
+            assert np.max(np.abs([c.time for c in got] - want)) <= 1e-9
 
     def test_flow_off_an_integer_raises(self, monkeypatch):
         # a flow off an integer is an error, never a rounded HalfInt
@@ -296,15 +308,15 @@ class TestRawFrameLift:
     stencils are orthonormalized."""
 
     def test_rotation_lift_closed_form(self):
-        # V = U0* U1 = e^{-i pi s t} for (rotation, R^n): theta(t) - theta(0)
-        # = -2 pi sum(s) t on the whole grid, and the opposite for (R^n, rotation)
+        # U = e^{i pi s t} for the rotation: its lift minus its start is
+        # 2 pi sum(s) t on its whole grid; the reference's lift is constant
         for n, s in ((1, [2.5]), (2, [1.5, -2.5]), (3, [0.7, 3.0, -1.25]),
                      (6, [1.0, -2.0, 3.5, 0.25, -0.5, 2.0])):
             p, ref = rotation_path(n, np.array(s) * np.pi), horizontal_ref(n)
-            for pair, sign in (((p, ref), -1.0), ((ref, p), 1.0)):
-                ts, theta = maslov._Pair(pair).lift()
-                want = sign * 2 * np.pi * sum(s) * ts
-                assert np.max(np.abs(theta - theta[0] - want)) <= 1e-12
+            ts, lift = maslov._path_lift(p)
+            assert np.max(np.abs(lift - lift[0] - 2 * np.pi * sum(s) * ts)) <= 1e-12
+            _, lift = maslov._path_lift(ref)
+            assert np.max(np.abs(lift - lift[0])) <= 1e-12
 
     def test_invariant_under_real_frame_change(self):
         # F(t) G(t) spans what F(t) spans, so the index and the winding agree
@@ -343,7 +355,7 @@ def det2_args(path, ts):
 class TestCertifiedLift:
     """A path that reports a generator is lifted on its own certified grid of
     ceil(L |S|_2 (1 + z) / z) cells, z = tan(pi / 16 n), with no midpoint
-    pass; the pair grid of `rs_crossings` takes the larger |S_i|_2."""
+    pass; the grid of `rs_crossings` refines both paths' own grids."""
 
     def test_cells_and_calls_of_a_rotation_against_a_constant(self):
         for n, s in ((1, [1.5 * np.pi]), (2, [2.0, -9.5]), (4, [0.5, 3.0, -1.0, 7.0]),
@@ -351,8 +363,8 @@ class TestCertifiedLift:
             p = CountingGeneratorPath(rotation_path(n, s))
             ref = CountingGeneratorPath(ConstantPath(LagrangianFrame.vertical(n)))
             cells = certified_cells(n, max(np.abs(s)))
-            ts, _ = maslov._Pair((p, ref)).lift()
-            assert len(ts) == cells + 1
+            assert len(maslov._path_lift(p)[0]) == cells + 1
+            assert len(maslov._path_lift(ref)[0]) == 2
             p.sizes.clear()
             ref.sizes.clear()
             rs_index((p, ref))
@@ -362,28 +374,28 @@ class TestCertifiedLift:
             assert ref.sizes == [8, 2]
 
     def test_lift_matches_a_dense_lift(self):
-        # the total turn of det^2 on the certified grid against np.unwrap on a
-        # grid 16 times denser, for the pair grid and for each path's own
-        # grid; and each path's det^2 turns by at most pi/8 per own cell
+        # the total turn of det^2 on each path's own certified grid against
+        # np.unwrap on a grid 16 times denser, for each path and for the
+        # pair's difference; and each path's det^2 turns by at most pi/8 per
+        # own cell
         rng = np.random.default_rng(77)
         for n in range(1, 7):
             for scale in (2.0, 8.0):
                 for _ in range(2):
                     pair = (draw_generator_path(rng, n, scale), draw_generator_path(rng, n, scale))
-                    ts, theta = maslov._Pair(pair).lift()
+                    lifts = [maslov._path_lift(p) for p in pair]
                     norms = [np.linalg.norm(p.generator(), 2) for p in pair]
-                    assert len(ts) == certified_cells(n, max(norms)) + 1
-                    dense = np.linspace(0.0, 1.0, 16 * (len(ts) - 1) + 1)
-                    totals = [np.unwrap(det2_args(p, dense)) for p in pair]
+                    dense = np.linspace(0.0, 1.0, 16 * max(len(ts) - 1 for ts, _ in lifts) + 1)
                     total = np.unwrap(det2_args(pair[1], dense) - det2_args(pair[0], dense))
+                    turns = [lift[-1] - lift[0] for _, lift in lifts]
                     # raw phases round by about eps cond(F); a lost turn would be 2 pi
-                    assert abs(theta[-1] - theta[0] - (total[-1] - total[0])) <= 1e-3
-                    for p, norm, dense_p in zip(pair, norms, totals):
-                        own = np.linspace(0.0, 1.0, certified_cells(n, norm) + 1)
-                        step = np.abs(np.diff(np.unwrap(det2_args(p, own))))
+                    assert abs(turns[1] - turns[0] - (total[-1] - total[0])) <= 1e-3
+                    for p, norm, (ts, lift) in zip(pair, norms, lifts):
+                        assert len(ts) == certified_cells(n, norm) + 1
+                        step = np.abs(np.diff(np.unwrap(det2_args(p, ts))))
                         assert np.max(step) <= np.pi / 8
-                        start, end = maslov._path_lift(p)
-                        assert abs(end - start - (dense_p[-1] - dense_p[0])) <= 1e-3
+                        dense_p = np.unwrap(det2_args(p, np.linspace(0.0, 1.0, 16 * (len(ts) - 1) + 1)))
+                        assert abs(lift[-1] - lift[0] - (dense_p[-1] - dense_p[0])) <= 1e-3
 
     def test_moved_vertical_on_its_own_grid(self):
         # Psi(t) rotation reports no generator and takes the checked grid;
@@ -396,18 +408,19 @@ class TestCertifiedLift:
             assert vert.sizes == [8, cells + 1]
 
     def test_crossings_keep_the_uncertified_grid_as_a_floor(self):
+        # the certified grid is coarser than the 512-cell floor, and the grid
+        # rs_crossings evaluates holds all 513 floor points
         p = CountingGeneratorPath(rotation_path(1, 1.5 * np.pi))
         ref = CountingGeneratorPath(horizontal_ref(1))
         rs_crossings((p, ref))
-        assert certified_cells(1, 1.5 * np.pi) < 512 and 513 in p.sizes
+        floor = np.linspace(0.0, 1.0, 513)
+        assert certified_cells(1, 1.5 * np.pi) < 512
+        assert any(np.all(np.isin(floor, ts)) for ts in p.times)
 
     def test_too_many_cells_falls_back_to_the_checked_grid(self):
-        s = 2 * maslov.MAX_CELLS
-        pair = (rotation_path(1, s), ConstantPath(LagrangianFrame.vertical(1)))
-        assert maslov._cells(pair, 512) == (512, False)
-        assert maslov._cells(pair[:1], 512) == (512, False)
-        assert maslov._cells((rotation_path(1, 1.0), pair[1]), 512) == (
-            certified_cells(1, 1.0), True)
+        assert maslov._cells(rotation_path(1, 2 * maslov.MAX_CELLS)) == (512, False)
+        assert maslov._cells(rotation_path(1, 1.0)) == (certified_cells(1, 1.0), True)
+        assert maslov._cells(ConstantPath(LagrangianFrame.vertical(1))) == (1, True)
 
 
 class TestDet2Winding:

@@ -64,10 +64,14 @@ QR orthonormalizes only the frames whose eigenphases of W are needed: the
 two 4-point end stencils, and the grid and bisection points of
 `rs_crossings`.  Raw and orthonormalized phases differ by about eps cond(F),
 above `FLOW_TOL` on ill-conditioned frames, so `_anchor` moves the raw lift's
-ends, and each bisection point, to arg det V^2 of those unitaries.  The
-crossing form at each end is computed (a one-sided finite difference of the
-moving frame written as a graph over itself) only to refuse a degenerate end;
-t0 is checked first, before the lift.
+ends, and each bisection point, to arg det V^2 of those unitaries.  One
+`_phases` call gives W's eigenphases at both ends.  `_crossing` (the graph
+test for L0 ∩ L1, then the crossing form, a one-sided finite difference of the
+moving frame written as a graph over itself, only to refuse a degenerate end)
+runs only where some eigenphase is within `END_GAP` of 0: the graph test's
+smallest singular value is sqrt 2 sin(d/8), d that eigenphase's distance from
+0, so it finds no intersection at a farther end.  t0 is checked first, before
+the lift.
 
 An index is an exact `HalfInt` or an error: a flow farther than `FLOW_TOL`
 from an integer raises `MaslovkitError`.
@@ -87,7 +91,7 @@ from .errors import (
     MaslovkitError,
 )
 from .halfint import HalfInt
-from .symplin import (LagrangianPath, complex_structure, intersection_basis,
+from .symplin import (RANK_TOL, LagrangianPath, complex_structure, intersection_basis,
                       lagrangian_intersection_dim, omega_matrix)
 
 TIME_TOL = 1e-10  # width, relative to the domain, at which rs_crossings stops
@@ -96,6 +100,9 @@ REGULARITY_TOL = 1e-8
 FLOW_TOL = 1e-6  # largest distance of a flow, in turns, from its integer
 MAX_CELLS = 2**16  # the det^2 lift doubles its grid up to this many cells
 BATCH = 1024  # the most times in one ``frames`` call: bounds memory on fine grids
+# an eigenphase of W at distance d from 0 gives the graph test of `_crossing` the
+# smallest singular value sqrt 2 sin(d/8), above RANK_TOL for d > 8 RANK_TOL / sqrt 2
+END_GAP = 64 * RANK_TOL  # an end with every eigenphase farther from 0 is transverse
 
 # Richardson-extrapolated one-sided difference quotient with steps h/2 and h:
 # sample offsets in units of the signed step, and weights over 6 * step.
@@ -212,7 +219,8 @@ def _path_lift(path):
 
 
 def _ends(pair):
-    """(U0, U1, crossing) at t0 and at t1, from one call per path.
+    """(U0, U1, eigenphases of W, crossing) at t0 and at t1, from one call per
+    path; `_crossing` runs only at an end with an eigenphase within `END_GAP`.
 
     Raises `DimensionMismatchError` for paths of other n or domains, and
     `IrregularCrossingError` at a degenerate end, t0 first.
@@ -227,8 +235,11 @@ def _ends(pair):
     offsets, weights = _ONE_SIDED
     stencil = np.concatenate([t0 + offsets * h, t1 - offsets * h])
     u0, u1 = (_unitary(p, stencil) for p in pair)
-    return [(u0[i], u1[i], _crossing(t, u0[i:i + 4], u1[i:i + 4], weights, step))
-            for i, t, step in ((0, t0, h), (4, t1, -h))]
+    phases = _phases(u0[[0, 4]], u1[[0, 4]])
+    gap = np.min(np.minimum(phases, 2 * np.pi - phases), axis=-1)
+    return [(u0[i], u1[i], p, Crossing(t, 0, 0, True) if d > END_GAP
+             else _crossing(t, u0[i:i + 4], u1[i:i + 4], weights, step))
+            for i, p, d, t, step in zip((0, 4), phases, gap, (t0, t1), (h, -h))]
 
 
 def _crossing(t, u0, u1, weights, step) -> Crossing:
@@ -257,9 +268,9 @@ def _crossing(t, u0, u1, weights, step) -> Crossing:
     return c
 
 
-def _end_phase_sum(u0, u1, k: int) -> float:
+def _end_phase_sum(phases, k: int) -> float:
     """E at an end: the k eigenphases of W nearest 0 (the intersection) as 0."""
-    p = _phases(u0, u1)
+    p = phases.copy()
     p[np.argsort(np.minimum(p, 2 * np.pi - p))[:k]] = 0.0
     return float(np.sum(p))
 
@@ -282,14 +293,14 @@ def rs_index(pair) -> HalfInt:
         MaslovkitError: the flow is not within `FLOW_TOL` of an integer, or
             the det^2 lift did not settle.
     """
-    (a0, a1, start), (b0, b1, end) = _ends(pair)
+    (a0, a1, pa, start), (b0, b1, pb, end) = _ends(pair)
     # arg det V^2 = arg det(U1)^2 - arg det(U0)^2, each path lifted alone; then
     # both ends anchored to the unitaries that give E there
     (_, lift0), (_, lift1) = (_path_lift(p) for p in pair)
     th0, th1 = _anchor(lift1[[0, -1]] - lift0[[0, -1]], np.stack([a0, b0]),
                        np.stack([a1, b1]))
     k0, k1 = start.intersection_dim, end.intersection_dim
-    flow = _turns(_end_phase_sum(a0, a1, k0) + th1 - th0 - _end_phase_sum(b0, b1, k1))
+    flow = _turns(_end_phase_sum(pa, k0) + th1 - th0 - _end_phase_sum(pb, k1))
     return HalfInt(int(-2 * flow - k0 + k1))
 
 
@@ -304,7 +315,7 @@ def rs_crossings(pair) -> List[Crossing]:
     opposite directions within one cell of the grid cancel and are not
     listed.  The halves of the crossings sum to ``rs_index(pair).halves``.
     """
-    (a0, a1, start), (b0, b1, end) = _ends(pair)
+    (_, _, pa, start), (_, _, pb, end) = _ends(pair)
     t0, t1 = pair[0].domain
     floor = max(256, max(p.sample_resolution for p in pair))
     # each path's own grid without its ends, so that domains that differ by
@@ -316,8 +327,8 @@ def rs_crossings(pair) -> List[Crossing]:
     # eigenvalues leaving 0 downward at t0, or reaching it from below at t1,
     # are end crossings: put them at 2 pi so that no cell counts them
     k0, k1 = start.intersection_dim, end.intersection_dim
-    e[0] = _end_phase_sum(a0, a1, k0) + np.pi * (k0 + start.crossing_form_signature)
-    e[-1] = _end_phase_sum(b0, b1, k1) + np.pi * (k1 - end.crossing_form_signature)
+    e[0] = _end_phase_sum(pa, k0) + np.pi * (k0 + start.crossing_form_signature)
+    e[-1] = _end_phase_sum(pb, k1) + np.pi * (k1 - end.crossing_form_signature)
     flow = _turns(e[:-1] + np.diff(theta) - e[1:])
     live = np.nonzero(flow)[0]
     lo, hi, flow, e_lo, th_lo = ts[live], ts[live + 1], flow[live], e[live], theta[live]

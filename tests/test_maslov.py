@@ -189,6 +189,74 @@ class TestBatchedEngine:
             assert len(near) == 1
 
 
+def end_pair(rng, n, d):
+    """(rotation of speed 1 from L1, constant L0): at t = 0 the eigenphases of
+    W are 2 alpha_j with alpha = (d/2, alpha_2, ...), |alpha_j| in [0.3, 1.2] for
+    j > 1, each principal direction of L0 turned inside the chart [Q, JQ]."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u = np.linalg.qr(z)[0]
+    alpha = np.concatenate([[d / 2], rng.choice([-1, 1], n - 1) * rng.uniform(0.3, 1.2, n - 1)])
+    u1 = u @ np.diag(np.exp(1j * alpha))
+    frame = lambda w: LagrangianFrame.from_columns(np.vstack([w.real, w.imag]))
+    return (rotation_path(n, 1.0, domain=(0.0, 0.1), frame0=frame(u1)),
+            ConstantPath(frame(u), domain=(0.0, 0.1)))
+
+
+class TestEndGap:
+    """An end with no eigenphase of W within `END_GAP` of 0 skips the graph
+    SVD of `_crossing`, whose smallest singular value is sqrt 2 sin(d/8)."""
+
+    def test_gap_rule_agrees_with_the_graph_svd(self):
+        d_grid = np.unique(np.concatenate([
+            np.geomspace(1e-10, 1e-2, 33),
+            np.geomspace(3e-8, 1.2e-7, 25),  # the SVD's threshold, 5.7e-8
+            maslov.END_GAP * np.geomspace(0.5, 2.0, 17),
+        ]))
+        rng = np.random.default_rng(18)
+        h = min(maslov.FD_STEP, 0.1 / 16)
+        offsets, weights = maslov._ONE_SIDED
+        seen = set()
+        for n in (1, 2, 3, 4):
+            for d in np.concatenate([d_grid, -d_grid]):
+                pair = end_pair(rng, n, d)
+                u0, u1 = (maslov._unitary(p, offsets * h) for p in pair)
+                p = maslov._phases(u0[0], u1[0])
+                gap = np.min(np.minimum(p, 2 * np.pi - p))
+                assert gap == pytest.approx(abs(d), rel=1e-4, abs=1e-14)
+                b = np.zeros((4 * n, 2 * n))
+                b[:2 * n, :n] = np.vstack([u0[0].real, u0[0].imag])
+                b[2 * n:, n:] = np.vstack([u1[0].real, u1[0].imag])
+                diag = np.vstack([np.eye(2 * n)] * 2) / np.sqrt(2.0)
+                sv = np.linalg.svd(np.hstack([b, diag]), compute_uv=False)
+                assert sv[-1] == pytest.approx(np.sqrt(2) * np.sin(gap / 8), rel=1e-4, abs=1e-14)
+                meets = maslov.intersection_basis(b, diag).shape[1] > 0
+                assert gap <= maslov.END_GAP or not meets
+                start = maslov._ends(pair)[0][-1]
+                assert start == maslov._crossing(0.0, u0, u1, weights, h)
+                seen.add(meets)
+        assert seen == {True, False}
+
+    def test_graph_svd_runs_only_at_ends_near_a_crossing(self, monkeypatch):
+        calls, basis = [], maslov.intersection_basis
+
+        def counting(f1, f2):
+            calls.append(f1)
+            return basis(f1, f2)
+
+        monkeypatch.setattr(maslov, "intersection_basis", counting)
+        rng = np.random.default_rng(3)
+        p0, p1 = draw_generator_path(rng, 3, 2.0), draw_generator_path(rng, 3, 2.0)
+        rs_index((p0, p1))
+        assert calls == []
+        assert rs_index((rotation_path(1, 2.0), horizontal_ref(1))) == HalfInt(1)
+        assert len(calls) == 1
+        assert np.allclose(np.abs(calls[0][:2, 0]), [1.0, 0.0])  # the frame at t0
+        calls.clear()
+        with pytest.raises(IrregularCrossingError) as exc:
+            rs_index((horizontal_ref(1), horizontal_ref(1)))
+        assert exc.value.time == 0.0 and len(calls) == 1
+
+
 class TestSpectralFlow:
     """Hard draws (ill-conditioned frames, a crossing near an end, two
     crossings 2.1e-4 apart) and the flow's own checks.  Each index check is a

@@ -178,20 +178,12 @@ class FilteredZ2Complex:
     def degrees(self) -> List[int]:
         return sorted({g.degree for g in self.generators})
 
-    def _degree_indices(self) -> Dict[int, np.ndarray]:
-        """The generator indices of each degree, in one pass."""
-        degs = np.array([g.degree for g in self.generators], dtype=int)
-        return {k: np.flatnonzero(degs == k) for k in self.degrees()}
-
-    def boundary_matrix(self, k: int) -> np.ndarray:
-        """The block of d mapping degree-k generators to degree k-1."""
-        by_degree, none = self._degree_indices(), np.zeros(0, dtype=int)
-        return self.d[np.ix_(by_degree.get(k - 1, none), by_degree.get(k, none))]
-
     def homology(self) -> Dict[int, int]:
         """dim ker d_k - rank d_{k+1} per degree k (zero entries omitted),
         with the degrees grouped once and each rank d_k taken once."""
-        by_degree, none = self._degree_indices(), np.zeros(0, dtype=int)
+        degs = np.array([g.degree for g in self.generators], dtype=int)
+        by_degree = {k: np.flatnonzero(degs == k) for k in self.degrees()}
+        none = np.zeros(0, dtype=int)
         rank = {k: gf2_rank(self.d[np.ix_(by_degree.get(k - 1, none), idx)])
                 for k, idx in by_degree.items()}
         out: Dict[int, int] = {}

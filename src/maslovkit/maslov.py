@@ -46,26 +46,28 @@ width.  The raw frame is U_Q (I + iZ) X with X real, so within a cell arg det^2
 moves by at most 2 n arctan z = pi/8: no turn can hide in a cell.  A lift on
 that grid whose steps are all at most pi/4 is returned as it is, with no
 midpoint pass; rounding on ill-conditioned frames can push a step past pi/4,
-and such a lift goes on as an uncertified one.  A path that reports no
-generator (any other transform, a reparametrization, a `FunctionPath`, a
-`SampledPath`), and one whose N exceeds `MAX_CELLS`, starts at
-max(256, resolution) cells and doubles until no step exceeds pi/4 and each
-step is the sum of its half steps.  Paths are evaluated in ``frames(ts)``
-calls of at most `BATCH` times: per path and index, two on a certified grid
-(the end stencils, the grid) and three otherwise (and the midpoints) while
-the grid stays under `BATCH` cells.
+and such a lift goes on as an uncertified one.  A `SampledPath` is lifted in
+closed form at its nodes, with no grid: on a segment det((1 - s) Z_a + s Z_b)
+= det Z_a prod_j ((1 - s) + s nu_j), nu_j the eigenvalues of Z_a^-1 Z_b, and
+each factor runs straight from 1 to nu_j, so the segment, or a cell inside
+it, adds exactly 2 sum_j Arg nu_j.  A singular node, or a nu_j within
+`RAY_GAP` of (-inf, 0], where the interpolated frame degenerates, is refused.
+Any other path (another transform, a reparametrization, a `FunctionPath`),
+and one whose N exceeds `MAX_CELLS`, starts at `CELLS` cells and doubles
+until no step exceeds pi/4 and each step is the sum of its half steps.  Paths
+are evaluated in ``frames(ts)`` calls of at most `BATCH` times: per path and
+index, two on a certified grid or at the nodes (the end stencils, the grid)
+and three otherwise (and the midpoints) while the grid stays under `BATCH`.
 
-`rs_crossings` reads the eigenphases of W on one grid: `np.unique` of
-max(256, resolution) uniform cells and both paths' own grids.  That grid
-refines each path's certified (pi/8 per cell) or checked (pi/4 per step)
-grid, and arg det V^2 = arg (det U1)^2 - arg (det U0)^2, so no step of it
-reaches pi and `np.unwrap` of it on the orthonormalized frames is its lift.
-QR orthonormalizes only the frames whose eigenphases of W are needed: the
-two 4-point end stencils, and the grid and bisection points of
-`rs_crossings`.  Raw and orthonormalized phases differ by about eps cond(F),
-above `FLOW_TOL` on ill-conditioned frames, so `_anchor` moves the raw lift's
-ends, and each bisection point, to arg det V^2 of those unitaries.  One
-`_phases` call gives W's eigenphases at both ends.  `_crossing` (the graph
+`rs_crossings` reads the eigenphases of W on one grid: both paths' own grids
+and the `CELLS` uniform cells' points not within `TIME_TOL` of them.  It
+refines each path's certified, checked or node grid, so theta is the sum of
+both paths' steps on it (`_lift`).  QR orthonormalizes only the frames whose
+eigenphases of W are needed: the two 4-point end stencils, and the grid and
+bisection points of `rs_crossings`.  Raw and orthonormalized phases differ by
+about eps cond(F), above `FLOW_TOL` on ill-conditioned frames, so `_anchor`
+moves the raw lift's ends, and each grid and bisection point, to arg det V^2
+of those unitaries.  One `_phases` call gives W's eigenphases at both ends.  `_crossing` (the graph
 test for L0 ∩ L1, then the crossing form, a one-sided finite difference of the
 moving frame written as a graph over itself, only to refuse a degenerate end)
 runs only where some eigenphase is within `END_GAP` of 0: the graph test's
@@ -91,14 +93,16 @@ from .errors import (
     MaslovkitError,
 )
 from .halfint import HalfInt
-from .symplin import (RANK_TOL, LagrangianPath, complex_structure, intersection_basis,
-                      lagrangian_intersection_dim, omega_matrix)
+from .symplin import (RANK_TOL, LagrangianPath, SampledPath, complex_structure,
+                      intersection_basis, lagrangian_intersection_dim, omega_matrix)
 
 TIME_TOL = 1e-10  # width, relative to the domain, at which rs_crossings stops
 FD_STEP = 1e-6
 REGULARITY_TOL = 1e-8
 FLOW_TOL = 1e-6  # largest distance of a flow, in turns, from its integer
+CELLS = 512  # the det^2 lift's first uncertified grid; rs_crossings' uniform floor
 MAX_CELLS = 2**16  # the det^2 lift doubles its grid up to this many cells
+RAY_GAP = 1e-6  # a sampled segment's nu this close in angle to (-inf, 0] is refused
 BATCH = 1024  # the most times in one ``frames`` call: bounds memory on fine grids
 # an eigenphase of W at distance d from 0 gives the graph test of `_crossing` the
 # smallest singular value sqrt 2 sin(d/8), above RANK_TOL for d > 8 RANK_TOL / sqrt 2
@@ -125,8 +129,9 @@ class Crossing:
             raise IrregularCrossingError(self.time, "signature parity violation")
 
 
-def _complex(path, ts, f) -> np.ndarray:
-    """X + iY of f(frames of ``path`` at ts), from ``frames`` calls of <= BATCH times."""
+def _complex(path, ts, f=lambda f: f) -> np.ndarray:
+    """X + iY of f(frames of ``path`` at ts), raw by default, from ``frames``
+    calls of at most `BATCH` times."""
     ts, n = np.asarray(ts, dtype=float), path.n
     fs = [f(path.frames(ts[i:i + BATCH])) for i in range(0, len(ts), BATCH)]
     return np.concatenate([q[:, :n] + 1j * q[:, n:] for q in fs])
@@ -137,9 +142,32 @@ def _unitary(path, ts) -> np.ndarray:
     return _complex(path, ts, lambda f: np.linalg.qr(f)[0])
 
 
-def _det2_arg(path, ts) -> np.ndarray:
-    """arg det(X + iY)^2 of the raw frames of ``path`` at the times ts."""
-    return np.angle(np.linalg.slogdet(_complex(path, ts, lambda f: f))[0] ** 2)
+def _det2(z) -> np.ndarray:
+    """arg det(Z)^2 of stacked complex matrices, from the unit `slogdet` sign."""
+    return np.angle(np.linalg.slogdet(z)[0] ** 2)
+
+
+def _segment_steps(ts, z) -> np.ndarray:
+    """2 sum_j Arg nu_j on each segment from z[i] to z[i + 1] (raw X + iY at
+    the times ts), nu_j the eigenvalues of z[i]^-1 z[i + 1]; raises at a
+    singular node (columns normalized) or a nu_j within `RAY_GAP` of (-inf, 0]."""
+    norms = np.linalg.norm(z, axis=-2, keepdims=True)
+    smallest = np.linalg.svd(z / np.where(norms > 0, norms, 1.0), compute_uv=False)[:, -1]
+    if np.min(smallest) <= RANK_TOL:
+        raise MaslovkitError(f"the sampled frame at t = {ts[np.argmin(smallest)]} is singular")
+    arg = np.angle(np.linalg.eigvals(np.linalg.solve(z[:-1], z[1:])))
+    i = np.argmax(np.max(np.abs(arg), axis=-1))
+    if np.max(np.abs(arg[i])) >= np.pi - RAY_GAP:
+        raise MaslovkitError(f"the interpolated frame degenerates on [{ts[i]}, {ts[i + 1]}]")
+    return 2 * arg.sum(axis=-1)
+
+
+def _lift(path, ts, z) -> np.ndarray:
+    """A continuous arg det^2 of the raw X + iY, z, of ``path`` at ts, a grid
+    that refines its own: the closed form on a `SampledPath`, else wrapped steps."""
+    step = (_segment_steps(ts, z) if isinstance(path, SampledPath)
+            else _wrap(np.diff(_det2(z))))
+    return _det2(z[:1]) + np.concatenate([[0.0], np.cumsum(step)])
 
 
 def _phases(u0, u1) -> np.ndarray:
@@ -154,14 +182,10 @@ def _wrap(x):
     return x - 2 * np.pi * np.rint(x / (2 * np.pi))
 
 
-def _v2_arg(u0, u1):
-    """arg det V^2 of the unitaries U0, U1."""
-    return np.angle((np.conj(np.linalg.det(u0)) * np.linalg.det(u1)) ** 2)
-
-
 def _anchor(theta, u0, u1):
     """The lift theta moved, by less than pi, to arg det V^2 of the unitaries."""
-    return theta + _wrap(_v2_arg(u0, u1) - theta)
+    v2 = np.angle((np.conj(np.linalg.det(u0)) * np.linalg.det(u1)) ** 2)
+    return theta + _wrap(v2 - theta)
 
 
 def _turns(x) -> np.ndarray:
@@ -177,7 +201,7 @@ def _turns(x) -> np.ndarray:
 
 def _cells(path):
     """(cells, certified): the certified cell count when ``path`` reports a
-    generator and it needs at most `MAX_CELLS` cells, else max(256, resolution)."""
+    generator and it needs at most `MAX_CELLS` cells, else `CELLS`."""
     s = path.generator()
     if s is not None:
         (t0, t1), zeta = path.domain, np.tan(np.pi / (16 * path.n))
@@ -185,28 +209,30 @@ def _cells(path):
         cells = max(1, int(np.ceil((t1 - t0) * norm * (1 + zeta) / zeta)))
         if cells <= MAX_CELLS:
             return cells, True
-    return max(256, path.sample_resolution), False
+    return CELLS, False
 
 
 def _path_lift(path):
     """(grid, lift): a continuous arg of det(X + iY)^2 of the raw frames of
     ``path`` on its own grid, unanchored.
 
-    The grid starts at `_cells` cells.  On a certified grid (``path`` reports
-    a generator) a lift whose steps are all at most pi/4 is returned at once.
+    A `SampledPath`'s grid is its nodes, lifted in closed form.  Any other
+    grid starts at `_cells` cells; on a certified one (``path`` reports a
+    generator) a lift whose steps are all at most pi/4 is returned at once.
     Otherwise the grid doubles, one ``frames`` pass on the new midpoints each
-    time, until no step exceeds pi/4 and every step equals the sum of its two
-    half steps.
+    time, until no step exceeds pi/4 and every step is the sum of its halves.
     """
+    if isinstance(path, SampledPath):
+        return path.times, _lift(path, path.times, _complex(path, path.times))
     cells, certified = _cells(path)
     ts = np.linspace(*path.domain, cells + 1)
-    arg = _det2_arg(path, ts)
+    arg = _det2(_complex(path, ts))
     while True:
         step = _wrap(np.diff(arg))
         small = np.max(np.abs(step)) <= np.pi / 4
         if certified and small:
             break
-        mid = _det2_arg(path, (ts[:-1] + ts[1:]) / 2)
+        mid = _det2(_complex(path, (ts[:-1] + ts[1:]) / 2))
         halves = _wrap(mid - arg[:-1]) + _wrap(arg[1:] - mid)
         if small and np.max(np.abs(halves - step)) < np.pi:
             break
@@ -317,13 +343,19 @@ def rs_crossings(pair) -> List[Crossing]:
     """
     (_, _, pa, start), (_, _, pb, end) = _ends(pair)
     t0, t1 = pair[0].domain
-    floor = max(256, max(p.sample_resolution for p in pair))
-    # each path's own grid without its ends, so that domains that differ by
-    # rounding add no cell
-    ts = np.unique(np.concatenate([np.linspace(t0, t1, floor + 1)]
-                                  + [_path_lift(p)[0][1:-1] for p in pair]))
-    u0, u1 = (_unitary(p, ts) for p in pair)
-    e, theta = _phases(u0, u1).sum(axis=-1), np.unwrap(_v2_arg(u0, u1))
+    # both paths' own grids without their ends (domains may differ by rounding),
+    # and each floor point farther than TIME_TOL from them: a narrower cell
+    # would count a crossing at its ends twice
+    own = np.sort(np.concatenate([_path_lift(p)[0][1:-1] for p in pair] + [[t0, t1]]))
+    floor = np.linspace(t0, t1, CELLS + 1)
+    i = np.searchsorted(own, floor)
+    gap = np.minimum(own[i] - floor, floor - own[np.maximum(i - 1, 0)])
+    ts = np.unique(np.concatenate([own, floor[gap > TIME_TOL * (t1 - t0)]]))
+    # one ``frames`` pass per path: raw X + iY and unitary side by side
+    (z0, u0), (z1, u1) = (np.split(_complex(p, ts, lambda f: np.concatenate(
+        [f, np.linalg.qr(f)[0]], axis=-1)), 2, axis=-1) for p in pair)
+    theta = _anchor(_lift(pair[1], ts, z1) - _lift(pair[0], ts, z0), u0, u1)
+    e = _phases(u0, u1).sum(axis=-1)
     # eigenvalues leaving 0 downward at t0, or reaching it from below at t1,
     # are end crossings: put them at 2 pi so that no cell counts them
     k0, k1 = start.intersection_dim, end.intersection_dim

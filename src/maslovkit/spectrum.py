@@ -292,17 +292,15 @@ def perturbation_cluster_bounds(n: int, k: int, a: float,
     return lower, upper
 
 
-def agreement_cases(n_max: int = 5, m_max: int = 4,
-                    prof: Optional[CoefficientProfile] = None,
-                    step: float = 1e-3) -> Iterator[tuple]:
-    """Both index routes over the (n, k, m) grid 2 <= n <= n_max, 1 <= k < n,
-    1 <= m <= m_max, at the midpoint level z* of `prof` with the slope a that
-    makes a Cz(z*)/2 = m pi.
+def agreement_cases(n_max: int = 5, m_max: int = 4) -> Iterator[tuple]:
+    """Both index routes, the ODE one at its default step, over 2 <= n <= n_max,
+    1 <= k < n, 1 <= m <= m_max, at the midpoint level z* of the eps = 0.1,
+    delta = 0.05 handle profile with the slope a that makes a Cz(z*)/2 = m pi.
 
     Yields (n, k, m, a Cz, formula index, (ode index, diagnostics),
     cluster bounds).
     """
-    prof = prof or CoefficientProfile.from_handle_params(0.1, 0.05)
+    prof = CoefficientProfile.from_handle_params(0.1, 0.05)
     z_star = 0.5 * (prof.z_min + prof.z_max)
     cz = float(prof.cz(z_star))
     for n in range(2, n_max + 1):
@@ -310,18 +308,16 @@ def agreement_cases(n_max: int = 5, m_max: int = 4,
             for m in range(1, m_max + 1):
                 a = 2.0 * np.pi * m / cz
                 yield (n, k, m, a * cz, handle_rs_index(n, k, a, cz),
-                       handle_rs_index_ode(n, k, a, prof, z_star, step=step),
+                       handle_rs_index_ode(n, k, a, prof, z_star),
                        perturbation_cluster_bounds(n, k, a, cz))
 
 
-def sweep_rows(n_max: int = 5, m_max: int = 4,
-               prof: Optional[CoefficientProfile] = None,
-               step: float = 1e-3) -> List[list]:
+def sweep_rows(n_max: int = 5, m_max: int = 4) -> List[list]:
     """CSV rows comparing the formula and ODE routes over a (n, k, m) grid."""
     header = ["n", "k", "m", "aCz", "mu_RS_formula_halves", "mu_RS_ode_halves",
               "cluster1_lo", "cluster1_hi", "cluster2_lo", "cluster2_hi"]
     return [header] + [
         [n, k, m, acz, f.halves, o.halves, l1, h1, l2, h2]
         for n, k, m, acz, f, (o, _), ((l1, h1), (l2, h2))
-        in agreement_cases(n_max, m_max, prof, step)
+        in agreement_cases(n_max, m_max)
     ]

@@ -376,12 +376,10 @@ def beta_envelope_suite(grid: int = 10_000) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def spectrum_agreement_suite(n_max: int = 5, m_max: int = 4,
-                             step: float = 1e-4) -> SuiteResult:
+def spectrum_agreement_suite(n_max: int = 5, m_max: int = 4) -> SuiteResult:
     failures: List[str] = []
     cases = 0
-    for n, k, m, _, f, (o, diag), ((l1, h1), (l2, h2)) in agreement_cases(
-            n_max, m_max, step=step):
+    for n, k, m, _, f, (o, diag), ((l1, h1), (l2, h2)) in agreement_cases(n_max, m_max):
         cases += 1
         if f != o:
             failures.append(f"(n={n}, k={k}, m={m}): formula {f} != ode {o}")

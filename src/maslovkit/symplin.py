@@ -278,8 +278,8 @@ class LagrangianPath:
     whole array of times in it, and `frame_array`, `frame`, `endpoint_frames`
     and `validate` are derived from it.  Concrete paths are `GeneratorPath`
     (the flow expm(J S (t - t0)) of a constant quadratic Hamiltonian applied
-    to an initial frame), `SampledPath` (a dense table with linear frame
-    interpolation), `ConstantPath`, or `FunctionPath` (an arbitrary closed
+    to an initial frame), `SampledPath` (frames at node times, linear
+    between nodes), `ConstantPath`, or `FunctionPath` (an arbitrary closed
     form; not serializable).  `generator` reports the constant symmetric S
     with F' = J S F where the path knows one: a `GeneratorPath`, a
     `ConstantPath` (S = 0), a path of S = 0 moved by a `GeneratorPath` Psi
@@ -289,7 +289,6 @@ class LagrangianPath:
 
     n: int
     domain: tuple
-    sample_resolution: int
 
     def frames(self, ts) -> np.ndarray:
         """Frames at any 1-D array of times in the domain, shape (len(ts), 2n, n).
@@ -319,16 +318,13 @@ class LagrangianPath:
         lo, hi = self.domain
         if not (lo - 1e-12 <= t0 < t1 <= hi + 1e-12):
             raise DimensionMismatchError(f"[{t0}, {t1}] is not inside {self.domain}")
-        return _DerivedPath(self.n, self.frames, (t0, t1), self.sample_resolution,
-                            self.generator())
+        return _DerivedPath(self.n, self.frames, (t0, t1), self.generator())
 
     def reparametrized(self, tau: Callable[[float], float],
                        domain: tuple = (0.0, 1.0)) -> "LagrangianPath":
         """Precompose with a monotone time change ``tau``."""
         return _DerivedPath(
-            self.n, lambda ts: self.frames([tau(float(t)) for t in ts]), domain,
-            self.sample_resolution,
-        )
+            self.n, lambda ts: self.frames([tau(float(t)) for t in ts]), domain)
 
     def transformed(self, mat_path) -> "LagrangianPath":
         """Apply a (time-dependent) symplectic matrix to every frame.
@@ -361,7 +357,7 @@ class LagrangianPath:
                         f"a path with n = {self.n} on {self.domain}")
                 return m
         return _DerivedPath(self.n, lambda ts: mats(ts) @ self.frames(ts),
-                            self.domain, self.sample_resolution, generator)
+                            self.domain, generator)
 
     def validate(self, samples: int = 7) -> None:
         t0, t1 = self.domain
@@ -375,11 +371,10 @@ class LagrangianPath:
 class _DerivedPath(LagrangianPath):
     """A path built from other paths by a batched map ``ts -> frames``."""
 
-    def __init__(self, n, frames_of, domain, sample_resolution, generator=None):
+    def __init__(self, n, frames_of, domain, generator=None):
         self.n = n
         self._frames_of = frames_of
         self.domain = _domain(domain)
-        self.sample_resolution = sample_resolution
         self._generator = generator
 
     def frames(self, ts):
@@ -396,11 +391,10 @@ class FunctionPath(LagrangianPath):
     per t: this is the one path type that is not evaluated in a batch.
     """
 
-    def __init__(self, n, fn, domain=(0.0, 1.0), sample_resolution=512):
+    def __init__(self, n, fn, domain=(0.0, 1.0)):
         self.n = n
         self._fn = fn
         self.domain = _domain(domain)
-        self.sample_resolution = sample_resolution
 
     def frames(self, ts):
         return np.stack([np.asarray(self._fn(float(t)), dtype=float) for t in ts])
@@ -410,7 +404,6 @@ class ConstantPath(LagrangianPath):
     def __init__(self, frame: LagrangianFrame, domain=(0.0, 1.0)):
         self.n = frame.n
         self.domain = _domain(domain)
-        self.sample_resolution = 512
         self.base_frame = frame
 
     def frames(self, ts):
@@ -455,11 +448,9 @@ class GeneratorPath(LagrangianPath):
     that leaves the float range there raises `IntegrationError`.
     """
 
-    def __init__(self, s, frame0: LagrangianFrame, domain=(0.0, 1.0),
-                 sample_resolution=512):
+    def __init__(self, s, frame0: LagrangianFrame, domain=(0.0, 1.0)):
         self.n = frame0.n
         self.domain = _domain(domain)
-        self.sample_resolution = sample_resolution
         self._f0 = frame0.columns
         s = np.asarray(s, dtype=float)
         if not np.all(np.isfinite(s)):
@@ -533,15 +524,15 @@ class GeneratorPath(LagrangianPath):
             "domain": list(self.domain),
             "S": self._s.tolist(),
             "frame0": self._f0.tolist(),
-            "sample_resolution": self.sample_resolution,
         }
 
 
 class SampledPath(LagrangianPath):
-    """A dense sample table with linear frame interpolation."""
+    """Frames at strictly increasing node ``times``, linear between nodes, so
+    that `maslov` lifts det^2 in closed form at the nodes and refuses a
+    segment on which the interpolated frame degenerates."""
 
-    def __init__(self, times: Sequence[float], frames: np.ndarray,
-                 sample_resolution: Optional[int] = None):
+    def __init__(self, times: Sequence[float], frames: np.ndarray):
         times = np.asarray(times, dtype=float)
         frames = np.asarray(frames, dtype=float)
         if frames.ndim != 3 or frames.shape[0] != len(times):
@@ -551,13 +542,12 @@ class SampledPath(LagrangianPath):
         self.n = frames.shape[2]
         if frames.shape[1] != 2 * self.n:
             raise DimensionMismatchError("frames must have shape (T, 2n, n)")
-        self._times = times
+        self.times = times
         self._frames = frames
         self.domain = _domain((times[0], times[-1]))
-        self.sample_resolution = sample_resolution or len(times)
 
     def frames(self, ts):
-        times = self._times
+        times = self.times
         ts = np.clip(np.asarray(ts, dtype=float), times[0], times[-1])
         i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
         w = ((ts - times[i]) / (times[i + 1] - times[i]))[:, None, None]
@@ -568,9 +558,8 @@ class SampledPath(LagrangianPath):
             "schema": "v1",
             "n": self.n,
             "kind": "samples",
-            "times": self._times.tolist(),
+            "times": self.times.tolist(),
             "frames": self._frames.tolist(),
-            "sample_resolution": self.sample_resolution,
         }
 
 
@@ -594,14 +583,10 @@ def path_from_json(obj: dict) -> LagrangianPath:
         return GeneratorPath(
             _float_array(obj["S"], "S"),
             LagrangianFrame.from_columns(_float_array(obj["frame0"], "frame0")),
-            tuple(domain),
-            expect(obj.get("sample_resolution", 512), int, "sample_resolution"),
-        )
+            tuple(domain))
     if kind == "samples":
         return SampledPath(
-            _float_array(obj["times"], "times"), _float_array(obj["frames"], "frames"),
-            expect(obj.get("sample_resolution"), (int, type(None)), "sample_resolution"),
-        )
+            _float_array(obj["times"], "times"), _float_array(obj["frames"], "frames"))
     raise DimensionMismatchError(f"unknown path kind {kind!r}")
 
 
@@ -653,13 +638,9 @@ def direct_sum_paths(p1: LagrangianPath, p2: LagrangianPath) -> LagrangianPath:
     s = None if s1 is None or s2 is None else np.hstack(
         [direct_sum_frames(s1[:, :p1.n], s2[:, :p2.n]),
          direct_sum_frames(s1[:, p1.n:], s2[:, p2.n:])])
-    return _DerivedPath(
-        p1.n + p2.n,
-        lambda ts: direct_sum_frames(p1.frames(ts), p2.frames(ts)),
-        p1.domain,
-        max(p1.sample_resolution, p2.sample_resolution),
-        s,
-    )
+    return _DerivedPath(p1.n + p2.n,
+                        lambda ts: direct_sum_frames(p1.frames(ts), p2.frames(ts)),
+                        p1.domain, s)
 
 
 def random_symplectic(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

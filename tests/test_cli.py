@@ -12,6 +12,7 @@ from maslovkit import cli
 from maslovkit.cli import build_parser
 from maslovkit.errors import IrregularCrossingError
 from maslovkit.suites import SUITES, _run_cases, run_suite, suite_args
+from maslovkit.symplin import LagrangianFrame, SampledPath, rotation_path
 
 
 def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
@@ -69,6 +70,10 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     # a certificate grid of negative resolution, a negative sample count
     ["handle-certify", "--eps", "0.1", "--delta", "0.05", "--resolution", "-5"],
     ["profile-build", "--samples", "-5", "--format", "csv"],
+    # a sampled path whose interpolated frame passes through zero
+    ["rs-index", "--json", json.dumps({
+        "path0": {"kind": "samples", "times": [0, 1], "frames": [[[1], [0]], [[-1], [0]]]},
+        "path1": {"kind": "generator", "S": [[0, 0], [0, 0]], "frame0": [[0], [1]]}})],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert cli.main(argv) == 2
@@ -99,6 +104,28 @@ def test_handle_index_with_angle(capsys):
     argv = ["handle-index", "--n", "3", "--k", "1", "--aCz", repr(4 * math.pi)]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["halves"] == 9
+
+
+def test_handle_index_sweep_to_m_8(capsys):
+    # the ODE route's Richardson check holds at the sweep's step to m = 8
+    assert cli.main(["handle-index", "--sweep", "--m-max", "8"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 10 * 8
+    assert all(r["mu_RS_formula_halves"] == r["mu_RS_ode_halves"] for r in rows)
+
+
+def test_rs_index_ignores_an_old_sample_resolution(capsys):
+    # the line turns from 0 to 5 pi / 4 and passes the vertical once, upward
+    ts = np.linspace(0.0, 1.0, 25)
+    path0 = SampledPath(ts, rotation_path(1, 1.25 * np.pi).frames(ts)).to_json()
+    path1 = rotation_path(1, 0.0, frame0=LagrangianFrame.vertical(1)).to_json()
+    assert "sample_resolution" not in path0 and "sample_resolution" not in path1
+    halves = []
+    for old in ({}, {"sample_resolution": 7}):
+        doc = {"path0": {**path0, **old}, "path1": {**path1, **old}}
+        assert cli.main(["rs-index", "--json", json.dumps(doc)]) == 0
+        halves.append(json.loads(capsys.readouterr().out)["halves"])
+    assert halves == [2, 2]
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):

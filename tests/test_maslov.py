@@ -28,6 +28,7 @@ from maslovkit.symplin import (
     complex_structure,
     direct_sum_paths,
     lagrangian_intersection_dim,
+    random_symplectic,
     rotation_path,
 )
 
@@ -68,7 +69,6 @@ class CountingPath(LagrangianPath):
     def __init__(self, inner):
         self.inner = inner
         self.n, self.domain = inner.n, inner.domain
-        self.sample_resolution = inner.sample_resolution
         self.calls = 0
 
     def frames(self, ts):
@@ -338,12 +338,18 @@ class TestSpectralFlow:
 
     def test_unresolved_lift_raises(self):
         # the line turns by 0.45 pi within 1e-13: no grid of at most
-        # MAX_CELLS cells resolves det^2 there
+        # MAX_CELLS cells resolves det^2 of it read one time at a time, while
+        # the sampled path is lifted exactly at its nodes
         angles = np.array([0.1, 0.1, 0.1 + 0.45 * np.pi, 0.1 + 0.45 * np.pi])
         frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
         jump = SampledPath([0.0, 0.5, 0.5 + 1e-13, 1.0], frames)
+        vertical = ConstantPath(LagrangianFrame.vertical(1))
+        ts, lift = maslov._path_lift(jump)
+        assert list(ts) == [0.0, 0.5, 0.5 + 1e-13, 1.0]
+        assert lift[-1] - lift[0] == pytest.approx(0.9 * np.pi, abs=1e-12)
+        assert rs_index((jump, vertical)) == HalfInt(0)
         with pytest.raises(MaslovkitError, match="did not settle"):
-            rs_index((jump, ConstantPath(LagrangianFrame.vertical(1))))
+            rs_index((FunctionPath(1, jump.frame_array), vertical))
 
 
 class RightMultiplied(LagrangianPath):
@@ -352,7 +358,6 @@ class RightMultiplied(LagrangianPath):
     def __init__(self, inner, g):
         self.inner, self.g = inner, g
         self.n, self.domain = inner.n, inner.domain
-        self.sample_resolution = inner.sample_resolution
 
     def frames(self, ts):
         return self.inner.frames(ts) @ np.stack([self.g(float(t)) for t in ts])
@@ -489,6 +494,68 @@ class TestCertifiedLift:
         assert maslov._cells(rotation_path(1, 2 * maslov.MAX_CELLS)) == (512, False)
         assert maslov._cells(rotation_path(1, 1.0)) == (certified_cells(1, 1.0), True)
         assert maslov._cells(ConstantPath(LagrangianFrame.vertical(1))) == (1, True)
+
+
+def sampled_loop(seed):
+    """(loop, reference, sum k): a rotation loop of speeds k pi sampled at m
+    nodes and moved by a random symplectic Psi, against Psi vertical."""
+    rng = np.random.default_rng([19, seed])
+    n, m = rng.integers(1, 5), rng.integers(40, 401)
+    scale, k = rng.choice([0.5, 1.0, 2.0]), rng.integers(-3, 4, n)
+    psi = random_symplectic(n, rng, scale)
+    ts = np.linspace(0.0, 1.0, m)
+    loop = SampledPath(ts, psi @ rotation_path(n, k * np.pi).frames(ts))
+    ref = ConstantPath(LagrangianFrame.from_columns(psi @ LagrangianFrame.vertical(n).columns))
+    return loop, ref, int(np.sum(k))
+
+
+class TestSampledLift:
+    """A `SampledPath` is lifted in closed form at its nodes."""
+
+    def test_moved_rotation_loops_exact(self):
+        # loops on which a uniform doubling lift of the interpolated frames reads 0
+        for seed, total in ((9, -3), (396, 2), (456, -3)):
+            loop, ref, k = sampled_loop(seed)
+            assert k == total
+            assert det2_winding(loop) == total
+            index = rs_index((loop, ref))
+            assert index == HalfInt(2 * total)
+            assert crossing_halves(rs_crossings((loop, ref))) == index.halves
+
+    def test_crossing_at_a_node_on_a_floor_point_counted_once(self):
+        # n = 2, speeds -2 pi: both lines cross at 0.25 and 0.75, where the
+        # node 147/196 and the floor point 384/512 differ only by rounding
+        loop, ref, _ = sampled_loop(15)
+        got = rs_crossings((loop, ref))
+        assert [(round(c.time, 9), c.intersection_dim, c.crossing_form_signature)
+                for c in got] == [(0.25, 2, -2), (0.75, 2, -2)]
+
+    def test_a_cell_inside_a_segment_follows_its_rule(self):
+        loop, _, _ = sampled_loop(9)
+        nodes, lift = maslov._path_lift(loop)
+        assert np.array_equal(nodes, loop.times)
+        ts = np.unique(np.concatenate([nodes, np.linspace(0.0, 1.0, 1001)]))
+        fine = maslov._lift(loop, ts, maslov._complex(loop, ts))
+        assert np.max(np.abs(fine[np.isin(ts, nodes)] - lift)) < 1e-9
+
+    def test_a_turn_just_short_of_pi_is_exact(self):
+        # one segment turns the line by pi - 1e-3: the chord misses the origin
+        vertical = ConstantPath(LagrangianFrame.vertical(1))
+        ends = rotation_path(1, np.pi - 1e-3).frames([0.0, 1.0])
+        index = rs_index((SampledPath([0.0, 1.0], ends), vertical))
+        assert index == rs_index((rotation_path(1, np.pi - 1e-3), vertical)) == HalfInt(2)
+
+    def test_degenerate_segment_and_singular_node_refused(self):
+        vertical = ConstantPath(LagrangianFrame.vertical(1))
+        for turn in (np.pi, np.pi - 1e-8):
+            ends = rotation_path(1, turn).frames([0.0, 1.0])
+            flip = SampledPath([0.0, 1.0], ends)
+            for run in (rs_index, rs_crossings):
+                with pytest.raises(MaslovkitError, match=r"degenerates on \[0.0, 1.0\]"):
+                    run((flip, vertical))
+        zero = SampledPath([0.0, 0.5, 1.0], [[[1.0], [0.0]], [[0.0], [0.0]], [[1.0], [1.0]]])
+        with pytest.raises(MaslovkitError, match="t = 0.5 is singular"):
+            rs_index((zero, vertical))
 
 
 class TestDet2Winding:

@@ -29,7 +29,7 @@ A path's grid is certified when it reports a constant generator S
 a constant path moved by a `GeneratorPath`, their restrictions and direct
 sums): a uniform grid of
 
-    N = max(1, ceil((t1 - t0) |S|_2 (1 + z) / z)),  z = tan(pi / 16 n),
+    N = max(1, ceil((t1 - t0) |S|_2 (1 + z) / z)),  z = tan(pi / 8 n),
 
 cells, sized by that path's own S; a constant path takes one cell.  The bound
 is a Riccati comparison (Reid 1972).  At a cell start let Q be an orthonormal
@@ -43,37 +43,48 @@ and every block of P has norm at most |P| = |S|_2, so |Z'| <= |S| (1 + |Z|)^2.
 The comparison solution of z' = |S| (1 + z)^2, z(0) = 0, is
 |S| tau / (1 - |S| tau), so |Z| <= z while tau <= z / (|S| (1 + z)), the cell
 width.  The raw frame is U_Q (I + iZ) X with X real, so within a cell arg det^2
-moves by at most 2 n arctan z = pi/8: no turn can hide in a cell.  A lift on
-that grid whose steps are all at most pi/4 is returned as it is, with no
-midpoint pass; rounding on ill-conditioned frames can push a step past pi/4,
-and such a lift goes on as an uncertified one.  A `SampledPath` is lifted in
-closed form at its nodes, with no grid: on a segment det((1 - s) Z_a + s Z_b)
+moves by at most 2 n arctan z = pi/4: no turn can hide in a cell, and on any
+cell of a grid that refines two certified paths' own grids (the grid and the
+bisection halves of `rs_crossings`) the pair's theta moves by at most
+pi/2 < pi, so anchoring it there is exact.  A lift on that grid whose steps are
+all at most pi/4 is returned as it is, with no midpoint pass; the step test
+only guards rounding, which on ill-conditioned frames can push a step past
+pi/4, and such a lift goes on as an uncertified one.  A `SampledPath` is lifted
+in closed form at its nodes, with no grid: on a segment det((1 - s) Z_a + s Z_b)
 = det Z_a prod_j ((1 - s) + s nu_j), nu_j the eigenvalues of Z_a^-1 Z_b, and
 each factor runs straight from 1 to nu_j, so the segment, or a cell inside
 it, adds exactly 2 sum_j Arg nu_j.  A singular node, or a nu_j within
 `RAY_GAP` of (-inf, 0], where the interpolated frame degenerates, is refused.
 Any other path (another transform, a reparametrization, a `FunctionPath`),
 and one whose N exceeds `MAX_CELLS`, starts at `CELLS` cells and doubles
-until no step exceeds pi/4 and each step is the sum of its half steps.  Paths
-are evaluated in ``frames(ts)`` calls of at most `BATCH` times: per path and
-index, two on a certified grid or at the nodes (the end stencils, the grid)
-and three otherwise (and the midpoints) while the grid stays under `BATCH`.
+until no step exceeds pi/4 and each step is the sum of its half steps.
+
+Each path of an index is evaluated once, on its first grid (`_grid`: its
+nodes, its certified grid or `CELLS` cells), in ``frames(ts)`` calls of at
+most `BATCH` times; its lift and its end frames at ts[0] and ts[-1] come from
+that one evaluation.  So a certified or sampled path takes one ``frames``
+call per index while its grid stays under `BATCH`, and any other path one
+more per doubling, on the midpoints.  One QR orthonormalizes the four end
+frames and one `_phases` call gives W's eigenphases at both ends.  The
+4-point end stencil is evaluated, and `_crossing` (the graph test for
+L0 ∩ L1, then the crossing form, a one-sided finite difference of the moving
+frame written as a graph over itself, only to refuse a degenerate end) run,
+only where some eigenphase is within `END_GAP` of 0: the graph test's
+smallest singular value is sqrt 2 sin(d/8), d that eigenphase's distance from
+0, so it finds no intersection at a farther end.  t0 is checked first, and an
+end is refused before the midpoint pass or the closed form runs.
 
 `rs_crossings` reads the eigenphases of W on one grid: both paths' own grids
-and the `CELLS` uniform cells' points not within `TIME_TOL` of them.  It
-refines each path's certified, checked or node grid, so theta is the sum of
-both paths' steps on it (`_lift`).  QR orthonormalizes only the frames whose
-eigenphases of W are needed: the two 4-point end stencils, and the grid and
-bisection points of `rs_crossings`.  Raw and orthonormalized phases differ by
-about eps cond(F), above `FLOW_TOL` on ill-conditioned frames, so `_anchor`
+(a certified or node grid as it is, a doubling path's settled one) and the
+`CELLS` uniform cells' points not within `TIME_TOL` of them.  It refines each
+path's own grid, so theta is the sum of both paths' steps on it (`_lift`, which
+still refuses a sampled segment by its nodes), and its end frames go to the
+same end check.  QR orthonormalizes only the frames whose eigenphases of W
+are needed: the end frames, a stencil at an end near a crossing, and the grid
+and bisection points of `rs_crossings`.  Raw and orthonormalized phases differ
+by about eps cond(F), above `FLOW_TOL` on ill-conditioned frames, so `_anchor`
 moves the raw lift's ends, and each grid and bisection point, to arg det V^2
-of those unitaries.  One `_phases` call gives W's eigenphases at both ends.  `_crossing` (the graph
-test for L0 ∩ L1, then the crossing form, a one-sided finite difference of the
-moving frame written as a graph over itself, only to refuse a degenerate end)
-runs only where some eigenphase is within `END_GAP` of 0: the graph test's
-smallest singular value is sqrt 2 sin(d/8), d that eigenphase's distance from
-0, so it finds no intersection at a farther end.  t0 is checked first, before
-the lift.
+of those unitaries.
 
 An index is an exact `HalfInt` or an error: a flow farther than `FLOW_TOL`
 from an integer raises `MaslovkitError`.
@@ -93,7 +104,7 @@ from .errors import (
     MaslovkitError,
 )
 from .halfint import HalfInt
-from .symplin import (RANK_TOL, LagrangianPath, SampledPath, complex_structure,
+from .symplin import (RANK_TOL, LagrangianFrame, LagrangianPath, SampledPath, complex_structure,
                       intersection_basis, lagrangian_intersection_dim, omega_matrix)
 
 TIME_TOL = 1e-10  # width, relative to the domain, at which rs_crossings stops
@@ -164,9 +175,14 @@ def _segment_steps(ts, z) -> np.ndarray:
 
 def _lift(path, ts, z) -> np.ndarray:
     """A continuous arg det^2 of the raw X + iY, z, of ``path`` at ts, a grid
-    that refines its own: the closed form on a `SampledPath`, else wrapped steps."""
-    step = (_segment_steps(ts, z) if isinstance(path, SampledPath)
-            else _wrap(np.diff(_det2(z))))
+    that refines its own: wrapped steps, or on a `SampledPath` the closed form,
+    each segment refused or kept by its nodes' rule before any finer cell's."""
+    if isinstance(path, SampledPath):
+        i = np.concatenate([[0], np.searchsorted(ts, path.times[1:-1]), [len(ts) - 1]])
+        step = _segment_steps(ts[i], z[i])
+        step = step if len(i) == len(ts) else _segment_steps(ts, z)
+    else:
+        step = _wrap(np.diff(_det2(z)))
     return _det2(z[:1]) + np.concatenate([[0.0], np.cumsum(step)])
 
 
@@ -200,11 +216,12 @@ def _turns(x) -> np.ndarray:
 
 
 def _cells(path):
-    """(cells, certified): the certified cell count when ``path`` reports a
-    generator and it needs at most `MAX_CELLS` cells, else `CELLS`."""
+    """(cells, certified): the certified cell count, z = tan(pi / 8 n), so that
+    det^2 turns by at most pi/4 per cell, when ``path`` reports a generator and
+    it needs at most `MAX_CELLS` cells, else `CELLS`."""
     s = path.generator()
     if s is not None:
-        (t0, t1), zeta = path.domain, np.tan(np.pi / (16 * path.n))
+        (t0, t1), zeta = path.domain, np.tan(np.pi / (8 * path.n))
         norm = np.linalg.svd(s, compute_uv=False)[0]  # |S|_2
         cells = max(1, int(np.ceil((t1 - t0) * norm * (1 + zeta) / zeta)))
         if cells <= MAX_CELLS:
@@ -212,25 +229,32 @@ def _cells(path):
     return CELLS, False
 
 
-def _path_lift(path):
-    """(grid, lift): a continuous arg of det(X + iY)^2 of the raw frames of
-    ``path`` on its own grid, unanchored.
+def _grid(path):
+    """(ts, settled): ``path``'s first grid, a `SampledPath`'s nodes (settled)
+    or `_cells` uniform cells (settled when certified)."""
+    if isinstance(path, SampledPath):
+        return path.times, True
+    cells, certified = _cells(path)
+    return np.linspace(*path.domain, cells + 1), certified
 
-    A `SampledPath`'s grid is its nodes, lifted in closed form.  Any other
-    grid starts at `_cells` cells; on a certified one (``path`` reports a
-    generator) a lift whose steps are all at most pi/4 is returned at once.
-    Otherwise the grid doubles, one ``frames`` pass on the new midpoints each
-    time, until no step exceeds pi/4 and every step is the sum of its halves.
+
+def _path_lift(path, ts, z, settled):
+    """(grid, lift): a continuous arg of det(X + iY)^2 of the raw frames of
+    ``path``, unanchored, from z, its raw X + iY on its first grid ts
+    (``_grid(path)``), with no further ``frames`` call on a settled grid.
+
+    A `SampledPath`'s nodes are lifted in closed form.  On a certified grid a
+    lift whose steps are all at most pi/4 is returned at once.  Otherwise the
+    grid doubles, one ``frames`` pass on the new midpoints each time, until no
+    step exceeds pi/4 and every step is the sum of its halves.
     """
     if isinstance(path, SampledPath):
-        return path.times, _lift(path, path.times, _complex(path, path.times))
-    cells, certified = _cells(path)
-    ts = np.linspace(*path.domain, cells + 1)
-    arg = _det2(_complex(path, ts))
+        return ts, _lift(path, ts, z)
+    arg = _det2(z)
     while True:
         step = _wrap(np.diff(arg))
         small = np.max(np.abs(step)) <= np.pi / 4
-        if certified and small:
+        if settled and small:
             break
         mid = _det2(_complex(path, (ts[:-1] + ts[1:]) / 2))
         halves = _wrap(mid - arg[:-1]) + _wrap(arg[1:] - mid)
@@ -238,34 +262,42 @@ def _path_lift(path):
             break
         if len(ts) > MAX_CELLS:
             raise MaslovkitError(f"det^2 argument did not settle on {len(ts) - 1} cells")
-        certified = False
+        settled = False
         ts = np.insert(ts, np.arange(1, len(ts)), (ts[:-1] + ts[1:]) / 2)
         arg = np.insert(arg, np.arange(1, len(arg)), mid)
     return ts, arg[0] + np.concatenate([[0.0], np.cumsum(step)])
 
 
-def _ends(pair):
-    """(U0, U1, eigenphases of W, crossing) at t0 and at t1, from one call per
-    path; `_crossing` runs only at an end with an eigenphase within `END_GAP`.
-
-    Raises `DimensionMismatchError` for paths of other n or domains, and
-    `IrregularCrossingError` at a degenerate end, t0 first.
-    """
+def _domain(pair):
+    """The pair's domain; raises `DimensionMismatchError` for paths of other n
+    or domains, before either path is evaluated."""
     path0, path1 = pair
     if path0.n != path1.n:
         raise DimensionMismatchError(f"paths have n={path0.n} and n={path1.n}")
     if np.max(np.abs(np.subtract(path0.domain, path1.domain))) > 1e-12:
         raise DimensionMismatchError(f"paths have domains {path0.domain} and {path1.domain}")
-    t0, t1 = path0.domain
+    return path0.domain
+
+
+def _ends(pair, z0, z1):
+    """(U0, U1, eigenphases of W, crossings), each stacked over (t0, t1), from
+    z0 and z1, the raw X + iY of each path at its ends: one QR of the four
+    frames and one `_phases` call.  The 4-point stencil is evaluated, and
+    `_crossing` run, only at an end with an eigenphase within `END_GAP`.
+    Raises `IrregularCrossingError` at a degenerate end, t0 first.
+    """
+    (t0, t1), n = pair[0].domain, pair[0].n
     h = min(FD_STEP, (t1 - t0) / 16.0)
     offsets, weights = _ONE_SIDED
-    stencil = np.concatenate([t0 + offsets * h, t1 - offsets * h])
-    u0, u1 = (_unitary(p, stencil) for p in pair)
-    phases = _phases(u0[[0, 4]], u1[[0, 4]])
+    z = np.concatenate([z0, z1])
+    q = np.linalg.qr(np.concatenate([z.real, z.imag], axis=-2))[0]
+    u0, u1 = np.split(q[:, :n] + 1j * q[:, n:], 2)
+    phases = _phases(u0, u1)
     gap = np.min(np.minimum(phases, 2 * np.pi - phases), axis=-1)
-    return [(u0[i], u1[i], p, Crossing(t, 0, 0, True) if d > END_GAP
-             else _crossing(t, u0[i:i + 4], u1[i:i + 4], weights, step))
-            for i, p, d, t, step in zip((0, 4), phases, gap, (t0, t1), (h, -h))]
+    return u0, u1, phases, [
+        Crossing(t, 0, 0, True) if d > END_GAP else
+        _crossing(t, *(_unitary(p, t + offsets * step) for p in pair), weights, step)
+        for d, t, step in zip(gap, (t0, t1), (h, -h))]
 
 
 def _crossing(t, u0, u1, weights, step) -> Crossing:
@@ -319,12 +351,16 @@ def rs_index(pair) -> HalfInt:
         MaslovkitError: the flow is not within `FLOW_TOL` of an integer, or
             the det^2 lift did not settle.
     """
-    (a0, a1, pa, start), (b0, b1, pb, end) = _ends(pair)
+    # each path evaluated once, on its first grid; its ends come from there
+    _domain(pair)
+    grids = [_grid(p) for p in pair]
+    zs = [_complex(p, ts) for p, (ts, _) in zip(pair, grids)]
+    u0, u1, (pa, pb), (start, end) = _ends(pair, *(z[[0, -1]] for z in zs))
     # arg det V^2 = arg det(U1)^2 - arg det(U0)^2, each path lifted alone; then
     # both ends anchored to the unitaries that give E there
-    (_, lift0), (_, lift1) = (_path_lift(p) for p in pair)
-    th0, th1 = _anchor(lift1[[0, -1]] - lift0[[0, -1]], np.stack([a0, b0]),
-                       np.stack([a1, b1]))
+    lift0, lift1 = (_path_lift(p, ts, z, settled)[1]
+                    for p, (ts, settled), z in zip(pair, grids, zs))
+    th0, th1 = _anchor(lift1[[0, -1]] - lift0[[0, -1]], u0, u1)
     k0, k1 = start.intersection_dim, end.intersection_dim
     flow = _turns(_end_phase_sum(pa, k0) + th1 - th0 - _end_phase_sum(pb, k1))
     return HalfInt(int(-2 * flow - k0 + k1))
@@ -341,12 +377,14 @@ def rs_crossings(pair) -> List[Crossing]:
     opposite directions within one cell of the grid cancel and are not
     listed.  The halves of the crossings sum to ``rs_index(pair).halves``.
     """
-    (_, _, pa, start), (_, _, pb, end) = _ends(pair)
-    t0, t1 = pair[0].domain
-    # both paths' own grids without their ends (domains may differ by rounding),
-    # and each floor point farther than TIME_TOL from them: a narrower cell
-    # would count a crossing at its ends twice
-    own = np.sort(np.concatenate([_path_lift(p)[0][1:-1] for p in pair] + [[t0, t1]]))
+    t0, t1 = _domain(pair)
+    # both paths' own grids (a doubling-loop path's settled one) without their
+    # ends (domains may differ by rounding), and each floor point farther than
+    # TIME_TOL from them: a narrower cell would count a crossing at its ends twice
+    grids = [_grid(p) for p in pair]
+    own = np.sort(np.concatenate([[t0, t1]] + [
+        (ts if settled else _path_lift(p, ts, _complex(p, ts), False)[0])[1:-1]
+        for p, (ts, settled) in zip(pair, grids)]))
     floor = np.linspace(t0, t1, CELLS + 1)
     i = np.searchsorted(own, floor)
     gap = np.minimum(own[i] - floor, floor - own[np.maximum(i - 1, 0)])
@@ -354,6 +392,7 @@ def rs_crossings(pair) -> List[Crossing]:
     # one ``frames`` pass per path: raw X + iY and unitary side by side
     (z0, u0), (z1, u1) = (np.split(_complex(p, ts, lambda f: np.concatenate(
         [f, np.linalg.qr(f)[0]], axis=-1)), 2, axis=-1) for p in pair)
+    _, _, (pa, pb), (start, end) = _ends(pair, z0[[0, -1]], z1[[0, -1]])
     theta = _anchor(_lift(pair[1], ts, z1) - _lift(pair[0], ts, z0), u0, u1)
     e = _phases(u0, u1).sum(axis=-1)
     # eigenvalues leaving 0 downward at t0, or reaching it from below at t1,
@@ -392,10 +431,13 @@ def det2_winding(loop: LagrangianPath) -> int:
     """Winding number of det^2 along a loop of Lagrangian subspaces, from the
     det^2 lift that `rs_index` uses; one farther than `FLOW_TOL` from an
     integer raises `MaslovkitError`."""
-    f0, f1 = loop.endpoint_frames()
+    ts, settled = _grid(loop)
+    z = _complex(loop, ts)
+    f0, f1 = (LagrangianFrame.from_columns(np.concatenate([e.real, e.imag]), validate=False)
+              for e in z[[0, -1]])
     if lagrangian_intersection_dim(f0, f1) != loop.n:
         raise EndpointMismatchError("loop endpoints span different subspaces")
-    _, lift = _path_lift(loop)
+    _, lift = _path_lift(loop, ts, z, settled)
     return int(_turns(lift[-1] - lift[0]))
 
 

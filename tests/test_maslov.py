@@ -95,9 +95,15 @@ class CountingGeneratorPath(CountingPath):
 
 
 def certified_cells(n, norm, length=1.0):
-    """The certified cell count, ceil(L |S| (1 + z) / z) with z = tan(pi / 16 n)."""
-    z = np.tan(np.pi / (16 * n))
+    """The certified cell count, ceil(L |S| (1 + z) / z) with z = tan(pi / 8 n)."""
+    z = np.tan(np.pi / (8 * n))
     return max(1, int(np.ceil(length * norm * (1 + z) / z)))
+
+
+def path_lift(path):
+    """`maslov._path_lift` of ``path`` from its frames on its first grid."""
+    ts, settled = maslov._grid(path)
+    return maslov._path_lift(path, ts, maslov._complex(path, ts), settled)
 
 
 class TestRsIndexAnchors:
@@ -124,10 +130,12 @@ class TestRsIndexAnchors:
             rs_index((rotation_path(1, np.pi), horizontal_ref(2)))
 
     def test_mismatched_domain_rejected(self):
-        p = rotation_path(1, np.pi)
-        q = rotation_path(1, np.pi, domain=(0.0, 2.0))
-        with pytest.raises(DimensionMismatchError):
-            rs_index((p, q))
+        p = CountingPath(rotation_path(1, np.pi))
+        q = CountingPath(rotation_path(1, np.pi, domain=(0.0, 2.0)))
+        for run in (rs_index, rs_crossings):
+            with pytest.raises(DimensionMismatchError):
+                run((p, q))
+        assert p.calls == q.calls == 0  # refused before either path is evaluated
 
     def test_irregular_crossing_raises_with_time(self):
         # identical constant paths cross degenerately everywhere
@@ -176,7 +184,19 @@ class TestBatchedEngine:
         with pytest.raises(IrregularCrossingError) as exc:
             rs_index((p, p))
         assert exc.value.time == 0.0
-        assert p.calls <= 8  # both factors of the start check, before the lift
+        # each factor's first grid, then its t0 stencil, before the lift
+        assert p.calls == 4
+
+    def test_degenerate_start_of_a_function_path_refused_before_the_midpoints(self):
+        # graph{(x, t^2 x)} meets R x 0 at t0 only, with a zero crossing form:
+        # its uncertified grid and the t0 stencil are read, no midpoints
+        p = CountingGeneratorPath(FunctionPath(1, lambda t: np.array([[1.0], [t * t]])))
+        ref = CountingGeneratorPath(horizontal_ref(1))
+        with pytest.raises(IrregularCrossingError) as exc:
+            rs_index((p, ref))
+        assert exc.value.time == 0.0
+        assert p.sizes == [maslov.CELLS + 1, 4]
+        assert ref.sizes == [2, 4]
 
     def test_crossing_counted_once(self):
         # ill-conditioned n=6 draw with one crossing near t = 0.709029, which
@@ -231,7 +251,8 @@ class TestEndGap:
                 assert sv[-1] == pytest.approx(np.sqrt(2) * np.sin(gap / 8), rel=1e-4, abs=1e-14)
                 meets = maslov.intersection_basis(b, diag).shape[1] > 0
                 assert gap <= maslov.END_GAP or not meets
-                start = maslov._ends(pair)[0][-1]
+                ends = [maslov._complex(p, [0.0, 0.1]) for p in pair]
+                start = maslov._ends(pair, *ends)[-1][0]
                 assert start == maslov._crossing(0.0, u0, u1, weights, h)
                 seen.add(meets)
         assert seen == {True, False}
@@ -255,6 +276,19 @@ class TestEndGap:
         with pytest.raises(IrregularCrossingError) as exc:
             rs_index((horizontal_ref(1), horizontal_ref(1)))
         assert exc.value.time == 0.0 and len(calls) == 1
+
+
+    def test_stencil_evaluated_only_at_a_crossing_end(self):
+        # speed 2 from the horizontal crosses it at t0 only: after each path's
+        # grid, the 4-point stencil at t0 and nothing at t1
+        p = CountingGeneratorPath(rotation_path(1, 2.0))
+        ref = CountingGeneratorPath(horizontal_ref(1))
+        assert rs_index((p, ref)) == HalfInt(1)
+        h = min(maslov.FD_STEP, 1.0 / 16)
+        for q in (p, ref):
+            grid, stencil = q.times
+            assert grid[0] == 0.0 and grid[-1] == 1.0
+            assert np.array_equal(stencil, maslov._ONE_SIDED[0] * h)
 
 
 class TestSpectralFlow:
@@ -319,10 +353,10 @@ class TestSpectralFlow:
         got = [(round(c.time, 9), c.intersection_dim, c.crossing_form_signature)
                for c in rs_crossings((p, horizontal_ref(2)))]
         assert got == [(0.0, 2, 0), (0.4, 1, -1), (round(2 / 3, 9), 1, 1), (0.8, 1, -1)]
-        # rotations whose own certified grids (763 and 6028 cells) are finer
+        # rotations whose own certified grids (547 and 3415 cells) are finer
         # than the 512-cell floor; at speed 1000 det^2 turns by 3.9 per floor
         # cell, so only the rotation's own grid resolves it
-        for s, cells in ((126.44, 763), (1000.0, 6028)):
+        for s, cells in ((160.0, 547), (1000.0, 3415)):
             assert certified_cells(1, s) == cells
             got = rs_crossings((rotation_path(1, s), horizontal_ref(1)))
             want = np.arange(int(s / np.pi) + 1) * np.pi / s
@@ -344,7 +378,7 @@ class TestSpectralFlow:
         frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
         jump = SampledPath([0.0, 0.5, 0.5 + 1e-13, 1.0], frames)
         vertical = ConstantPath(LagrangianFrame.vertical(1))
-        ts, lift = maslov._path_lift(jump)
+        ts, lift = path_lift(jump)
         assert list(ts) == [0.0, 0.5, 0.5 + 1e-13, 1.0]
         assert lift[-1] - lift[0] == pytest.approx(0.9 * np.pi, abs=1e-12)
         assert rs_index((jump, vertical)) == HalfInt(0)
@@ -378,7 +412,7 @@ def badly_conditioned(n):
 
 class TestRawFrameLift:
     """The det^2 lift reads det(X + iY) of the raw frames: only the end
-    stencils are orthonormalized."""
+    frames, and the stencil at an end near a crossing, are orthonormalized."""
 
     def test_rotation_lift_closed_form(self):
         # U = e^{i pi s t} for the rotation: its lift minus its start is
@@ -386,9 +420,9 @@ class TestRawFrameLift:
         for n, s in ((1, [2.5]), (2, [1.5, -2.5]), (3, [0.7, 3.0, -1.25]),
                      (6, [1.0, -2.0, 3.5, 0.25, -0.5, 2.0])):
             p, ref = rotation_path(n, np.array(s) * np.pi), horizontal_ref(n)
-            ts, lift = maslov._path_lift(p)
+            ts, lift = path_lift(p)
             assert np.max(np.abs(lift - lift[0] - 2 * np.pi * sum(s) * ts)) <= 1e-12
-            _, lift = maslov._path_lift(ref)
+            _, lift = path_lift(ref)
             assert np.max(np.abs(lift - lift[0])) <= 1e-12
 
     def test_invariant_under_real_frame_change(self):
@@ -416,7 +450,8 @@ class TestRawFrameLift:
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         rs_index((p0, p1))
-        assert sum(seen) == 2 * 8  # the two 4-point end stencils, per path
+        assert sum(seen) == 2 * 2  # the two end frames, per path, in one call
+        assert len(seen) == 1
 
 
 def det2_args(path, ts):
@@ -427,7 +462,8 @@ def det2_args(path, ts):
 
 class TestCertifiedLift:
     """A path that reports a generator is lifted on its own certified grid of
-    ceil(L |S|_2 (1 + z) / z) cells, z = tan(pi / 16 n), with no midpoint
+    ceil(L |S|_2 (1 + z) / z) cells, z = tan(pi / 8 n), on which det^2 turns
+    by at most pi/4 per cell, from one ``frames`` call and with no midpoint
     pass; the grid of `rs_crossings` refines both paths' own grids."""
 
     def test_cells_and_calls_of_a_rotation_against_a_constant(self):
@@ -436,27 +472,29 @@ class TestCertifiedLift:
             p = CountingGeneratorPath(rotation_path(n, s))
             ref = CountingGeneratorPath(ConstantPath(LagrangianFrame.vertical(n)))
             cells = certified_cells(n, max(np.abs(s)))
-            assert len(maslov._path_lift(p)[0]) == cells + 1
-            assert len(maslov._path_lift(ref)[0]) == 2
+            assert len(path_lift(p)[0]) == cells + 1
+            assert len(path_lift(ref)[0]) == 2
             p.sizes.clear()
             ref.sizes.clear()
             rs_index((p, ref))
-            # the two 4-point end stencils in one call, then each path's own
-            # grid in one more: the constant's is one cell
-            assert p.sizes == [8, cells + 1]
-            assert ref.sizes == [8, 2]
+            # each path's own grid in one call, its ends read from there: the
+            # constant's is one cell; the 4-point stencil only at t1 = 1 where
+            # a speed of 1.5 pi meets the vertical
+            stencil = [4] * int(np.any(np.isclose(np.cos(s), 0.0)))
+            assert p.sizes == [cells + 1] + stencil
+            assert ref.sizes == [2] + stencil
 
     def test_lift_matches_a_dense_lift(self):
         # the total turn of det^2 on each path's own certified grid against
         # np.unwrap on a grid 16 times denser, for each path and for the
-        # pair's difference; and each path's det^2 turns by at most pi/8 per
+        # pair's difference; and each path's det^2 turns by at most pi/4 per
         # own cell
         rng = np.random.default_rng(77)
         for n in range(1, 7):
             for scale in (2.0, 8.0):
                 for _ in range(2):
                     pair = (draw_generator_path(rng, n, scale), draw_generator_path(rng, n, scale))
-                    lifts = [maslov._path_lift(p) for p in pair]
+                    lifts = [path_lift(p) for p in pair]
                     norms = [np.linalg.norm(p.generator(), 2) for p in pair]
                     dense = np.linspace(0.0, 1.0, 16 * max(len(ts) - 1 for ts, _ in lifts) + 1)
                     total = np.unwrap(det2_args(pair[1], dense) - det2_args(pair[0], dense))
@@ -466,7 +504,7 @@ class TestCertifiedLift:
                     for p, norm, (ts, lift) in zip(pair, norms, lifts):
                         assert len(ts) == certified_cells(n, norm) + 1
                         step = np.abs(np.diff(np.unwrap(det2_args(p, ts))))
-                        assert np.max(step) <= np.pi / 8
+                        assert np.max(step) <= np.pi / 4
                         dense_p = np.unwrap(det2_args(p, np.linspace(0.0, 1.0, 16 * (len(ts) - 1) + 1)))
                         assert abs(lift[-1] - lift[0] - (dense_p[-1] - dense_p[0])) <= 1e-3
 
@@ -478,7 +516,7 @@ class TestCertifiedLift:
             assert rot.generator() is None
             assert rs_index((rot, vert)) == HalfInt.from_int(int(np.sum(ms)))
             cells = certified_cells(rot.n, np.linalg.norm(psi.generator(), 2))
-            assert vert.sizes == [8, cells + 1]
+            assert vert.sizes == [cells + 1]
 
     def test_crossings_keep_the_uncertified_grid_as_a_floor(self):
         # the certified grid is coarser than the 512-cell floor, and the grid
@@ -532,7 +570,7 @@ class TestSampledLift:
 
     def test_a_cell_inside_a_segment_follows_its_rule(self):
         loop, _, _ = sampled_loop(9)
-        nodes, lift = maslov._path_lift(loop)
+        nodes, lift = path_lift(loop)
         assert np.array_equal(nodes, loop.times)
         ts = np.unique(np.concatenate([nodes, np.linspace(0.0, 1.0, 1001)]))
         fine = maslov._lift(loop, ts, maslov._complex(loop, ts))
@@ -579,8 +617,8 @@ class TestDet2Winding:
             k = rng.integers(-3, 4, n)
             loop = CountingGeneratorPath(rotation_path(n, k * np.pi))
             assert det2_winding(loop) == np.sum(k)
-            # the two endpoint frames, then the certified grid in one call
-            assert loop.sizes == [2, certified_cells(n, np.max(np.abs(k)) * np.pi) + 1]
+            # the certified grid in one call; the endpoint check reads its ends
+            assert loop.sizes == [certified_cells(n, np.max(np.abs(k)) * np.pi) + 1]
 
     def test_endpoint_mismatch_rejected(self):
         with pytest.raises(EndpointMismatchError):

@@ -17,12 +17,15 @@ or reaches 0 from above at t1 adds 1/2, and the reverse directions subtract.
 Only the total change of arg det^2 and the spectra at the ends enter: interior
 crossings need not be regular, and none is located to compute the index.
 
-`_path_lift` is the one det^2 lift.  `rs_index` and `det2_winding` share
-it; it lifts one path alone: arg det V^2 = arg (det U1)^2 -
-arg (det U0)^2, so the index needs only each path's lift at its ends.  It reads
-det(X + iY) of the raw frames: (X; Y) = Q R with Q orthonormal and R real
-gives X + iY = U R, so det(X + iY)^2 = det U^2 det R^2 with det R^2 > 0, and
-only the unit phase (the `slogdet` sign) is kept, so no frame overflows.
+`_path_ends` gives each path's raw end frames and its det^2 lift at its ends;
+`rs_index` and `det2_winding` share it.  It lifts one path alone: arg det V^2 =
+arg (det U1)^2 - arg (det U0)^2, so the index needs only each path's lift at
+its ends.  `_path_lift` is the one det^2 lift of a path's own frames, and a
+path moved by a `GeneratorPath` is lifted from its parent's (below).
+`_path_lift` reads det(X + iY) of the raw frames: (X; Y) = Q R with Q
+orthonormal and R real gives X + iY = U R, so det(X + iY)^2 = det U^2 det R^2
+with det R^2 > 0, and only the unit phase (the `slogdet` sign) is kept, so no
+frame overflows.
 
 A path's grid is certified when it reports a constant generator S
 (`LagrangianPath.generator`, F' = J S F: a `GeneratorPath`, a `ConstantPath`,
@@ -59,20 +62,53 @@ Any other path (another transform, a reparametrization, a `FunctionPath`),
 and one whose N exceeds `MAX_CELLS`, starts at `CELLS` cells and doubles
 until no step exceeds pi/4 and each step is the sum of its half steps.
 
-Each path of an index is evaluated once, on its first grid (`_grid`: its
-nodes, its certified grid or `CELLS` cells), in ``frames(ts)`` calls of at
-most `BATCH` times; its lift and its end frames at ts[0] and ts[-1] come from
-that one evaluation.  So a certified or sampled path takes one ``frames``
-call per index while its grid stays under `BATCH`, and any other path one
-more per doubling, on the midpoints.  One QR orthonormalizes the four end
-frames and one `_phases` call gives W's eigenphases at both ends.  The
-4-point end stencil is evaluated, and `_crossing` (the graph test for
-L0 ∩ L1, then the crossing form, a one-sided finite difference of the moving
-frame written as a graph over itself, only to refuse a degenerate end) run,
-only where some eigenphase is within `END_GAP` of 0: the graph test's
-smallest singular value is sqrt 2 sin(d/8), d that eigenphase's distance from
-0, so it finds no intersection at a farther end.  t0 is checked first, and an
-end is refused before the midpoint pass or the closed form runs.
+A path G = Psi(t) F moved by a `GeneratorPath` Psi of generator S_Psi
+(`LagrangianPath.moved`) is lifted in three parts, and its own frames are
+never read for the lift.  Write Psi = [[A, B], [C, D]] in (x, y) order as
+Psi z = P z + Q conj(z), P = ((A + D) + i(C - B))/2, Q = ((A - D) + i(C + B))/2,
+so Z_G = P Z_F + Q conj(Z_F) and
+
+    det Z_G = det P det M det Z_F,  M = P^-1 Z_G Z_F^-1 = I + K conj(Z_F) Z_F^-1,
+
+K = P^-1 Q.  For symplectic Psi, |K|_2 < 1 and sigma_min(P) >= 1, and
+conj(Z_F) Z_F^-1 = conj(U_F U_F^T) is unitary, so every eigenvalue lambda_j of M
+has |lambda_j - 1| < 1 and Re lambda_j > 0: sum_j Arg lambda_j is continuous in
+t and is read at the two ends only.  An end where some Re lambda_j is below
+`END_TERM_TOL` is refused (the smallest seen on random Psi is about 2e-2 for
+cond Psi < 1e3 and 5e-4 up to 1e9).  P' = A_S P + B_S conj(Q), A_S and B_S the
+complex-linear and anti-linear parts of J S_Psi, and |conj(Q) P^-1| < 1, so
+
+    arg det P(t) = t tr(S_Psi)/2 + phi(t),  |phi'| <= n |B_S|_2 <= n |S_Psi|_2,
+
+and on a uniform grid of N_P = max(1, ceil(4 n |B_S|_2 (t1 - t0) / pi)) cells
+2 phi moves by at most pi/2 per cell (the largest |phi'| / n |B_S|_2 seen on
+100 random Psi is 0.86), so its wrapped steps are its exact steps; one above
+pi/2 is refused, with no fallback.  Then
+
+    Theta_G = Theta_F + 2 arg det P + 2 sum_j Arg lambda_j
+
+at the ends, Theta_F by F's own rule: a moved path is exactly as certified as
+its parent (a generator, sampled, doubling or another moved path), its ends
+come from F's end frames and Psi(t0), Psi(t1), and G's `frames` is called only
+for an end stencil.  `rs_crossings` still reads a moved path's own frames on
+its grid: its bisection needs theta on every cell, and the end term has no
+bound per cell.
+
+Each path of an index (for a moved path, its first unmoved ancestor) is
+evaluated once, on its first grid (`_grid`: its nodes, its certified grid or
+`CELLS` cells), in ``frames(ts)`` calls of at most `BATCH` times; its lift and
+its end frames at ts[0] and ts[-1] come from that one evaluation.  So a
+certified or sampled path takes one ``frames`` call per index while its grid
+stays under `BATCH`, and any other path one more per doubling, on the
+midpoints.  One QR orthonormalizes the four end frames and one `_phases` call
+gives W's eigenphases at both ends.  The 4-point end stencil is evaluated, and
+`_crossing` (the graph test for L0 ∩ L1, then the crossing form, a one-sided
+finite difference of the moving frame written as a graph over itself, only to
+refuse a degenerate end) run, only where some eigenphase is within `END_GAP`
+of 0: the graph test's smallest singular value is sqrt 2 sin(d/8), d that
+eigenphase's distance from 0, so it finds no intersection at a farther end.  t0
+is checked first, and an end is refused before the midpoint pass or the closed
+form runs.
 
 `rs_crossings` reads the eigenphases of W on one grid: both paths' own grids
 (a certified or node grid as it is, a doubling path's settled one) and the
@@ -114,6 +150,7 @@ FLOW_TOL = 1e-6  # largest distance of a flow, in turns, from its integer
 CELLS = 512  # the det^2 lift's first uncertified grid; rs_crossings' uniform floor
 MAX_CELLS = 2**16  # the det^2 lift doubles its grid up to this many cells
 RAY_GAP = 1e-6  # a sampled segment's nu this close in angle to (-inf, 0] is refused
+END_TERM_TOL = 1e-6  # a moved path's end term with some Re lambda_j below this is refused
 BATCH = 1024  # the most times in one ``frames`` call: bounds memory on fine grids
 # an eigenphase of W at distance d from 0 gives the graph test of `_crossing` the
 # smallest singular value sqrt 2 sin(d/8), above RANK_TOL for d > 8 RANK_TOL / sqrt 2
@@ -218,9 +255,12 @@ def _turns(x) -> np.ndarray:
 def _cells(path):
     """(cells, certified): the certified cell count, z = tan(pi / 8 n), so that
     det^2 turns by at most pi/4 per cell, when ``path`` reports a generator and
-    it needs at most `MAX_CELLS` cells, else `CELLS`."""
+    it needs at most `MAX_CELLS` cells, else `CELLS`; one cell, with no SVD,
+    for a constant path."""
     s = path.generator()
     if s is not None:
+        if not np.any(s):
+            return 1, True
         (t0, t1), zeta = path.domain, np.tan(np.pi / (8 * path.n))
         norm = np.linalg.svd(s, compute_uv=False)[0]  # |S|_2
         cells = max(1, int(np.ceil((t1 - t0) * norm * (1 + zeta) / zeta)))
@@ -243,13 +283,17 @@ def _path_lift(path, ts, z, settled):
     ``path``, unanchored, from z, its raw X + iY on its first grid ts
     (``_grid(path)``), with no further ``frames`` call on a settled grid.
 
-    A `SampledPath`'s nodes are lifted in closed form.  On a certified grid a
+    A `SampledPath`'s nodes are lifted in closed form, and a constant path
+    takes arg det^2 of its first frame everywhere.  On a certified grid a
     lift whose steps are all at most pi/4 is returned at once.  Otherwise the
     grid doubles, one ``frames`` pass on the new midpoints each time, until no
     step exceeds pi/4 and every step is the sum of its halves.
     """
     if isinstance(path, SampledPath):
         return ts, _lift(path, ts, z)
+    s = path.generator()
+    if s is not None and not np.any(s):
+        return ts, np.repeat(_det2(z[:1]), len(ts))
     arg = _det2(z)
     while True:
         step = _wrap(np.diff(arg))
@@ -266,6 +310,58 @@ def _path_lift(path, ts, z, settled):
         ts = np.insert(ts, np.arange(1, len(ts)), (ts[:-1] + ts[1:]) / 2)
         arg = np.insert(arg, np.arange(1, len(arg)), mid)
     return ts, arg[0] + np.concatenate([[0.0], np.cumsum(step)])
+
+
+def _complex_parts(m):
+    """(P, Q) with M z = P z + Q conj(z) on C^n, for stacked real 2n x 2n M."""
+    n = m.shape[-1] // 2
+    a, b, c, d = m[..., :n, :n], m[..., :n, n:], m[..., n:, :n], m[..., n:, n:]
+    return ((a + d) + 1j * (c - b)) / 2, ((a - d) + 1j * (c + b)) / 2
+
+
+def _path_ends(path):
+    """(z, lift): the raw X + iY of ``path`` at its two ends, and a callable
+    that gives its det^2 lift there, unanchored.  Only z is evaluated here, so
+    that `_ends` can refuse an end before any lift runs.
+
+    A path G = Psi(t) F moved by a `GeneratorPath` recurses into its parent F
+    and is not evaluated itself: Z_G = P Z_F + Q conj(Z_F) at its ends, and its
+    lift is F's, plus 2 arg det P lifted on Psi's grid of N_P cells, plus
+    2 sum_j Arg lambda_j at the ends.  Any other path is evaluated on its first
+    grid (`_grid`) and lifted by `_path_lift`.
+    """
+    if path.moved is None:
+        ts, settled = _grid(path)
+        z = _complex(path, ts)
+        return z[[0, -1]], lambda: _path_lift(path, ts, z, settled)[1][[0, -1]]
+    psi, parent = path.moved
+    zf, parent_lift = _path_ends(parent)
+    n, (t0, t1), s = path.n, path.domain, psi.generator()
+    # |phi'| <= n |B_S|_2, so 2 phi turns by at most pi/2 per cell
+    speed = n * np.linalg.norm(_complex_parts(complex_structure(n) @ s)[1], 2)
+    ts = np.linspace(t0, t1, max(1, int(np.ceil(4 * speed * (t1 - t0) / np.pi))) + 1)
+    p, q = _complex_parts(psi.matrices(ts))
+    pe, qe = p[[0, -1]], q[[0, -1]]
+
+    def lift():
+        # 2 arg det P = t tr(S_Psi) + 2 phi: the wrapped steps of 2 phi are exact
+        drift = np.trace(s) * np.diff(ts)
+        step = _wrap(np.diff(_det2(p)) - drift)
+        if np.max(np.abs(step)) > np.pi / 2:
+            raise MaslovkitError(f"arg det P turned by more than pi/2 on a cell of [{t0}, {t1}]")
+        # the end term: the eigenvalues of M = I + K conj(U_F U_F^T), K = P^-1 Q
+        u = np.linalg.qr(np.concatenate([zf.real, zf.imag], axis=-2))[0]
+        u = u[:, :n] + 1j * u[:, n:]
+        k = np.linalg.solve(pe, qe)
+        lam = np.linalg.eigvals(np.eye(n) + k @ np.conj(u @ np.swapaxes(u, -1, -2)))
+        re = np.min(lam.real, axis=-1)
+        if np.min(re) < END_TERM_TOL:
+            raise MaslovkitError(f"the end term at t = {(t0, t1)[np.argmin(re)]} has an eigenvalue "
+                                 f"of real part {np.min(re):.3g}; Psi is too ill-conditioned")
+        return (parent_lift() + _det2(p[:1]) + np.array([0.0, np.sum(drift + step)])
+                + 2 * np.angle(lam).sum(axis=-1))
+
+    return pe @ zf + qe @ np.conj(zf), lift
 
 
 def _domain(pair):
@@ -348,19 +444,19 @@ def rs_index(pair) -> HalfInt:
         IrregularCrossingError: the crossing form at an end is degenerate; the
             caller must perturb (degenerate chords are handled upstream, never
             silently perturbed here).
-        MaslovkitError: the flow is not within `FLOW_TOL` of an integer, or
-            the det^2 lift did not settle.
+        MaslovkitError: the flow is not within `FLOW_TOL` of an integer, the
+            det^2 lift did not settle, or a moved path's arg det P step or end
+            term failed its certificate.
     """
-    # each path evaluated once, on its first grid; its ends come from there
+    # each path evaluated once, on its first grid (a moved path's parent on
+    # its own); its ends come from there
     _domain(pair)
-    grids = [_grid(p) for p in pair]
-    zs = [_complex(p, ts) for p, (ts, _) in zip(pair, grids)]
-    u0, u1, (pa, pb), (start, end) = _ends(pair, *(z[[0, -1]] for z in zs))
+    (z0, lift0), (z1, lift1) = (_path_ends(p) for p in pair)
+    u0, u1, (pa, pb), (start, end) = _ends(pair, z0, z1)
     # arg det V^2 = arg det(U1)^2 - arg det(U0)^2, each path lifted alone; then
     # both ends anchored to the unitaries that give E there
-    lift0, lift1 = (_path_lift(p, ts, z, settled)[1]
-                    for p, (ts, settled), z in zip(pair, grids, zs))
-    th0, th1 = _anchor(lift1[[0, -1]] - lift0[[0, -1]], u0, u1)
+    ends0, ends1 = lift0(), lift1()
+    th0, th1 = _anchor(ends1 - ends0, u0, u1)
     k0, k1 = start.intersection_dim, end.intersection_dim
     flow = _turns(_end_phase_sum(pa, k0) + th1 - th0 - _end_phase_sum(pb, k1))
     return HalfInt(int(-2 * flow - k0 + k1))
@@ -431,14 +527,13 @@ def det2_winding(loop: LagrangianPath) -> int:
     """Winding number of det^2 along a loop of Lagrangian subspaces, from the
     det^2 lift that `rs_index` uses; one farther than `FLOW_TOL` from an
     integer raises `MaslovkitError`."""
-    ts, settled = _grid(loop)
-    z = _complex(loop, ts)
+    z, lift = _path_ends(loop)
     f0, f1 = (LagrangianFrame.from_columns(np.concatenate([e.real, e.imag]), validate=False)
-              for e in z[[0, -1]])
+              for e in z)
     if lagrangian_intersection_dim(f0, f1) != loop.n:
         raise EndpointMismatchError("loop endpoints span different subspaces")
-    _, lift = _path_lift(loop, ts, z, settled)
-    return int(_turns(lift[-1] - lift[0]))
+    a, b = lift()
+    return int(_turns(b - a))
 
 
 def chord_maslov(flow_path: LagrangianPath, reference: LagrangianPath, n: int) -> HalfInt:

@@ -284,11 +284,16 @@ class LagrangianPath:
     with F' = J S F where the path knows one: a `GeneratorPath`, a
     `ConstantPath` (S = 0), a path of S = 0 moved by a `GeneratorPath` Psi
     (S_Psi), and their restrictions and direct sums.  Every other path,
-    including every other transform, reports None.
+    including every other transform, reports None.  `moved` is (Psi,
+    parent) on a path built as ``parent.transformed(Psi)`` with Psi a
+    `GeneratorPath`, and on its restrictions (the parent restricted), so that
+    `maslov` lifts it from its parent and Psi without evaluating its frames;
+    it is None on every other path.
     """
 
     n: int
     domain: tuple
+    moved: Optional[tuple] = None
 
     def frames(self, ts) -> np.ndarray:
         """Frames at any 1-D array of times in the domain, shape (len(ts), 2n, n).
@@ -318,13 +323,30 @@ class LagrangianPath:
         lo, hi = self.domain
         if not (lo - 1e-12 <= t0 < t1 <= hi + 1e-12):
             raise DimensionMismatchError(f"[{t0}, {t1}] is not inside {self.domain}")
-        return _DerivedPath(self.n, self.frames, (t0, t1), self.generator())
+        moved = None if self.moved is None else (
+            self.moved[0], self.moved[1].restricted(t0, t1))
+        return _DerivedPath(self.n, self.frames, (t0, t1), self.generator(), moved)
 
     def reparametrized(self, tau: Callable[[float], float],
                        domain: tuple = (0.0, 1.0)) -> "LagrangianPath":
-        """Precompose with a monotone time change ``tau``."""
-        return _DerivedPath(
-            self.n, lambda ts: self.frames([tau(float(t)) for t in ts]), domain)
+        """Precompose with a monotone time change ``tau``.
+
+        ``tau`` is called once on the whole array of times, and the result is
+        kept when it is a finite float array of their shape.  A ``tau`` that
+        takes one time only (raising `TypeError` or `ValueError` on an array),
+        or that gives anything else, is called once per time.
+        """
+
+        def frames(ts):
+            try:
+                s = np.asarray(tau(ts), dtype=float)
+            except (TypeError, ValueError):
+                s = None
+            if s is None or s.shape != ts.shape or not np.all(np.isfinite(s)):
+                s = [tau(float(t)) for t in ts]
+            return self.frames(s)
+
+        return _DerivedPath(self.n, frames, domain)
 
     def transformed(self, mat_path) -> "LagrangianPath":
         """Apply a (time-dependent) symplectic matrix to every frame.
@@ -335,16 +357,19 @@ class LagrangianPath:
         stacked, the path's frames evaluated in one call.  A path whose
         generator is zero (a constant one) moved by a `GeneratorPath` reports
         that path's S, since G = Psi(t) F gives G' = J S_Psi G; every other
-        transformed path reports None.
+        transformed path reports None.  A path moved by a `GeneratorPath`
+        records (Psi, this path) as its `moved`: `maslov.rs_index` and
+        `maslov.det2_winding` lift it from this path's lift and Psi, and never
+        evaluate its frames away from a crossing end.
         """
-        generator = None
+        generator = moved = None
         if isinstance(mat_path, GeneratorPath):
             if mat_path.n != self.n or np.max(
                     np.abs(np.subtract(mat_path.domain, self.domain))) > 1e-12:
                 raise DimensionMismatchError(
                     f"a generator path with n = {mat_path.n} on {mat_path.domain} cannot "
                     f"transform a path with n = {self.n} on {self.domain}")
-            mats = mat_path.matrices
+            mats, moved = mat_path.matrices, (mat_path, self)
             s = self.generator()
             if s is not None and not np.any(s):
                 generator = mat_path.generator()
@@ -357,7 +382,7 @@ class LagrangianPath:
                         f"a path with n = {self.n} on {self.domain}")
                 return m
         return _DerivedPath(self.n, lambda ts: mats(ts) @ self.frames(ts),
-                            self.domain, generator)
+                            self.domain, generator, moved)
 
     def validate(self, samples: int = 7) -> None:
         t0, t1 = self.domain
@@ -371,11 +396,12 @@ class LagrangianPath:
 class _DerivedPath(LagrangianPath):
     """A path built from other paths by a batched map ``ts -> frames``."""
 
-    def __init__(self, n, frames_of, domain, generator=None):
+    def __init__(self, n, frames_of, domain, generator=None, moved=None):
         self.n = n
         self._frames_of = frames_of
         self.domain = _domain(domain)
         self._generator = generator
+        self.moved = moved
 
     def frames(self, ts):
         return self._frames_of(np.asarray(ts, dtype=float))

@@ -534,6 +534,160 @@ class TestCertifiedLift:
         assert maslov._cells(ConstantPath(LagrangianFrame.vertical(1))) == (1, True)
 
 
+def recipe_pairs(seed):
+    """(moved, base, psi) of the moved-rotation recipe: a rotation of speeds
+    ms pi + U(-0.3, 0.3) against the vertical, and both moved by the
+    `GeneratorPath` Psi of S = sym(N(0, scale^2)); the base pair's index is
+    sum ms in closed form."""
+    rng = np.random.default_rng([77, seed])
+    n, scale = int(rng.integers(1, 7)), float(rng.choice([1.0, 2.0, 3.0]))
+    ms = rng.integers(-3, 4, n)
+    b = rng.normal(size=(2 * n, 2 * n), scale=scale)
+    psi = GeneratorPath((b + b.T) / 2, LagrangianFrame.horizontal(n))
+    base = (rotation_path(n, ms * np.pi + rng.uniform(-0.3, 0.3, n)),
+            ConstantPath(LagrangianFrame.vertical(n)))
+    return tuple(p.transformed(psi) for p in base), base, psi
+
+
+def complex_parts(m):
+    """(P, Q) of the real-linear map m on C^n, P z + Q conj(z), read off the
+    images of the real and imaginary unit vectors."""
+    n = m.shape[-1] // 2
+    e, ie = m[..., :n, :n] + 1j * m[..., n:, :n], m[..., :n, n:] + 1j * m[..., n:, n:]
+    return (e - 1j * ie) / 2, (e + 1j * ie) / 2
+
+
+def unitary_frame(rng, n):
+    """A random orthonormal Lagrangian frame (X; Y), X + iY unitary."""
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return np.vstack([u.real, u.imag])
+
+
+class TestMovedLift:
+    """A path G = Psi(t) F moved by a `GeneratorPath` is lifted from its
+    parent F's lift, 2 arg det P on a grid of N_P cells and 2 sum_j Arg lambda_j
+    at the ends, where Psi z = P z + Q conj(z) and lambda_j are the eigenvalues
+    of M = P^-1 Z_G Z_F^-1; G's own frames are never evaluated for that."""
+
+    def test_complex_form_and_end_eigenvalues(self):
+        # Z_G = P Z_F + Q conj(Z_F), and every lambda_j has Re > 0 and
+        # |lambda_j - 1| < 1, for cond Psi from 1 to 1e9
+        rng = np.random.default_rng(60)
+        conds = []
+        for n in range(1, 7):
+            for scale in (0.5, 1.0, 2.0, 3.0, 4.0):
+                a = rng.normal(size=(2 * n, 2 * n), scale=scale)
+                m = expm(complex_structure(n) @ (a + a.T) / 2)
+                if np.linalg.cond(m) > 1e9:
+                    continue
+                conds.append(np.linalg.cond(m))
+                f = unitary_frame(rng, n)
+                g = m @ f
+                zf, zg = f[:n] + 1j * f[n:], g[:n] + 1j * g[n:]
+                p, q = maslov._complex_parts(m)
+                assert np.array_equal(np.stack([p, q]), np.stack(complex_parts(m)))
+                assert np.linalg.norm(p @ zf + q @ np.conj(zf) - zg) <= 1e-13 * np.linalg.norm(g)
+                lam = np.linalg.eigvals(np.linalg.solve(p, zg) @ np.linalg.inv(zf))
+                assert np.min(lam.real) > 0 and np.max(np.abs(lam - 1)) < 1
+        assert min(conds) < 10 and max(conds) > 1e8
+
+    def test_arg_det_p_speed_bound(self):
+        # arg det P = t tr(S)/2 + phi with |phi'| <= n |B_S|_2, B_S the
+        # anti-linear part of J S, checked on a grid of 20001 points
+        rng = np.random.default_rng(61)
+        ratios = []
+        for _ in range(100):
+            n, scale = int(rng.integers(1, 7)), float(rng.choice([1.0, 2.0, 3.0]))
+            a = rng.normal(size=(2 * n, 2 * n), scale=scale)
+            s = (a + a.T) / 2
+            psi = GeneratorPath(s, LagrangianFrame.horizontal(n))
+            ts = np.linspace(0.0, 1.0, 20001)
+            p, _ = maslov._complex_parts(psi.matrices(ts))
+            phi = np.unwrap(np.angle(np.linalg.det(p))) - ts * np.trace(s) / 2
+            bound = n * np.linalg.norm(complex_parts(complex_structure(n) @ s)[1], 2)
+            ratios.append(np.max(np.abs(np.diff(phi))) / (ts[1] * bound))
+        assert max(ratios) <= 1.0
+
+    def test_moved_total_matches_a_dense_lift(self):
+        # the split's total against np.unwrap of arg det^2 of the moved frames
+        # on 2^16 + 1 points, for well-conditioned Psi; parents certified,
+        # constant, restricted and themselves moved
+        rng = np.random.default_rng(62)
+        dense = np.linspace(0.0, 1.0, 2**16 + 1)
+        for n in (1, 2, 3, 4, 6):
+            psi = GeneratorPath(draw_generator_path(rng, n, 1.0).generator(),
+                                LagrangianFrame.horizontal(n))
+            assert np.linalg.cond(psi.matrix(1.0)) < 1e3
+            rot = rotation_path(n, rng.uniform(-3.0, 3.0, n) * np.pi)
+            for moved in (rot.transformed(psi),
+                          draw_generator_path(rng, n, 2.0).transformed(psi),
+                          ConstantPath(LagrangianFrame.vertical(n)).transformed(psi),
+                          rot.transformed(psi).transformed(psi)):
+                z, lift = maslov._path_ends(moved)
+                f = moved.frames([0.0, 1.0])
+                scale = np.max(np.abs(f))
+                assert np.allclose(z, f[:, :n] + 1j * f[:, n:], rtol=0, atol=1e-12 * scale)
+                want = np.unwrap(det2_args(moved, dense))
+                got = lift()
+                assert abs((got[1] - got[0]) - (want[-1] - want[0])) <= 1e-6
+            part = rot.transformed(psi).restricted(0.3, 0.8)
+            assert part.moved[0] is psi and part.moved[1].domain == (0.3, 0.8)
+            got = maslov._path_ends(part)[1]()
+            want = np.unwrap(det2_args(part, np.linspace(0.3, 0.8, 2**16 + 1)))
+            assert abs((got[1] - got[0]) - (want[-1] - want[0])) <= 1e-6
+
+    def test_recipe_seeds_the_frame_grid_got_wrong(self):
+        # the 513-point grid and its doubling read 0 and 1 here
+        for seed, index in ((193, 1), (216, 2)):
+            moved, base, _ = recipe_pairs(seed)
+            assert rs_index(base) == rs_index(moved) == HalfInt.from_int(index)
+
+    def test_transverse_moved_pair_never_evaluates_its_frames(self):
+        rng = np.random.default_rng(63)
+        n = 3
+        psi = GeneratorPath(draw_generator_path(rng, n, 1.0).generator(),
+                            LagrangianFrame.horizontal(n))
+        rot = CountingGeneratorPath(rotation_path(n, [2.2, -1.1, 3.3]))
+        vert = CountingGeneratorPath(ConstantPath(LagrangianFrame.vertical(n)))
+        pair = (rot.transformed(psi), vert.transformed(psi))
+        calls = []
+        for p in pair:
+            p.frames = lambda ts, f=p.frames: calls.append(len(ts)) or f(ts)
+        assert rs_index(pair) == rs_index((rot, vert))
+        assert calls == []
+        cells = certified_cells(n, 3.3)
+        assert rot.sizes == [cells + 1] * 2 and vert.sizes == [2] * 2
+        # Psi(t) = e^{i pi t} turns det^2 once more per factor, and Psi(1) = -1
+        # closes the loop
+        loop = rotation_path(n, [np.pi, -2 * np.pi, 3 * np.pi])
+        moved_loop = loop.transformed(GeneratorPath(np.pi * np.eye(2 * n),
+                                                    LagrangianFrame.horizontal(n)))
+        moved_loop.frames = lambda ts: calls.append(len(ts))
+        assert det2_winding(moved_loop) == 2 + n and calls == []
+
+    def test_crossings_sum_to_the_moved_index(self):
+        # rs_crossings reads the moved pairs on their frame grids, rs_index by
+        # the split: the two routes agree on every pair
+        for seed in range(120):
+            moved, _, _ = recipe_pairs(seed)
+            assert crossing_halves(rs_crossings(moved)) == rs_index(moved).halves
+
+    def test_refused_where_a_certificate_fails(self, monkeypatch):
+        # a Psi that under-reports its generator: its arg det P grid of one
+        # cell turns by 2.4 - 0.024 > pi/2 there
+        psi = GeneratorPath(1.2 * np.eye(2), LagrangianFrame.horizontal(1))
+        monkeypatch.setattr(psi, "generator", lambda: 0.012 * np.eye(2))
+        pair = (rotation_path(1, 0.2).transformed(psi),
+                ConstantPath(LagrangianFrame.vertical(1)))
+        with pytest.raises(MaslovkitError, match="arg det P"):
+            rs_index(pair)
+        # an end term whose smallest Re lambda_j is under the tolerance
+        monkeypatch.setattr(maslov, "END_TERM_TOL", 2.0)
+        moved, _, _ = recipe_pairs(0)
+        with pytest.raises(MaslovkitError, match="end term"):
+            rs_index(moved)
+
+
 def sampled_loop(seed):
     """(loop, reference, sum k): a rotation loop of speeds k pi sampled at m
     nodes and moved by a random symplectic Psi, against Psi vertical."""

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -381,6 +382,42 @@ class TestBatchedFrames:
         base = _random_generator_path(3, rng)
         self.assert_batched(base.reparametrized(lambda t: t * t))
         self.assert_batched(base.restricted(0.25, 0.75), 0.25 + 0.5 * self.TS)
+
+    def test_reparametrized_tau_on_the_whole_array(self):
+        # a tau built on math takes one time at a time, and is called per time
+        # after it raises on the array; its NumPy twin takes the whole array in
+        # one call: the same frames and the same index
+        base = rotation_path(2, [1.5 * np.pi, -2.5 * np.pi])
+        shapes = {"math": [], "numpy": []}
+
+        def math_tau(u):
+            shapes["math"].append(np.shape(u))
+            return math.sinh(u) / math.sinh(1.0)
+
+        def numpy_tau(u):
+            shapes["numpy"].append(np.shape(u))
+            return np.sinh(u) / np.sinh(1.0)
+
+        one, other = base.reparametrized(math_tau), base.reparametrized(numpy_tau)
+        self.assert_close(one.frames(self.TS), other.frames(self.TS))
+        assert shapes == {"math": [self.TS.shape] + [()] * len(self.TS),
+                          "numpy": [self.TS.shape]}
+        vertical = ConstantPath(LagrangianFrame.vertical(2))
+        assert rs_index((one, vertical)) == rs_index((other, vertical)) == (
+            rs_index((base, vertical)))
+
+    def test_moved_paths_record_their_parent(self):
+        rng = np.random.default_rng(7)
+        base, psi = _random_generator_path(2, rng), _random_generator_path(2, rng)
+        moved = base.transformed(psi)
+        assert moved.moved[0] is psi and moved.moved[1] is base
+        part = moved.restricted(0.25, 0.75).restricted(0.3, 0.5)
+        assert part.moved[0] is psi and part.moved[1].domain == (0.3, 0.5)
+        ts = 0.3 + 0.2 * self.TS
+        self.assert_close(part.moved[1].frames(ts), base.frames(ts))
+        for q in (base, base.restricted(0.25, 0.75), base.reparametrized(lambda t: t),
+                  base.transformed(lambda t: psi.matrix(t)), direct_sum_paths(moved, moved)):
+            assert q.moved is None
 
     def test_generator_matrices(self):
         # both routes of `matrices`: closed form (eigenvectors accepted) and

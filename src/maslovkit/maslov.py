@@ -94,6 +94,18 @@ for an end stencil.  `rs_crossings` still reads a moved path's own frames on
 its grid: its bisection needs theta on every cell, and the end term has no
 bound per cell.
 
+A pair whose two paths are moved by one `GeneratorPath` object, such as
+(F.transformed(Psi), G.transformed(Psi)) or its restrictions, is indexed as
+its parents' pair (F, G): `_peel`, run right after `_domain`, compares Psi by
+identity and takes it off as often as it repeats.  By naturality
+(Robbin-Salamon 1993, Topology 32, Thm 2.3) mu(Psi L0, Psi L1) = mu(L0, L1),
+and the crossings stay too: Psi(t) maps L0 ∩ L1 onto the moved intersection,
+so the times and dimensions agree, and the term Psi^-1 Psi' that Psi adds to
+each path's crossing form is the same for both and cancels in their
+difference, so the signatures agree.  So `rs_crossings` peels as well, and Psi
+is never evaluated for such a pair.  A pair with one moved path, or moved by
+two Psi objects (even of one S), is lifted by the split above.
+
 Each path of an index (for a moved path, its first unmoved ancestor) is
 evaluated once, on its first grid (`_grid`: its nodes, its certified grid or
 `CELLS` cells), in ``frames(ts)`` calls of at most `BATCH` times; its lift and
@@ -375,6 +387,15 @@ def _domain(pair):
     return path0.domain
 
 
+def _peel(pair):
+    """The pair with every `GeneratorPath` that moves both its paths taken off,
+    compared by identity: (Psi L0, Psi L1) has the index and the crossings of
+    (L0, L1), so Psi is never evaluated."""
+    while all(p.moved is not None for p in pair) and pair[0].moved[0] is pair[1].moved[0]:
+        pair = tuple(p.moved[1] for p in pair)
+    return pair
+
+
 def _ends(pair, z0, z1):
     """(U0, U1, eigenphases of W, crossings), each stacked over (t0, t1), from
     z0 and z1, the raw X + iY of each path at its ends: one QR of the four
@@ -435,7 +456,9 @@ def rs_index(pair) -> HalfInt:
     Only the ends need be regular crossings (or no crossings); interior
     crossings may be degenerate or non-isolated, so a caller that perturbs
     irregular draws (``suites._run_cases``) replaces only those irregular at
-    an end.
+    an end.  A pair moved by one `GeneratorPath` object is indexed as its
+    parents' pair (naturality), with no evaluation of that Psi; any other
+    moved path is lifted from its parent's lift, arg det P and an end term.
 
     Args:
         pair: tuple (path0, path1) of `LagrangianPath` with equal n and domain.
@@ -451,6 +474,7 @@ def rs_index(pair) -> HalfInt:
     # each path evaluated once, on its first grid (a moved path's parent on
     # its own); its ends come from there
     _domain(pair)
+    pair = _peel(pair)
     (z0, lift0), (z1, lift1) = (_path_ends(p) for p in pair)
     u0, u1, (pa, pb), (start, end) = _ends(pair, z0, z1)
     # arg det V^2 = arg det(U1)^2 - arg det(U0)^2, each path lifted alone; then
@@ -472,8 +496,12 @@ def rs_crossings(pair) -> List[Crossing]:
     and its signature their net direction.  Eigenvalues that pass 0 in
     opposite directions within one cell of the grid cancel and are not
     listed.  The halves of the crossings sum to ``rs_index(pair).halves``.
+    A pair moved by one `GeneratorPath` object has its parents' crossings, at
+    the same times with the same dimensions and signatures, and is read as
+    that pair; any other pair is read on its own frames.
     """
     t0, t1 = _domain(pair)
+    pair = _peel(pair)
     # both paths' own grids (a doubling-loop path's settled one) without their
     # ends (domains may differ by rounding), and each floor point farther than
     # TIME_TOL from them: a narrower cell would count a crossing at its ends twice

@@ -129,9 +129,12 @@ def naturality_suite(seed: int = 0, cases: int = 100) -> SuiteResult:
         n = int(rng.integers(1, 3))
         p0, p1 = _random_generator_path(n, rng), _random_generator_path(n, rng)
         a = rng.normal(size=(2 * n, 2 * n))
-        psi = GeneratorPath((a + a.T) / 2, LagrangianFrame.horizontal(n))
+        # two Psi objects of one S: `rs_index` peels a Psi shared by both
+        # paths by identity, which would compare the base index with itself
+        psi0, psi1 = (GeneratorPath((a + a.T) / 2, LagrangianFrame.horizontal(n))
+                      for _ in range(2))
         base = rs_index((p0, p1))
-        moved = rs_index((p0.transformed(psi), p1.transformed(psi)))
+        moved = rs_index((p0.transformed(psi0), p1.transformed(psi1)))
         assert base == moved, f"naturality broke: {base} != {moved}"
 
     return _run_cases("maslov.naturality", cases, case, seed)

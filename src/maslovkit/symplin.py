@@ -286,9 +286,10 @@ class LagrangianPath:
     (S_Psi), and their restrictions and direct sums.  Every other path,
     including every other transform, reports None.  `moved` is (Psi,
     parent) on a path built as ``parent.transformed(Psi)`` with Psi a
-    `GeneratorPath`, and on its restrictions (the parent restricted), so that
-    `maslov` lifts it from its parent and Psi without evaluating its frames;
-    it is None on every other path.
+    `GeneratorPath`, and on its restrictions (the parent restricted, Psi the
+    same object), so that `maslov` lifts it from its parent and Psi without
+    evaluating its frames, and indexes a pair whose two paths record the same
+    Psi object as the pair of their parents; it is None on every other path.
     """
 
     n: int
@@ -360,7 +361,10 @@ class LagrangianPath:
         transformed path reports None.  A path moved by a `GeneratorPath`
         records (Psi, this path) as its `moved`: `maslov.rs_index` and
         `maslov.det2_winding` lift it from this path's lift and Psi, and never
-        evaluate its frames away from a crossing end.
+        evaluate its frames away from a crossing end.  Two paths moved by the
+        same Psi object are indexed, and their crossings listed, as the pair of
+        their parents, with no evaluation of Psi; moving both by Psi objects
+        built apart, even from one S, keeps the per-path lift.
         """
         generator = moved = None
         if isinstance(mat_path, GeneratorPath):
@@ -471,7 +475,10 @@ class GeneratorPath(LagrangianPath):
     largest entry.  Otherwise (a Jordan block, a nilpotent J S) `matrices`
     is one batched ``expm`` of (t - t0) J S and `frames` is that times F0.
     ``expm(J S (t1 - t0))`` is computed when the path is built, and a flow
-    that leaves the float range there raises `IntegrationError`.
+    that leaves the float range there raises `IntegrationError`.  The
+    eigenvectors, the cond(V) test, the probe and both kernels are built on
+    the first `matrices` or `frames` call, so a Psi that `maslov` peels off a
+    pair it moves costs only that ``expm``.
     """
 
     def __init__(self, s, frame0: LagrangianFrame, domain=(0.0, 1.0)):
@@ -487,12 +494,13 @@ class GeneratorPath(LagrangianPath):
         self._s = s
         self._js = complex_structure(self.n) @ s
         with np.errstate(over="ignore", invalid="ignore"):
-            psi1 = expm(self._js * (self.domain[1] - self.domain[0]))
-        _refuse_overflow(psi1)
-        self._eig = self._try_eig(psi1)
+            self._psi1 = expm(self._js * (self.domain[1] - self.domain[0]))
+        _refuse_overflow(self._psi1)
 
-    def _try_eig(self, psi1):
-        """(lambda, kernel for Id, kernel for F0), or None for the batched expm."""
+    @functools.cached_property
+    def _eig(self):
+        """(lambda, kernel for Id, kernel for F0), or None for the batched expm;
+        built on the first `matrices` or `frames` call, and never raises."""
         try:
             lam, v = np.linalg.eig(self._js)
             vinv = np.linalg.inv(v)
@@ -506,7 +514,7 @@ class GeneratorPath(LagrangianPath):
         length = self.domain[1] - self.domain[0]
         with np.errstate(over="ignore", invalid="ignore"):
             approx = _exp_sum(lam, k_eye, np.array([length]), np.eye(dim))[0]
-        if not np.max(np.abs(approx - psi1)) <= PROBE_TOL * np.max(np.abs(psi1)):
+        if not np.max(np.abs(approx - self._psi1)) <= PROBE_TOL * np.max(np.abs(self._psi1)):
             return None
         k_f0 = (k_eye.reshape(2 * dim, dim, dim) @ self._f0).reshape(2 * dim, -1)
         return lam, k_eye, k_f0

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from maslovkit.errors import (
     DegenerateFrameError,
     DimensionMismatchError,
+    IntegrationError,
     IrregularCrossingError,
     MaslovkitError,
     NonTransverseError,
@@ -435,6 +436,19 @@ class TestBatchedFrames:
             if p._eig is None:
                 # expm treats each matrix of the batch on its own
                 assert np.array_equal(batched, scalar)
+
+    def test_kernel_built_on_first_evaluation(self):
+        # the closed form's eigenvectors and kernels wait for the first
+        # `matrices` or `frames` call; the overflow check does not
+        rng = np.random.default_rng(8)
+        for evaluate in (lambda p: p.matrices(self.TS), lambda p: p.frames(self.TS)):
+            p = _random_generator_path(2, rng)
+            p.generator(), p.to_json()
+            assert "_eig" not in vars(p)
+            evaluate(p)
+            assert vars(p)["_eig"] is not None
+        with pytest.raises(IntegrationError, match="float range"):
+            GeneratorPath(np.array([[0.0, 800.0], [800.0, 0.0]]), LagrangianFrame.horizontal(1))
 
     def test_closed_form_matches_expm_off_the_unit_domain(self):
         # on (0.3, 2.3), at t0, t1, times 1/2048 of the domain from each end

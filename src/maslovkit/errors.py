@@ -13,10 +13,6 @@ class DegenerateFrameError(MaslovkitError):
     """A frame is rank deficient or violates the isotropy tolerance."""
 
 
-class NonTransverseError(MaslovkitError):
-    """An operation required transverse subspaces but got intersecting ones."""
-
-
 class IrregularCrossingError(MaslovkitError):
     """A crossing form is degenerate on the intersection.
 

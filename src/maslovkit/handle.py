@@ -240,12 +240,6 @@ def lyapunov_derivative(p, coeffs: dict, params: HandleParams):
     return float(out) if out.ndim == 0 else out
 
 
-def quadratic_model_flow(z0, k: int, t: float) -> np.ndarray:
-    """Componentwise multiplication by e^{i (k+1/2) pi t}."""
-    z0 = np.asarray(z0, dtype=complex)
-    return z0 * np.exp(1j * (k + 0.5) * np.pi * t)
-
-
 def quadratic_model_path(n: int, k: int):
     """The flow path e^{i (k+1/2) pi t} applied to the horizontal Lagrangian."""
     from .symplin import rotation_path

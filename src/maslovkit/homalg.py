@@ -240,13 +240,6 @@ class FilteredZ2Complex:
         return c
 
 
-def homology(c: FilteredZ2Complex) -> Dict[int, int]:
-    rep = c.validate()
-    if not rep.ok:
-        raise DimensionMismatchError("complex fails validation; see FilteredZ2Complex.validate")
-    return c.homology()
-
-
 # ---------------------------------------------------------------------------
 # Chain maps
 # ---------------------------------------------------------------------------

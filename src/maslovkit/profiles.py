@@ -65,8 +65,6 @@ class SpectrumSet:
             return math.inf
         return min(abs(a - p) for p in self.periods)
 
-    def to_json(self) -> dict:
-        return {"schema": "v1", "periods": list(self.periods)}
 
 
 class RadialProfile:
@@ -216,13 +214,6 @@ class RadialProfile:
             "metadata": self.metadata,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "RadialProfile":
-        return RadialProfile(
-            obj["knots"], obj["slopes"], tuple(obj["anchor"]),
-            obj.get("blend_widths"), obj.get("metadata"),
-        )
-
 
 def radial_action(h: RadialProfile, r, side: Optional[str] = None):
     """r h'(r) - h(r), for one radius or an array of them, from one lookup;
@@ -237,42 +228,35 @@ def radial_action(h: RadialProfile, r, side: Optional[str] = None):
 # ---------------------------------------------------------------------------
 
 
-def choose_slopes(
-    spectrum: SpectrumSet,
-    count: int,
-    lower: float,
-    *,
-    C: float = 1.0,
-    gap: float = 1e-3,
-    spectrum_outer: Optional[SpectrumSet] = None,
-    step: float = 1.0,
-    max_scan: int = 100_000,
-):
-    """Increasing slopes a_1 < a_2 < ... with a_n > lower, each a distance
-    >= gap from the inner spectrum and with a_n/(4C) a distance >= gap from
-    the outer spectrum (defaults to the inner one).
+SLOPE_GAP = 1e-3  # least distance of a slope a_n, and of a_n/(4C), to the spectrum
+MAX_SCAN = 100_000  # unit steps that `choose_slopes` takes before it gives up
+
+
+def choose_slopes(spectrum: SpectrumSet, count: int, lower: float, *, C: float = 1.0):
+    """Increasing slopes a_1 < a_2 < ... with a_n > lower, scanned in unit
+    steps from lower, each at least `SLOPE_GAP` from the spectrum and with
+    a_n/(4C) at least `SLOPE_GAP` from it too.
 
     Returns (slopes, deltas) where deltas[n] is the distance of a_n to the
-    inner spectrum.
+    spectrum.
     """
     if not 0 < lower < math.inf:
         raise SpectrumSearchError("lower bound must be positive and finite")
-    outer = spectrum_outer or spectrum
     slopes: List[float] = []
     deltas: List[float] = []
     a = lower
     scans = 0
     while len(slopes) < count:
-        a = a + step
+        a = a + 1.0
         scans += 1
-        if scans > max_scan:
+        if scans > MAX_SCAN:
             raise SpectrumSearchError(
-                f"no admissible slope found within {max_scan} scan steps; "
-                "the spectrum is too dense for the configured gap"
+                f"no admissible slope found within {MAX_SCAN} scan steps; "
+                "the spectrum is too dense for the slope gap"
             )
-        if spectrum.distance(a) < gap:
+        if spectrum.distance(a) < SLOPE_GAP:
             continue
-        if outer.distance(a / (4.0 * C)) < gap:
+        if spectrum.distance(a / (4.0 * C)) < SLOPE_GAP:
             continue
         slopes.append(a)
         deltas.append(spectrum.distance(a))
@@ -284,27 +268,29 @@ def choose_slopes(
 # ---------------------------------------------------------------------------
 
 
+EPS0 = 0.1  # eps_1 of a seeded schedule; eps_n = EPS0 / 2^(n-1)
+
+
 @dataclass(frozen=True)
 class TransferSchedule:
     """Per-stage data: decreasing eps_n and increasing slopes a_n.
 
-    r_n and A_n are derived when not supplied: r_n is the smallest integer
-    strictly above its lower bound (and above the previous stage's r), and
-    A_n is the midpoint of its admissible interval.
+    `build_transfer_profile` derives r_n and A_n from them: r_n is the
+    smallest integer strictly above its lower bound (and above the previous
+    stage's r), and A_n is the midpoint of its admissible interval.
     """
 
     eps: Tuple[float, ...]
     slopes: Tuple[float, ...]
-    r: Optional[Tuple[float, ...]] = None
-    A: Optional[Tuple[float, ...]] = None
 
     @staticmethod
-    def seeded(spectrum: SpectrumSet, C: float, stages: int,
-               eps0: float = 0.1, gap: float = 1e-3) -> "TransferSchedule":
+    def seeded(spectrum: SpectrumSet, C: float, stages: int) -> "TransferSchedule":
+        """eps_n = `EPS0` / 2^(n-1) and the first `stages` slopes of
+        `choose_slopes` above 4C."""
         if stages < 1:
             raise ProfileConstraintError(f"need at least one stage, got {stages}")
-        slopes, _ = choose_slopes(spectrum, stages, 4.0 * C, C=C, gap=gap)
-        eps = tuple(eps0 / 2**i for i in range(stages))
+        slopes, _ = choose_slopes(spectrum, stages, 4.0 * C, C=C)
+        eps = tuple(EPS0 / 2**i for i in range(stages))
         return TransferSchedule(eps=eps, slopes=tuple(slopes))
 
 
@@ -315,14 +301,17 @@ def build_transfer_profile(
     schedule: TransferSchedule,
     *,
     r_prev: Optional[float] = None,
-    blend_scale: Optional[float] = None,
 ) -> RadialProfile:
     """Stage n_index (1-based) of the five-region transfer family.
 
     Preconditions (violations raise `ProfileConstraintError` naming the
-    inequality): eps decreasing with eps_1 < T_min/(1+T_min); a_n > 4C;
-    r_n > max(2 + 2 eps_n/a_n, (a_n + eps_n + eps_n a_n)/delta_n); and
-    A_n in (a_n (r_n - 1) - eps_n, a_n (r_n - 1)).
+    inequality): eps decreasing with eps_1 < T_min/(1+T_min); a_n > 4C,
+    increasing; a_n off the spectrum.  Then r_n is the least integer above
+    max(2 + 2 eps_n/a_n, (a_n + eps_n + eps_n a_n)/delta_n) and above r_prev,
+    and A_n is the midpoint of (a_n (r_n - 1) - eps_n, a_n (r_n - 1)), so both
+    inequalities hold by construction.  Each blend half-width is
+    min(eps_n, 0.01) times the shorter neighbouring segment, capped at
+    0.4 C eps_n / a_n.
     """
     if not (1 <= n_index <= len(schedule.eps)):
         raise ProfileConstraintError("stage index outside the schedule")
@@ -348,25 +337,12 @@ def build_transfer_profile(
         raise ProfileConstraintError("slope lies in the spectrum")
 
     r_bound = max(2.0 + 2.0 * eps / a, (a + eps + eps * a) / delta)
-    if schedule.r is not None:
-        r_n = float(schedule.r[n_index - 1])
-    else:
-        r_n = float(math.floor(r_bound) + 1)
-        if r_prev is not None:
-            r_n = max(r_n, math.floor(r_prev) + 1.0)
-    if r_n <= r_bound:
-        raise ProfileConstraintError(
-            "r_n too small: need r_n > max(2 + 2 eps/a, (a + eps + eps a)/delta)"
-        )
-    if r_prev is not None and r_n <= r_prev:
-        raise ProfileConstraintError("r sequence not increasing")
+    r_n = float(math.floor(r_bound) + 1)
+    if r_prev is not None:
+        r_n = max(r_n, math.floor(r_prev) + 1.0)
 
     a_lo, a_hi = a * (r_n - 1.0) - eps, a * (r_n - 1.0)
-    A_n = float(schedule.A[n_index - 1]) if schedule.A is not None else 0.5 * (a_lo + a_hi)
-    if not (a_lo < A_n < a_hi):
-        raise ProfileConstraintError(
-            "A_n outside the interval (a_n(r_n - 1) - eps_n, a_n(r_n - 1))"
-        )
+    A_n = 0.5 * (a_lo + a_hi)
 
     # knots in the global radial coordinate (r = C * r_W on the inner collar)
     k1 = C * (1.0 + eps * (1.0 - 1.0 / a))          # well meets the inner climb
@@ -375,7 +351,7 @@ def build_transfer_profile(
     slopes = [0.0, a / C, 0.0, a / (4.0 * C)]
 
     cap = 0.4 * C * eps / a
-    w_scale = blend_scale if blend_scale is not None else min(eps, 0.01)
+    w_scale = min(eps, 0.01)
     widths = []
     for i, kn in enumerate((k1, k2, k3)):
         seg_left = kn - ((k1, k2, k3)[i - 1] if i else 0.0)
@@ -451,25 +427,16 @@ class ActionSignReport:
             "items": [i.to_json() for i in self.items],
         }
 
-    def to_csv_rows(self):
-        head = ["item", "pass", "expected_sign", "action_min", "action_max",
-                "margin", "witness_r", "n_samples", "chain_bound"]
-        rows = [head]
-        for i in self.items:
-            rows.append([i.item, i.passed, i.expected_sign, i.action_min,
-                         i.action_max, i.margin, i.witness_r, i.n_samples,
-                         "" if i.chain_bound is None else i.chain_bound])
-        return rows
-
 
 BLEND_TOL = 1e-15  # a chord root v stops once its Newton step is at most this
 BLEND_STEPS = 60  # cap on the steps per blend
+BLEND_SAMPLES = 100  # evenly spaced radii inside each blend window
 
 
-def _blend_chord_radii(h: RadialProfile, knot_idx: int, spectrum_w, C,
-                       slope_cap=None, samples=100):
+def _blend_chord_radii(h: RadialProfile, knot_idx: int, spectrum_w, C, slope_cap=None):
     """Radii inside blend `knot_idx` whose inner slope C*h' is a chord period,
-    plus dense samples restricted to the band of slopes the spectrum reaches.
+    plus `BLEND_SAMPLES` radii restricted to the band of slopes the spectrum
+    reaches.
 
     There h' = s0 + (s1 - s0) smoothstep(u), u = (r - k + w)/(2w), and as
     smoothstep(1 - u) = 1 - smoothstep(u), each period t is a root v <= 1/2 of
@@ -481,7 +448,7 @@ def _blend_chord_radii(h: RadialProfile, knot_idx: int, spectrum_w, C,
     """
     kn = h.knots[knot_idx]
     w = h.blend_widths[knot_idx]
-    rs = np.linspace(kn - w, kn + w, samples + 2)[1:-1]
+    rs = np.linspace(kn - w, kn + w, BLEND_SAMPLES + 2)[1:-1]
     slopes_w = C * h.slope(rs)
     cap = slope_cap if slope_cap is not None else np.inf
     radii = [rs[slopes_w <= cap + 1e-12]]
@@ -510,9 +477,11 @@ def verify_action_signs(
     h: RadialProfile,
     spectrum_w: Optional[SpectrumSet] = None,
     spectrum_outer: Optional[SpectrumSet] = None,
-    samples_per_blend: int = 100,
 ) -> ActionSignReport:
     """Check the five-region action ledger of a transfer profile.
+
+    On each blend the radii are `BLEND_SAMPLES` samples and the chords of
+    `spectrum_w` (`spectrum_outer` on the outer blend), if given.
 
     Items: (a) constant chords in the well have action +eps_n exactly;
     (b) chords on the inner climb-on blend have positive action; (c) chords on
@@ -540,7 +509,7 @@ def verify_action_signs(
                             act_a, r_a, 1))
 
     # (b) inner climb-on blend: positive actions
-    radii_b = _blend_chord_radii(h, 0, spectrum_w, C, samples=samples_per_blend)
+    radii_b = _blend_chord_radii(h, 0, spectrum_w, C)
     acts_b = radial_action(h, radii_b)
     ok_b = bool(np.all(acts_b > 0))
     items.append(ActionItem("b", ok_b, "+", float(acts_b.min()),
@@ -549,8 +518,7 @@ def verify_action_signs(
 
     # (c) climb-off blend, restricted to chord-reachable slopes
     bound_c = -delta * r_n + a + a * eps + eps
-    radii_c = _blend_chord_radii(h, 1, spectrum_w, C,
-                                 slope_cap=a - delta, samples=samples_per_blend)
+    radii_c = _blend_chord_radii(h, 1, spectrum_w, C, slope_cap=a - delta)
     acts_c = radial_action(h, radii_c)
     ok_c = bool(np.all(acts_c < 0) and np.all(acts_c <= bound_c + 1e-9) and bound_c < 0)
     items.append(ActionItem("c", ok_c, "-", float(acts_c.min()),
@@ -566,8 +534,7 @@ def verify_action_signs(
 
     # (e) outer blend and the outer line itself
     bound_e = 0.5 * a * (2.0 - r_n) + eps
-    radii_e = np.append(_blend_chord_radii(h, 2, spectrum_outer, 1.0,
-                                           samples=samples_per_blend),
+    radii_e = np.append(_blend_chord_radii(h, 2, spectrum_outer, 1.0),
                         h.max_breakpoint() * 2.0)  # pure outer line
     acts_e = radial_action(h, radii_e)
     ok_e = bool(np.all(acts_e < 0) and np.all(acts_e <= bound_e + 1e-9) and bound_e < 0)
@@ -597,25 +564,27 @@ class MonotoneReport:
         }
 
 
-def verify_monotone(h1: RadialProfile, h2: RadialProfile,
-                    grid: int = 10_000, r_max: Optional[float] = None) -> MonotoneReport:
+MONOTONE_GRID = 10_000  # evenly spaced radii on which `verify_monotone` compares
+
+
+def verify_monotone(h1: RadialProfile, h2: RadialProfile) -> MonotoneReport:
     """Check that h2 >= h1 - 1e-12 everywhere, plus the critical radius.
 
     Both profiles extend linearly beyond their last breakpoint, so the common
-    domain is [0, r_max].  h2 - h1 is taken on a grid of ``grid`` points and,
-    after them, at both profiles' kinks and window edges and at three points
-    inside each window, in [0, r_max]: outside the windows h2 - h1 is linear
-    between these points, so a dip narrower than the grid step is still seen.
-    The first minimum is the witness, so a grid point wins a tie.  The
-    critical radius is r = 2 C r_{n+1} taken from h2's metadata, where the two
-    outer climbs come closest.
+    domain is [0, r_max] with r_max 1.5 times the larger last breakpoint.
+    h2 - h1 is taken on a grid of `MONOTONE_GRID` points and, after them, at
+    both profiles' kinks and window edges and at three points inside each
+    window, in [0, r_max]: outside the windows h2 - h1 is linear between these
+    points, so a dip narrower than the grid step is still seen.  The first
+    minimum is the witness, so a grid point wins a tie.  The critical radius
+    is r = 2 C r_{n+1} taken from h2's metadata, where the two outer climbs
+    come closest (r_max / 2 without that metadata).
     """
-    if r_max is None:
-        r_max = 1.5 * max(h1.max_breakpoint(), h2.max_breakpoint())
+    r_max = 1.5 * max(h1.max_breakpoint(), h2.max_breakpoint())
     extra = np.concatenate([h._left + np.multiply.outer([0.0, 0.25, 0.5, 0.75, 1.0],
                                                         h._right - h._left)
                             for h in (h1, h2)], axis=None)
-    rs = np.concatenate([np.linspace(0.0, r_max, grid),
+    rs = np.concatenate([np.linspace(0.0, r_max, MONOTONE_GRID),
                          extra[(extra >= 0.0) & (extra <= r_max)]])
     d = np.asarray(h2.value(rs)) - np.asarray(h1.value(rs))
     i = int(np.argmin(d))
@@ -630,31 +599,12 @@ def verify_monotone(h1: RadialProfile, h2: RadialProfile,
     return MonotoneReport(passed, min_gap, float(rs[i]), r_star, gap_star)
 
 
-def monotone_homotopy_check(a_minus: float, a_plus: float, beta=None) -> dict:
-    """Slope-monotone interpolation test: passes iff a_minus >= a_plus.
-
-    With a nondecreasing cutoff beta, the interpolated slope
-    (1 - beta(s)) a_minus + beta(s) a_plus has s-derivative
-    beta'(s) (a_plus - a_minus) <= 0 identically, which is exactly the sign
-    hypothesis the verification needs; the check is symbolic in the signs.
-    """
-    if beta is not None:
-        ss = np.linspace(0.0, 1.0, 513)
-        vals = np.asarray([beta(float(s)) for s in ss])
-        if np.any(np.diff(vals) < -1e-12):
-            return {"pass": False, "reason": "cutoff is not monotone"}
-    ok = a_minus >= a_plus
-    return {
-        "pass": bool(ok),
-        "reason": "beta'(s) (a_plus - a_minus) <= 0 holds identically"
-        if ok
-        else "a_minus < a_plus flips the interpolation sign",
-    }
-
-
 # ---------------------------------------------------------------------------
 # Interpolation cutoff with a derivative envelope
 # ---------------------------------------------------------------------------
+
+
+BETA_PLATEAU = 0.95  # beta' / envelope on the flat part of the window
 
 
 @dataclass
@@ -671,15 +621,14 @@ class InterpolationBeta:
     delta: float
     rho: float
     reeb_norm: float
-    plateau: float
     ramp: float
     flat: float
     grid_r: np.ndarray
     grid_beta: np.ndarray
 
     def _w_integral(self, v):
-        """Integral of the window from 0 to v (window height = plateau)."""
-        a, L, g = self.ramp, self.flat, self.plateau
+        """Integral of the window from 0 to v (window height = `BETA_PLATEAU`)."""
+        a, L, g = self.ramp, self.flat, BETA_PLATEAU
         v = np.asarray(v, dtype=float)
         up = g * a * smoothstep_integral(np.clip(v / a, 0, 1))
         mid = g * np.clip(v - a, 0, L)
@@ -688,7 +637,7 @@ class InterpolationBeta:
         return up + mid + down
 
     def _window(self, v):
-        a, L, g = self.ramp, self.flat, self.plateau
+        a, L, g = self.ramp, self.flat, BETA_PLATEAU
         v = np.asarray(v, dtype=float)
         out = np.where(
             v <= a, g * smoothstep(v / a),
@@ -749,7 +698,7 @@ class InterpolationBeta:
             "delta": self.delta,
             "rho": self.rho,
             "reeb_norm": self.reeb_norm,
-            "plateau": self.plateau,
+            "plateau": BETA_PLATEAU,
             "checks": self.validate(),
             "samples": {
                 "r": self.grid_r.tolist(),
@@ -759,25 +708,25 @@ class InterpolationBeta:
 
 
 def build_beta(eps: float, delta: float, rho: float, reeb_norm: float,
-               grid: int = 10_000, plateau: float = 0.95) -> InterpolationBeta:
-    """Construct the interpolation cutoff.
+               grid: int = 10_000) -> InterpolationBeta:
+    """Construct the interpolation cutoff, sampled on ``grid`` + 1 >= 3 radii.
 
     In v = log(eps/(1-r)) the envelope integral is linear, so the unit-mass
     requirement fixes the window length: with ramp a and flat part L,
-    plateau * (a + L) = rho * reeb_norm / delta.  Feasibility always holds
-    because the envelope integral diverges at r = 1.
+    `BETA_PLATEAU` * (a + L) = rho * reeb_norm / delta.  Feasibility always
+    holds because the envelope integral diverges at r = 1.
     """
     if not all(0 < v < math.inf for v in (eps, delta, rho, reeb_norm)):
         raise DimensionMismatchError("all cutoff parameters must be positive and finite")
-    if not (0 < plateau < 1):
-        raise DimensionMismatchError("plateau must lie strictly inside (0, 1)")
+    if grid < 2:  # validate needs a grid radius strictly inside the window
+        raise DimensionMismatchError(f"the cutoff grid needs at least 2 cells, got {grid}")
     i_req = rho * reeb_norm / delta
-    a = min(1.0, i_req / (2.0 * plateau))
-    flat = i_req / plateau - a
+    a = min(1.0, i_req / (2.0 * BETA_PLATEAU))
+    flat = i_req / BETA_PLATEAU - a
     rs = np.linspace(1.0 - eps, 1.0, grid + 1)
     b = InterpolationBeta(
         eps=eps, delta=delta, rho=rho, reeb_norm=reeb_norm,
-        plateau=plateau, ramp=a, flat=flat,
+        ramp=a, flat=flat,
         grid_r=rs, grid_beta=np.zeros(grid + 1),
     )
     b.grid_beta = np.asarray(b.beta(rs), dtype=float)

@@ -8,6 +8,12 @@ z_j = x_j + i*y_j fixes the compatible complex structure J(x, y) = (-y, x)
 
 With this choice Omega @ J = Id, so omega(., J.) is the Euclidean metric.
 
+Matrices are plain arrays, and `is_symplectic` tests one.  A
+`LagrangianFrame` is a validated 2n x n array.  A `LagrangianPath` evaluates
+its frames at an array of times; its docstring lists the concrete paths.
+`path_from_json` reads the two serializable kinds, and `rotation_path` and
+`direct_sum_paths` build product paths.
+
 Tolerances: bilinear identities (symplecticity, isotropy) are checked at
 1e-10; rank decisions use a singular-value threshold of 1e-8 on frames with
 normalized columns.
@@ -27,7 +33,6 @@ from .errors import (
     DimensionMismatchError,
     InputTypeError,
     IntegrationError,
-    NonTransverseError,
     expect,
 )
 
@@ -52,67 +57,14 @@ def omega_matrix(n: int) -> np.ndarray:
     return omega
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The standard antisymmetric form on R^{2n}."""
-
-    n: int
-    matrix: np.ndarray
-
-    @staticmethod
-    def standard(n: int) -> "SymplecticForm":
-        return SymplecticForm(n, omega_matrix(n))
-
-    def validate(self) -> None:
-        m = self.matrix
-        if m.shape != (2 * self.n, 2 * self.n):
-            raise DimensionMismatchError(f"form matrix must be {2*self.n}x{2*self.n}")
-        if np.max(np.abs(m + m.T)) > BILINEAR_TOL:
-            raise DegenerateFrameError("form matrix is not antisymmetric")
-        if abs(np.linalg.det(m) - 1.0) > 1e-8:
-            raise DegenerateFrameError("form matrix must have determinant 1")
-
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ self.matrix @ v)
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """A 2n x 2n matrix preserving the standard form."""
-
-    n: int
-    entries: np.ndarray
-
-    @staticmethod
-    def from_array(m: np.ndarray) -> "SymplecticMatrix":
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise DimensionMismatchError(
-                f"expected a square matrix of even dimension, got shape {m.shape}"
-            )
-        return SymplecticMatrix(m.shape[0] // 2, m)
-
-    def validate(self) -> None:
-        if not is_symplectic(self):
-            raise DegenerateFrameError("matrix does not preserve the standard form")
-
-    def inverse(self) -> "SymplecticMatrix":
-        return SymplecticMatrix(self.n, np.linalg.inv(self.entries))
-
-    def __matmul__(self, other):
-        if isinstance(other, SymplecticMatrix):
-            return SymplecticMatrix(self.n, self.entries @ other.entries)
-        if isinstance(other, LagrangianFrame):
-            return LagrangianFrame.from_columns(self.entries @ other.columns)
-        return self.entries @ other
-
-
 def is_symplectic(m) -> bool:
-    """True iff ``M^T Omega M = Omega`` to within 1e-10 (max-norm).
-
-    Accepts a `SymplecticMatrix` or a raw square array of even dimension.
-    """
-    a = (m if isinstance(m, SymplecticMatrix) else SymplecticMatrix.from_array(m)).entries
+    """True iff ``M^T Omega M = Omega`` to within 1e-10 (max-norm), for a
+    square array of even dimension."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
+        raise DimensionMismatchError(
+            f"expected a square matrix of even dimension, got shape {a.shape}"
+        )
     omega = omega_matrix(a.shape[0] // 2)
     return bool(np.max(np.abs(a.T @ omega @ a - omega)) < BILINEAR_TOL)
 
@@ -147,20 +99,16 @@ class LagrangianFrame:
         return LagrangianFrame(n, np.vstack([np.zeros((n, n)), np.eye(n)]))
 
     @staticmethod
-    def graph(a: np.ndarray) -> "LagrangianFrame":
-        """The graph {(x, A x)} of a symmetric matrix over R^n x {0}."""
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        return LagrangianFrame.from_columns(np.vstack([np.eye(n), a]))
-
-    @staticmethod
     def complex_line(theta: float) -> "LagrangianFrame":
         """The line e^{i theta} R in R^2."""
         return LagrangianFrame(1, np.array([[np.cos(theta)], [np.sin(theta)]]))
 
     def validate(self) -> None:
         z = self.columns
-        cn = z / np.linalg.norm(z, axis=0, keepdims=True)
+        norms = np.linalg.norm(z, axis=0, keepdims=True)
+        if not np.all(norms > 0):
+            raise DegenerateFrameError("frame is rank deficient (a column is zero)")
+        cn = z / norms
         sv = np.linalg.svd(cn, compute_uv=False)
         if sv[-1] <= RANK_TOL:
             raise DegenerateFrameError(
@@ -172,17 +120,6 @@ class LagrangianFrame:
             raise DegenerateFrameError(
                 f"frame is not isotropic (|Z^T Omega Z| = {iso:.3e})"
             )
-
-    def orthonormalized(self) -> "LagrangianFrame":
-        q, _ = np.linalg.qr(self.columns)
-        return LagrangianFrame(self.n, q)
-
-    def to_json(self) -> dict:
-        return {"schema": "v1", "n": self.n, "columns": self.columns.tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "LagrangianFrame":
-        return LagrangianFrame.from_columns(np.asarray(obj["columns"], dtype=float))
 
 
 def lagrangian_intersection_dim(l1: LagrangianFrame, l2: LagrangianFrame) -> int:
@@ -221,43 +158,6 @@ def intersection_basis(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
-def det_squared(l: LagrangianFrame) -> complex:
-    """det^2 of a unitary frame spanning the same subspace.
-
-    The real frame is orthonormalized; viewed in C^n via z_j = x_j + i*y_j an
-    orthonormal Lagrangian frame is unitary, so det^2 lands on the unit
-    circle and depends only on the subspace (two frames for one subspace
-    differ by O(n), whose determinant squares to 1).
-    """
-    l.validate()
-    q = l.orthonormalized().columns
-    u = q[: l.n, :] + 1j * q[l.n :, :]
-    d = np.linalg.det(u)
-    return complex(d * d)
-
-
-def symplectic_gram_schmidt(l0: LagrangianFrame, l1: LagrangianFrame) -> SymplecticMatrix:
-    """A symplectic matrix A with A L0 = R^n x 0 and A L1 = 0 x R^n.
-
-    Requires L0 transverse to L1.  Built by pairing an orthonormal basis of
-    L0 with the omega-dual basis inside L1.
-    """
-    if l0.n != l1.n:
-        raise DimensionMismatchError(f"frames have n={l0.n} and n={l1.n}")
-    n = l0.n
-    if lagrangian_intersection_dim(l0, l1) != 0:
-        raise NonTransverseError("L0 and L1 must be transverse")
-    u = l0.orthonormalized().columns
-    w = _normalize_columns(l1.columns)
-    omega = omega_matrix(n)
-    b = u.T @ omega @ w
-    w_dual = w @ np.linalg.inv(b)
-    t = np.hstack([u, w_dual])  # maps the standard symplectic basis to (u, w_dual)
-    a = SymplecticMatrix(n, np.linalg.inv(t))
-    a.validate()
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Lagrangian paths
 # ---------------------------------------------------------------------------
@@ -275,8 +175,8 @@ class LagrangianPath:
     """A path of Lagrangian frames on a closed interval.
 
     `frames` is the one evaluation primitive: every concrete path evaluates a
-    whole array of times in it, and `frame_array`, `frame`, `endpoint_frames`
-    and `validate` are derived from it.  Concrete paths are `GeneratorPath`
+    whole array of times in it, and `frame_array` and `validate` are derived
+    from it.  Concrete paths are `GeneratorPath`
     (the flow expm(J S (t - t0)) of a constant quadratic Hamiltonian applied
     to an initial frame), `SampledPath` (frames at node times, linear
     between nodes), `ConstantPath`, or `FunctionPath` (an arbitrary closed
@@ -311,14 +211,6 @@ class LagrangianPath:
     def generator(self) -> Optional[np.ndarray]:
         """The constant symmetric 2n x 2n S with F'(t) = J S F(t), or None."""
         return None
-
-    def frame(self, t: float) -> LagrangianFrame:
-        return LagrangianFrame.from_columns(self.frame_array(t), validate=False)
-
-    def endpoint_frames(self):
-        f0, f1 = self.frames(self.domain)
-        return (LagrangianFrame.from_columns(f0, validate=False),
-                LagrangianFrame.from_columns(f1, validate=False))
 
     def restricted(self, t0: float, t1: float) -> "LagrangianPath":
         lo, hi = self.domain
@@ -569,6 +461,8 @@ class SampledPath(LagrangianPath):
     def __init__(self, times: Sequence[float], frames: np.ndarray):
         times = np.asarray(times, dtype=float)
         frames = np.asarray(frames, dtype=float)
+        if times.ndim != 1:
+            raise DimensionMismatchError(f"times must be a 1-D array, got shape {times.shape}")
         if frames.ndim != 3 or frames.shape[0] != len(times):
             raise DimensionMismatchError("frames must have shape (T, 2n, n)")
         if np.any(np.diff(times) <= 0):
@@ -629,24 +523,13 @@ def rotation_path(n: int, speeds, domain=(0.0, 1.0),
     """The product path applying e^{i s_j t} to the j-th coordinate line.
 
     ``speeds`` is a scalar or a length-n sequence of angular speeds; the
-    generator is S = diag(speeds, speeds).
+    generator is S = diag(speeds, speeds).  It needs n >= 1.
     """
+    if n < 1:
+        raise DimensionMismatchError(f"a rotation path needs n >= 1, got {n}")
     speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (n,))
     s = np.diag(np.concatenate([speeds, speeds]))
     return GeneratorPath(s, frame0 or LagrangianFrame.horizontal(n), domain)
-
-
-def canonical_short_path(l0: LagrangianFrame, l1: LagrangianFrame) -> GeneratorPath:
-    """The short quarter-turn path from L0 to L1 for transverse L0, L1.
-
-    With A symplectic mapping L0 to R^n x 0 and L1 to 0 x R^n, the path is
-    t -> A^{-1} (e^{-i pi t / 2} R)^n.  Realized as a generator path with
-    S = -(pi/2) A^T A, which conjugates the model rotation by A^{-1}.
-    """
-    a = symplectic_gram_schmidt(l0, l1)
-    s = -(np.pi / 2) * (a.entries.T @ a.entries)
-    f0 = a.inverse() @ LagrangianFrame.horizontal(l0.n)
-    return GeneratorPath(s, f0, (0.0, 1.0))
 
 
 def direct_sum_frames(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:

@@ -74,6 +74,22 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     ["rs-index", "--json", json.dumps({
         "path0": {"kind": "samples", "times": [0, 1], "frames": [[[1], [0]], [[-1], [0]]]},
         "path1": {"kind": "generator", "S": [[0, 0], [0, 0]], "frame0": [[0], [1]]}})],
+    # sample times that are not 1-D
+    ["rs-index", "--json", json.dumps({
+        "path0": {"kind": "samples", "times": [[0, 1]], "frames": [[[1], [0]]]},
+        "path1": {"kind": "generator", "S": [[0, 0], [0, 0]], "frame0": [[0], [1]]}})],
+    # a zero frame column, at the start of a generator path or the ends of a loop
+    ["rs-index", "--json", json.dumps({
+        "path0": {"kind": "generator", "S": [[0, 0], [0, 0]], "frame0": [[0], [0]]},
+        "path1": {"kind": "generator", "S": [[0, 0], [0, 0]], "frame0": [[0], [1]]}})],
+    ["det2-winding", "--json", json.dumps({
+        "kind": "samples", "times": [0, 0.5, 1], "frames": [[[0], [0]], [[1], [1]], [[0], [0]]]})],
+    # a cutoff grid with no interior radius, a model of no dimension
+    ["beta-build", "--eps", "0.1", "--delta", "0.05", "--rho", "1", "--reeb-norm", "1",
+     "--grid", "0"],
+    ["beta-build", "--eps", "0.1", "--delta", "0.05", "--rho", "1", "--reeb-norm", "1",
+     "--grid", "1"],
+    ["chord-maslov", "--model", "quadratic", "--n", "0", "--k", "0"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert cli.main(argv) == 2

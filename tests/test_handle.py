@@ -19,7 +19,7 @@ from maslovkit.handle import (
     lyapunov_derivative,
     potentials,
     potentials_xyz,
-    quadratic_model_flow,
+    quadratic_model_path,
     transversality_certificate,
 )
 from maslovkit.suites import (
@@ -253,17 +253,27 @@ class TestLyapunov:
                 lyapunov_derivative([[1, 0, 0, 0]] * 2, coeffs, PARAMS)
 
 
+def model_flow(z0, k: int, t: float) -> np.ndarray:
+    """Psi(t) of `quadratic_model_path` applied to the points z0 of C^n."""
+    z0 = np.asarray(z0, dtype=complex)
+    n = len(z0)
+    v = quadratic_model_path(n, k).matrix(t) @ np.concatenate([z0.real, z0.imag])
+    return v[:n] + 1j * v[n:]
+
+
 class TestQuadraticModelFlow:
+    """The model flow is componentwise multiplication by e^{i (k+1/2) pi t}."""
+
     def test_identity_at_zero(self):
         z = np.array([1 + 2j, 0.5])
-        assert np.allclose(quadratic_model_flow(z, 3, 0.0), z)
+        assert np.allclose(model_flow(z, 3, 0.0), z)
 
     def test_horizontal_to_vertical(self):
-        got = quadratic_model_flow(np.array([1.0 + 0j]), 0, 1.0)
+        got = model_flow(np.array([1.0 + 0j]), 0, 1.0)
         assert np.allclose(got, [1j], atol=1e-15)
 
     def test_three_half_turns(self):
-        got = quadratic_model_flow(np.array([1.0 + 0j]), 1, 1.0)
+        got = model_flow(np.array([1.0 + 0j]), 1, 1.0)
         assert np.allclose(got, [np.exp(3j * np.pi / 2)], atol=1e-15)
         assert np.allclose(got, [-1j], atol=1e-12)
 

@@ -445,7 +445,8 @@ class TestRawFrameLift:
     def test_only_end_stencils_orthonormalized(self, monkeypatch):
         rng = np.random.default_rng(3)
         p0, p1 = draw_generator_path(rng, 3, 2.0), draw_generator_path(rng, 3, 2.0)
-        for a, b in zip(p0.endpoint_frames(), p1.endpoint_frames()):
+        for a, b in zip(p0.frames(p0.domain), p1.frames(p1.domain)):
+            a, b = LagrangianFrame.from_columns(a), LagrangianFrame.from_columns(b)
             assert lagrangian_intersection_dim(a, b) == 0  # no QR in intersection_basis
         seen, qr = [], np.linalg.qr
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from maslovkit.profiles import (
     build_transfer_family,
     build_transfer_profile,
     choose_slopes,
-    monotone_homotopy_check,
     radial_action,
     verify_action_signs,
     verify_monotone,
@@ -347,16 +347,16 @@ class TestChooseSlopes:
         assert slopes == [4.0]
 
     def test_outer_spectrum_checked(self):
-        # candidate 9 has 9/(4C) = 2.25 for C = 1, excluded by an outer period
-        outer = SpectrumSet.of([2.25])
-        slopes, _ = choose_slopes(SpectrumSet.of([100.0]), 1, 8.0, C=1.0,
-                                  spectrum_outer=outer)
+        # candidate 9 is far from the period 2.25, but 9/(4C) = 2.25 for C = 1
+        slopes, _ = choose_slopes(SpectrumSet.of([2.25]), 1, 8.0, C=1.0)
         assert slopes == [10.0]
 
-    def test_dense_spectrum_errors(self):
+    def test_dense_spectrum_errors(self, monkeypatch):
+        monkeypatch.setattr(profiles, "SLOPE_GAP", 0.4)
+        monkeypatch.setattr(profiles, "MAX_SCAN", 100)
         dense = SpectrumSet.of(np.arange(0.5, 2000, 0.5))
         with pytest.raises(SpectrumSearchError):
-            choose_slopes(dense, 1, 8.0, gap=0.4, max_scan=100)
+            choose_slopes(dense, 1, 8.0)
 
 
 class TestBuildTransferProfile:
@@ -391,15 +391,18 @@ class TestBuildTransferProfile:
         with pytest.raises(ProfileConstraintError, match="decreasing"):
             build_transfer_profile(2, SPECTRUM, 2.0, sched)
 
-    def test_r_too_small_error(self):
-        sched = TransferSchedule(eps=(0.1,), slopes=(9.0,), r=(10.0,))
-        with pytest.raises(ProfileConstraintError, match="r_n too small"):
-            build_transfer_profile(1, SPECTRUM, 2.0, sched)
-
-    def test_a_outside_interval_error(self):
-        sched = TransferSchedule(eps=(0.1,), slopes=(9.0,), r=(24.0,), A=(500.0,))
-        with pytest.raises(ProfileConstraintError, match="A_n"):
-            build_transfer_profile(1, SPECTRUM, 2.0, sched)
+    def test_derived_r_and_a_satisfy_their_bounds(self):
+        # r_n above its bound and above r_{n-1}; A_n inside its interval
+        for T, C in [(math.pi, 2.0), (1.0, 1.0), (2.5, 3.5)]:
+            spec = SpectrumSet.of([T, 2 * T, 3 * T])
+            family = build_transfer_family(spec, C, TransferSchedule.seeded(spec, C, 4))
+            r_prev = 0.0
+            for h in family:
+                md = h.metadata
+                a, eps, r_n, A_n = md["a_n"], md["eps_n"], md["r_n"], md["A_n"]
+                assert r_n > max(2 + 2 * eps / a, (a + eps + eps * a) / md["delta_n"], r_prev)
+                assert a * (r_n - 1) - eps < A_n < a * (r_n - 1)
+                r_prev = r_n
 
     def test_slope_bounds_by_construction(self):
         sched = TransferSchedule.seeded(SPECTRUM, C=2.0, stages=2)
@@ -435,8 +438,7 @@ class TestActionSigns:
         rep = verify_action_signs(h, spectrum_w=SPECTRUM)
         obj = rep.to_json()
         assert obj["pass"] is True and len(obj["items"]) == 5
-        rows = rep.to_csv_rows()
-        assert rows[0][0] == "item" and len(rows) == 6
+        assert [i["item"] for i in obj["items"]] == ["a", "b", "c", "d", "e"]
 
 
 def _scalar_action(h, r, side=None):
@@ -487,16 +489,16 @@ class TestLedgerArrays:
         # the chord radii are the same function in both runs; only the
         # actions switch to one radius at a time
         cases = _ledger_cases()
-        got = [verify_action_signs(h, spectrum_w=s, spectrum_outer=s,
-                                   samples_per_blend=n).to_json()
-               for h, s, n in cases]
+        got = []
+        for h, s, n in cases:
+            monkeypatch.setattr(profiles, "BLEND_SAMPLES", n)
+            got.append(verify_action_signs(h, spectrum_w=s, spectrum_outer=s).to_json())
         monkeypatch.setattr(profiles, "radial_action", _scalar_action)
         for (h, s, n), obj in zip(cases, got):
-            want = verify_action_signs(h, spectrum_w=s, spectrum_outer=s,
-                                       samples_per_blend=n).to_json()
-            assert obj == want
+            monkeypatch.setattr(profiles, "BLEND_SAMPLES", n)
+            assert obj == verify_action_signs(h, spectrum_w=s, spectrum_outer=s).to_json()
 
-    def test_chord_radii_match_bisection_in_r(self):
+    def test_chord_radii_match_bisection_in_r(self, monkeypatch):
         # Newton on the smoothstep against bisection of C h'(r) = t in r:
         # per blend the same radii to 2 ulps, and every period the blend's
         # samples reach is hit to 1e-12 t, or, where one ulp of r moves C h'
@@ -512,8 +514,9 @@ class TestLedgerArrays:
             c_n = h.metadata["C"]
             blends = [(0, c_n, None), (1, c_n, h.metadata["a_n"] - h.metadata["delta_n"]),
                       (2, 1.0, None)]
+            monkeypatch.setattr(profiles, "BLEND_SAMPLES", n)
             for k, c, cap in blends:
-                got = profiles._blend_chord_radii(h, k, spec, c, slope_cap=cap, samples=n)
+                got = profiles._blend_chord_radii(h, k, spec, c, slope_cap=cap)
                 want = _scalar_blend_radii(h, k, spec, c, slope_cap=cap, samples=n)
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
@@ -585,25 +588,6 @@ class TestMonotone:
         assert fam[0].value(rep.witness_r) < fam[1].value(rep.witness_r)
 
 
-class TestHomotopyCheck:
-    def test_decreasing_slope_passes(self):
-        assert monotone_homotopy_check(5.0, 3.0)["pass"]
-
-    def test_equal_slope_passes(self):
-        assert monotone_homotopy_check(3.0, 3.0)["pass"]
-
-    def test_increasing_slope_fails(self):
-        assert not monotone_homotopy_check(2.0, 3.0)["pass"]
-
-    def test_cutoff_monotonicity_enforced(self):
-        bad = lambda s: -s
-        assert not monotone_homotopy_check(5.0, 3.0, beta=bad)["pass"]
-        beta = build_beta(0.1, 0.01, 1.0, 1.0, grid=500)
-        ok = monotone_homotopy_check(5.0, 3.0,
-                                     beta=lambda s: beta(1 - 0.1 + 0.1 * s))
-        assert ok["pass"]
-
-
 class TestBeta:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameters_rejected(self, bad):
@@ -637,6 +621,13 @@ class TestBeta:
         checks = b.validate()
         assert checks["envelope_ok"] and checks["knot_right"] == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_without_an_interior_radius_rejected(self):
+        for grid in (-1, 0, 1):
+            with pytest.raises(DimensionMismatchError, match="grid"):
+                build_beta(0.1, 0.01, 1.0, 1.0, grid=grid)
+        assert build_beta(0.1, 0.01, 1.0, 1.0, grid=2).validate()["envelope_ok"]
+
     def test_json_includes_samples(self):
         b = build_beta(0.1, 0.01, 1.0, 1.0, grid=100)
         obj = b.to_json()
@@ -647,7 +638,10 @@ class TestBeta:
 def test_profile_json_roundtrip():
     sched = TransferSchedule.seeded(SPECTRUM, C=2.0, stages=1)
     h = build_transfer_profile(1, SPECTRUM, 2.0, sched)
-    h2 = RadialProfile.from_json(h.to_json())
+    # the JSON holds what the constructor takes
+    obj = json.loads(json.dumps(h.to_json()))
+    h2 = RadialProfile(obj["knots"], obj["slopes"], obj["anchor"], obj["blend_widths"],
+                       obj["metadata"])
     rs = np.linspace(0, h.max_breakpoint(), 500)
     assert np.allclose(np.asarray(h.value(rs)), np.asarray(h2.value(rs)), atol=1e-12)
     assert h2.metadata["r_n"] == h.metadata["r_n"]

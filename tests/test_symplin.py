@@ -13,21 +13,16 @@ from maslovkit.errors import (
     IntegrationError,
     IrregularCrossingError,
     MaslovkitError,
-    NonTransverseError,
 )
 from maslovkit.halfint import HalfInt
-from maslovkit.maslov import rs_index
+from maslovkit.maslov import _unitary, rs_index
 from maslovkit.symplin import (
     ConstantPath,
     FunctionPath,
     GeneratorPath,
     LagrangianFrame,
     SampledPath,
-    SymplecticForm,
-    SymplecticMatrix,
-    canonical_short_path,
     complex_structure,
-    det_squared,
     direct_sum_frames,
     direct_sum_paths,
     is_symplectic,
@@ -37,17 +32,16 @@ from maslovkit.symplin import (
     random_lagrangian_frame,
     random_symplectic,
     rotation_path,
-    symplectic_gram_schmidt,
 )
 
 
 def test_standard_form_block_structure():
-    form = SymplecticForm.standard(3)
-    form.validate()
     n = 3
-    assert np.allclose(form.matrix[:n, n:], np.eye(n))
-    assert np.allclose(form.matrix[n:, :n], -np.eye(n))
-    assert abs(np.linalg.det(form.matrix) - 1.0) < 1e-12
+    omega = omega_matrix(n)
+    assert np.array_equal(omega, -omega.T)
+    assert np.allclose(omega[:n, n:], np.eye(n))
+    assert np.allclose(omega[n:, :n], -np.eye(n))
+    assert abs(np.linalg.det(omega) - 1.0) < 1e-12
 
 
 def test_omega_compose_j_is_identity():
@@ -80,8 +74,10 @@ class TestIsSymplectic:
         assert not is_symplectic(np.diag([2.0, 2.0]))
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            is_symplectic(np.eye(3))
+        # odd, not square, not a matrix
+        for m in (np.eye(3), np.zeros((2, 4)), np.zeros(4), [[1.0, 0.0]]):
+            with pytest.raises(DimensionMismatchError):
+                is_symplectic(m)
 
     def test_random_generated_matrices(self):
         rng = np.random.default_rng(0)
@@ -128,15 +124,27 @@ class TestIntersectionDim:
         with pytest.raises(DegenerateFrameError):
             LagrangianFrame.from_columns(cols)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_column_rejected_without_warning(self):
+        # refused as rank deficient before the columns are normalized
+        for cols in (np.zeros((2, 1)), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]):
+            with pytest.raises(DegenerateFrameError, match="zero"):
+                LagrangianFrame.from_columns(cols)
+
+
+def unitary_det2(fr: LagrangianFrame) -> complex:
+    """det^2 of the orthonormalized frame X + iY, as `maslov` builds it."""
+    return complex(np.linalg.det(_unitary(ConstantPath(fr), [0.0])[0]) ** 2)
+
 
 class TestDetSquared:
     def test_horizontal_is_one(self):
         for n in (1, 2, 4):
-            assert abs(det_squared(LagrangianFrame.horizontal(n)) - 1.0) < 1e-12
+            assert abs(unitary_det2(LagrangianFrame.horizontal(n)) - 1.0) < 1e-12
 
     def test_rotated_line(self):
         for theta in np.linspace(0.1, 3.0, 7):
-            got = det_squared(LagrangianFrame.complex_line(theta))
+            got = unitary_det2(LagrangianFrame.complex_line(theta))
             assert abs(got - np.exp(2j * theta)) < 1e-12
 
     def test_frame_choice_invariance(self):
@@ -148,54 +156,16 @@ class TestDetSquared:
             while abs(np.linalg.det(g)) < 1e-3:
                 g = rng.normal(size=(n, n))
             other = LagrangianFrame.from_columns(fr.columns @ g)
-            assert abs(det_squared(fr) - det_squared(other)) < 1e-9
+            assert abs(unitary_det2(fr) - unitary_det2(other)) < 1e-9
 
 
 def test_symplectic_action_preserves_lagrangian():
     rng = np.random.default_rng(11)
     for _ in range(30):
         n = int(rng.integers(1, 4))
-        m = SymplecticMatrix.from_array(random_symplectic(n, rng))
-        fr = random_lagrangian_frame(n, rng)
-        (m @ fr).validate()
-
-
-class TestCanonicalShortPath:
-    def test_model_case_identity_matrix(self):
-        n = 2
-        h, v = LagrangianFrame.horizontal(n), LagrangianFrame.vertical(n)
-        a = symplectic_gram_schmidt(h, v)
-        assert np.allclose(a.entries, np.eye(2 * n), atol=1e-12)
-        path = canonical_short_path(h, v)
-        assert lagrangian_intersection_dim(path.frame(0.0), h) == n
-        assert lagrangian_intersection_dim(path.frame(1.0), v) == n
-
-    def test_gram_completion_case(self):
-        l0 = LagrangianFrame.from_columns(np.array([[1.0], [0.0]]))
-        l1 = LagrangianFrame.from_columns(np.array([[1.0], [1.0]]))
-        path = canonical_short_path(l0, l1)
-        assert lagrangian_intersection_dim(path.frame(0.0), l0) == 1
-        assert lagrangian_intersection_dim(path.frame(1.0), l1) == 1
-
-    def test_random_pairs(self):
-        rng = np.random.default_rng(5)
-        done = 0
-        while done < 15:
-            n = int(rng.integers(1, 4))
-            l0 = random_lagrangian_frame(n, rng)
-            l1 = random_lagrangian_frame(n, rng)
-            if lagrangian_intersection_dim(l0, l1) != 0:
-                continue
-            path = canonical_short_path(l0, l1)
-            path.validate()
-            assert lagrangian_intersection_dim(path.frame(0.0), l0) == n
-            assert lagrangian_intersection_dim(path.frame(1.0), l1) == n
-            done += 1
-
-    def test_non_transverse_rejected(self):
-        h = LagrangianFrame.horizontal(2)
-        with pytest.raises(NonTransverseError):
-            canonical_short_path(h, h)
+        m = random_symplectic(n, rng)
+        assert is_symplectic(m)
+        LagrangianFrame.from_columns(m @ random_lagrangian_frame(n, rng).columns)
 
 
 class TestPaths:
@@ -224,6 +194,16 @@ class TestPaths:
         # e^{i pi/2} R = vertical line
         assert abs(f[0, 0]) < 1e-10 and abs(abs(f[1, 0]) - 1.0) < 1e-10
 
+    def test_rotation_path_needs_a_dimension(self):
+        for n in (0, -1):
+            with pytest.raises(DimensionMismatchError, match="n >= 1"):
+                rotation_path(n, 1.0)
+
+    def test_sampled_path_needs_1d_times(self):
+        for times in ([[0.0, 1.0]], [[0.0], [1.0]], 0.5):
+            with pytest.raises(DimensionMismatchError, match="1-D"):
+                SampledPath(times, [[[1.0], [0.0]], [[0.0], [1.0]]])
+
     def test_sampled_path_interpolates(self):
         ts = np.linspace(0, 1, 101)
         base = rotation_path(1, np.pi)
@@ -245,8 +225,10 @@ class TestPaths:
         assert np.allclose(q.frame_array(0.7), sp.frame_array(0.7))
 
     def test_frame_json_roundtrip(self):
+        # a frame is serialized as a path's frame0
         fr = LagrangianFrame.complex_line(0.7)
-        assert np.allclose(LagrangianFrame.from_json(fr.to_json()).columns, fr.columns)
+        q = path_from_json(json.loads(json.dumps(rotation_path(1, 0.0, frame0=fr).to_json())))
+        assert np.array_equal(q.frame_array(0.0), fr.columns)
 
     def test_domain_needs_finite_increasing_ends(self):
         h = LagrangianFrame.horizontal(1)
@@ -622,4 +604,4 @@ class TestGenerator:
 def test_det_squared_modulus_one(seed):
     rng = np.random.default_rng(seed)
     fr = random_lagrangian_frame(int(rng.integers(1, 4)), rng)
-    assert abs(abs(det_squared(fr)) - 1.0) < 1e-10
+    assert abs(abs(unitary_det2(fr)) - 1.0) < 1e-10

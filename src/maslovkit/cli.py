@@ -339,6 +339,8 @@ def _cmd_diagram_check(args):
     obj = _load_json_input(args)
     maps = {key: ChainMap.from_json(obj[key]) for key in
             ("psi_i", "psi_ip1", "phi_m", "phi_handle")}
+    for m in maps.values():
+        m.validate()
     ok = check_square(maps["psi_i"], maps["psi_ip1"], maps["phi_m"],
                       maps["phi_handle"])
     _emit({"schema": "v1", "commutes": ok}, args)

@@ -34,10 +34,6 @@ class EndpointMismatchError(MaslovkitError):
     """A loop's endpoints do not span the same subspace."""
 
 
-class KinkEvaluationError(MaslovkitError):
-    """A profile was evaluated exactly at a kink without a side selection."""
-
-
 class SpectrumSearchError(MaslovkitError):
     """No admissible slope exists within the search range."""
 
@@ -58,10 +54,6 @@ class IntegrationError(MaslovkitError):
     """Fixed-step integration failed (underflow, blow-up, or non-finite data)."""
 
 
-class IncoherentSystemError(MaslovkitError):
-    """Transition maps of a directed system fail composition coherence."""
-
-
 class ShapeMismatchError(MaslovkitError):
     """Chain maps or complexes have incompatible shapes."""
 
@@ -79,10 +71,11 @@ def expect(value, kind, what: str):
 
     The JSON readers check each member with it before converting, so a member
     of the wrong type raises `InputTypeError`, not a `TypeError` from inside
-    the conversion.
+    the conversion.  A JSON boolean passes only where `bool` itself is asked
+    for, not as an integer.
     """
-    if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         names = " or ".join(_JSON_NAMES.get(k, k.__name__) for k in kinds)
         raise InputTypeError(f"{what} must be {names}, got {type(value).__name__}")
     return value

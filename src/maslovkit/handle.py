@@ -267,8 +267,8 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 0:
             raise DimensionMismatchError(f"resolution must be non-negative, got {self.resolution}")
-        if not np.all(np.isfinite([self.x_max, self.y_max, self.z_max])):
-            raise MaslovkitError("the box sides must be finite")
+        if not all(0.0 <= v < np.inf for v in (self.x_max, self.y_max, self.z_max)):
+            raise DimensionMismatchError("the box sides must be finite and non-negative")
 
 
 @dataclass(frozen=True)

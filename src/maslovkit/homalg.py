@@ -12,13 +12,12 @@ subquotients).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    IncoherentSystemError,
     InputTypeError,
     ShapeMismatchError,
     expect,
@@ -352,18 +351,19 @@ def check_square(psi_i: ChainMap, psi_ip1: ChainMap, phi_m: ChainMap,
 class DirectedSystem:
     """A finite chain of graded GF(2) spaces with degree-preserving maps.
 
-    ``stages[i]`` maps degree -> dimension; ``maps[i]`` maps degree -> a
-    (dim_{i+1}(deg) x dim_i(deg)) matrix, one map per consecutive pair.
-    Optional ``long_maps[(i, j)]`` are checked against the composition of the
-    consecutive maps (coherence).
+    ``stages[i]`` maps degree -> dimension, each non-negative; ``maps[i]``
+    maps degree -> a (dim_{i+1}(deg) x dim_i(deg)) matrix, one map per
+    consecutive pair, so a composite is the product of the maps it spans.
+    A missing degree in a map is the zero matrix.
     """
 
     def __init__(self, stages: Sequence[Dict[int, int]],
-                 maps: Sequence[Dict[int, np.ndarray]],
-                 long_maps: Optional[Dict[Tuple[int, int], Dict[int, np.ndarray]]] = None):
+                 maps: Sequence[Dict[int, np.ndarray]]):
         if len(maps) != len(stages) - 1:
             raise ShapeMismatchError("need exactly one map per consecutive pair")
         self.stages = [dict(s) for s in stages]
+        if any(v < 0 for s in self.stages for v in s.values()):
+            raise DimensionMismatchError("stage dimensions must be non-negative")
         self.maps = []
         for i, m in enumerate(maps):
             checked: Dict[int, np.ndarray] = {}
@@ -380,7 +380,6 @@ class DirectedSystem:
                     )
                 checked[deg] = mat
             self.maps.append(checked)
-        self.long_maps = long_maps or {}
 
     def degrees(self) -> List[int]:
         out = set()
@@ -399,16 +398,6 @@ class DirectedSystem:
                 degree, np.zeros((self.stages[s + 1].get(degree, 0),
                                   self.stages[s].get(degree, 0)))), acc)
         return acc
-
-    def validate(self) -> None:
-        for (i, j), by_deg in self.long_maps.items():
-            for deg, mat in by_deg.items():
-                mat = np.asarray(mat, dtype=np.uint8) % 2
-                if np.any(mat != self.composed(i, j, deg)):
-                    raise IncoherentSystemError(
-                        f"long map {i}->{j} in degree {deg} does not equal the "
-                        "composition of the consecutive maps"
-                    )
 
     def subsampled(self, indices: Sequence[int]) -> "DirectedSystem":
         """The system restricted to a subchain of stages (cofinal if it
@@ -478,7 +467,6 @@ def direct_limit(sys: DirectedSystem, window: int = 3) -> DirectLimitResult:
     """
     if window < 1:
         raise DimensionMismatchError(f"window must be at least 1, got {window}")
-    sys.validate()
     dims: Dict[int, int] = {}
     stab: Dict[int, bool] = {}
     finite: Dict[int, int] = {}
@@ -500,15 +488,15 @@ def direct_limit(sys: DirectedSystem, window: int = 3) -> DirectLimitResult:
 # ---------------------------------------------------------------------------
 
 
-def identity_system(length: int, degree: int = 0) -> DirectedSystem:
-    stages = [{degree: 1} for _ in range(length)]
-    maps = [{degree: np.array([[1]], dtype=np.uint8)} for _ in range(length - 1)]
+def identity_system(length: int) -> DirectedSystem:
+    stages = [{0: 1} for _ in range(length)]
+    maps = [{0: np.array([[1]], dtype=np.uint8)} for _ in range(length - 1)]
     return DirectedSystem(stages, maps)
 
 
-def zero_map_system(length: int, degree: int = 0) -> DirectedSystem:
-    stages = [{degree: 1} for _ in range(length)]
-    maps = [{degree: np.array([[0]], dtype=np.uint8)} for _ in range(length - 1)]
+def zero_map_system(length: int) -> DirectedSystem:
+    stages = [{0: 1} for _ in range(length)]
+    maps = [{0: np.array([[0]], dtype=np.uint8)} for _ in range(length - 1)]
     return DirectedSystem(stages, maps)
 
 

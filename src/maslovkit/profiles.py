@@ -1,13 +1,14 @@
 """Radial Hamiltonian profiles and their action ledger.
 
 A `RadialProfile` is a piecewise-C^1 function of one radial coordinate,
-realized as a piecewise-constant slope with optional quintic-smoothstep
-joins at the knots.  Because the blended slope interpolates the two adjacent
-constant slopes symmetrically, the blended profile coincides exactly with the
-max-of-segments construction outside every blend window, and all slope
-bounds hold segmentwise by construction.  Between windows the profile is
-s_j r + c_j, with intercepts c_j fixed at construction; evaluation looks each
-radius up by `searchsorted` and runs the smoothstep only inside a window.
+realized as a piecewise-constant slope with a quintic-smoothstep join of
+positive half-width at every knot.  Because the blended slope interpolates
+the two adjacent constant slopes symmetrically, the blended profile
+coincides exactly with the max-of-segments construction outside every blend
+window, and all slope bounds hold segmentwise by construction.  Between
+windows the profile is s_j r + c_j, with intercepts c_j fixed at
+construction; evaluation looks each radius up by `searchsorted` and runs the
+smoothstep only inside a window.
 
 The action of a chord sitting at radius r of a radial Hamiltonian h is
 
@@ -32,12 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    KinkEvaluationError,
-    ProfileConstraintError,
-    SpectrumSearchError,
-)
+from .errors import DimensionMismatchError, ProfileConstraintError, SpectrumSearchError
 from .handle import smoothstep, smoothstep_integral
 
 
@@ -82,19 +78,17 @@ class RadialProfile:
         slopes: len(knots)+1 slope values; slopes[i] holds left of knots[i].
         anchor: (r, value) pinning the function; r must sit outside every
             blend window.
-        blend_widths: per-knot half-widths of the smoothing window (0 keeps a
-            genuine kink there).
+        blend_widths: per-knot half-widths of the smoothing windows, each
+            positive.
         metadata: free-form dict (a_n, eps_n, r_n, A_n, C, ...).
 
-    Non-finite knots, slopes, widths, anchor or radii raise
-    `DimensionMismatchError`.
+    Non-finite knots, slopes, widths, anchor or radii, and a width that is
+    not positive, raise `DimensionMismatchError`.
     """
 
-    def __init__(self, knots, slopes, anchor, blend_widths=None, metadata=None):
+    def __init__(self, knots, slopes, anchor, blend_widths, metadata=None):
         self.knots = np.asarray(knots, dtype=float)
         self.slopes = np.asarray(slopes, dtype=float)
-        if blend_widths is None:
-            blend_widths = np.zeros(len(self.knots))
         self.blend_widths = w = np.asarray(blend_widths, dtype=float)
         self.anchor = (float(anchor[0]), float(anchor[1]))
         if len(self.slopes) != len(self.knots) + 1 or w.shape != self.knots.shape:
@@ -103,42 +97,28 @@ class RadialProfile:
             raise DimensionMismatchError("knots, slopes, blend widths and anchor must be finite")
         if (self.knots[1:] <= self.knots[:-1]).any():
             raise DimensionMismatchError("knots must be strictly increasing")
-        if (w < 0).any():
-            raise DimensionMismatchError("blend widths must be nonnegative")
+        if (w <= 0).any():
+            raise DimensionMismatchError(f"blend widths must be positive, got {w.tolist()}")
         self._left, self._right = self.knots - w, self.knots + w
         if (self._right[:-1] > self._left[1:]).any():
             raise DimensionMismatchError("blend windows overlap")
-        # for side='left', a kink's edge one ulp up keeps the kink on its left segment
-        self._right_of_kinks = np.where(w == 0.0, np.nextafter(self.knots, np.inf), self._right)
         self._ds = self.slopes[1:] - self.slopes[:-1]
         self._intercepts = -np.concatenate(([0.0], np.cumsum(self._ds * self.knots)))
-        kinks = np.where((w == 0.0) & (self._ds != 0.0), self.knots, np.nan)
-        # the nearest kink left of knot j, and at or right of knot j (+-inf for none)
-        self._kinks_around = None if np.isnan(kinks).all() else (
-            np.fmax.accumulate(np.concatenate(([-np.inf], kinks))),
-            np.fmin.accumulate(np.concatenate((kinks, [np.inf]))[::-1])[::-1])
         self.metadata = dict(metadata or {})
         self._anchor_offset = 0.0
         self._anchor_offset = self.anchor[1] - self.value(self.anchor[0])
 
     # -- evaluation ----------------------------------------------------------
 
-    def _lookup(self, r, side=None):
+    def _lookup(self, r):
         """(rr, j, inside, u): r as an array, the count j of right edges at or
         left of each radius (its segment, or its window if inside), the mask of
-        radii strictly inside window j, and their u = (rr - L_j)/(2 w_j).  With
-        side None, a radius within 1e-14 of a kink raises."""
+        radii strictly inside window j, and their u = (rr - L_j)/(2 w_j)."""
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.isfinite(rr).all():
             raise DimensionMismatchError("radii must be finite")
-        j = (self._right_of_kinks if side == "left" else self._right).searchsorted(rr, "right")
+        j = self._right.searchsorted(rr, "right")
         inside = self._left.searchsorted(rr, "left") > j
-        if side is None and self._kinks_around is not None:
-            # a radius in segment j, or inside window j, lies between knots j - 1 and j + inside
-            lo, hi = self._kinks_around
-            if ((rr - lo[j] <= 1e-14) | (hi[j + inside] - rr <= 1e-14)).any():
-                raise KinkEvaluationError(
-                    "slope evaluated within 1e-14 of a kink; pass side='left' or side='right'")
         k = j[inside]
         return rr, j, inside, (rr[inside] - self._left[k]) / (2 * self.blend_widths[k])
 
@@ -155,15 +135,14 @@ class RadialProfile:
             out[inside] += self._ds[k] * 2 * self.blend_widths[k] * smoothstep_integral(u)
         return out + self._anchor_offset
 
-    def slope(self, r, side: Optional[str] = None):
-        """One-sided slope; `side` in {None, 'left', 'right'} (None = two-sided).
-        The sides differ only exactly at a kink, not at a window edge."""
-        out = self._slope_at(*self._lookup(r, side))
+    def slope(self, r):
+        """The slope h'(r), for one radius or an array of them."""
+        out = self._slope_at(*self._lookup(r))
         return out if np.ndim(r) else float(out[0])
 
     def value(self, r):
-        """The profile at r; it is continuous, so a kink needs no side."""
-        out = self._value_at(*self._lookup(r, "right"))
+        """The profile h(r), for one radius or an array of them."""
+        out = self._value_at(*self._lookup(r))
         return out if np.ndim(r) else float(out[0])
 
     __call__ = value
@@ -172,32 +151,19 @@ class RadialProfile:
 
     @property
     def breakpoints(self) -> List[Tuple[float, float]]:
-        rs: List[float] = []
-        for kn, w in zip(self.knots, self.blend_widths):
-            if w == 0.0:
-                rs.append(float(kn))
-            else:
-                rs.extend([float(kn - w), float(kn + w)])
+        rs = [float(x) for kn, w in zip(self.knots, self.blend_widths) for x in (kn - w, kn + w)]
         return [(r, float(self.value(r))) for r in rs]
 
     @property
     def segments(self) -> List[dict]:
+        def line(s, r_hi):
+            return {"kind": "constant" if s == 0.0 else "linear", "slope": float(s), "r_hi": r_hi}
+
         out = []
-        for i, (kn, w) in enumerate(zip(self.knots, self.blend_widths)):
-            s = self.slopes[i]
-            out.append(
-                {
-                    "kind": "constant" if s == 0.0 else "linear",
-                    "slope": float(s),
-                    "r_hi": float(kn - w) if w else float(kn),
-                }
-            )
-            if w:
-                out.append({"kind": "smooth-join", "r_lo": float(kn - w), "r_hi": float(kn + w)})
-        out.append({"kind": "constant" if self.slopes[-1] == 0.0 else "linear",
-                    "slope": float(self.slopes[-1]),
-                    "r_hi": None})
-        return out
+        for s, kn, w in zip(self.slopes, self.knots, self.blend_widths):
+            out += [line(s, float(kn - w)),
+                    {"kind": "smooth-join", "r_lo": float(kn - w), "r_hi": float(kn + w)}]
+        return out + [line(self.slopes[-1], None)]
 
     def max_breakpoint(self) -> float:
         return float(self.knots[-1] + self.blend_widths[-1])
@@ -215,10 +181,9 @@ class RadialProfile:
         }
 
 
-def radial_action(h: RadialProfile, r, side: Optional[str] = None):
-    """r h'(r) - h(r), for one radius or an array of them, from one lookup;
-    at a kink a side must be selected explicitly."""
-    pos = h._lookup(r, side)
+def radial_action(h: RadialProfile, r):
+    """r h'(r) - h(r), for one radius or an array of them, from one lookup."""
+    pos = h._lookup(r)
     out = pos[0] * h._slope_at(*pos) - h._value_at(*pos)
     return out if np.ndim(r) else float(out[0])
 
@@ -290,7 +255,7 @@ class TransferSchedule:
         if stages < 1:
             raise ProfileConstraintError(f"need at least one stage, got {stages}")
         slopes, _ = choose_slopes(spectrum, stages, 4.0 * C, C=C)
-        eps = tuple(EPS0 / 2**i for i in range(stages))
+        eps = tuple(EPS0 * 0.5**i for i in range(stages))
         return TransferSchedule(eps=eps, slopes=tuple(slopes))
 
 
@@ -573,11 +538,11 @@ def verify_monotone(h1: RadialProfile, h2: RadialProfile) -> MonotoneReport:
     Both profiles extend linearly beyond their last breakpoint, so the common
     domain is [0, r_max] with r_max 1.5 times the larger last breakpoint.
     h2 - h1 is taken on a grid of `MONOTONE_GRID` points and, after them, at
-    both profiles' kinks and window edges and at three points inside each
-    window, in [0, r_max]: outside the windows h2 - h1 is linear between these
-    points, so a dip narrower than the grid step is still seen.  The first
-    minimum is the witness, so a grid point wins a tie.  The critical radius
-    is r = 2 C r_{n+1} taken from h2's metadata, where the two outer climbs
+    both profiles' window edges and at three points inside each window, in
+    [0, r_max]: outside the windows h2 - h1 is linear between these points,
+    so a dip narrower than the grid step is still seen.  The first minimum
+    is the witness, so a grid point wins a tie.  The critical radius is
+    r = 2 C r_{n+1} taken from h2's metadata, where the two outer climbs
     come closest (r_max / 2 without that metadata).
     """
     r_max = 1.5 * max(h1.max_breakpoint(), h2.max_breakpoint())

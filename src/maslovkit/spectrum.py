@@ -68,14 +68,11 @@ class CoefficientProfile:
 
     @staticmethod
     def from_handle_params(epsilon: float, delta: float, cx: float = 1.0,
-                           cy: float = 1.0, z_max: Optional[float] = None
-                           ) -> "CoefficientProfile":
-        """Default linear interpolation from the inner z-slope to its 1/eps
-        multiple, the range the radial extension sweeps on {x=y=0}."""
+                           cy: float = 1.0) -> "CoefficientProfile":
+        """Default linear interpolation on [0, delta] from the inner z-slope to
+        its 1/eps multiple, the range the radial extension sweeps on {x=y=0}."""
         c_lo = inner_z_slope(epsilon, delta)
-        c_hi = c_lo / epsilon
-        zm = delta if z_max is None else z_max
-        return CoefficientProfile.of(cx, cy, [[0.0, c_lo], [zm, c_hi]])
+        return CoefficientProfile.of(cx, cy, [[0.0, c_lo], [delta, c_lo / epsilon]])
 
     def cz(self, z):
         t = self.z_table
@@ -298,8 +295,11 @@ def agreement_cases(n_max: int = 5, m_max: int = 4) -> Iterator[tuple]:
     delta = 0.05 handle profile with the slope a that makes a Cz(z*)/2 = m pi.
 
     Yields (n, k, m, a Cz, formula index, (ode index, diagnostics),
-    cluster bounds).
+    cluster bounds).  An empty range (n_max < 2 or m_max < 1) raises
+    `DimensionMismatchError`.
     """
+    if n_max < 2 or m_max < 1:
+        raise DimensionMismatchError(f"need n_max >= 2 and m_max >= 1, got {n_max} and {m_max}")
     prof = CoefficientProfile.from_handle_params(0.1, 0.05)
     z_star = 0.5 * (prof.z_min + prof.z_max)
     cz = float(prof.cz(z_star))

@@ -86,8 +86,8 @@ class SuiteResult:
         }
 
 
-def _random_generator_path(n, rng, scale=2.0):
-    a = rng.normal(size=(2 * n, 2 * n), scale=scale)
+def _random_generator_path(n, rng):
+    a = rng.normal(size=(2 * n, 2 * n), scale=2.0)
     return GeneratorPath((a + a.T) / 2, random_lagrangian_frame(n, rng))
 
 
@@ -230,10 +230,14 @@ def loop_consistency_suite(seed: int = 0, cases: int = 50) -> SuiteResult:
 
 GRAD_STEP = 1e-5
 GRAD_TOL = 1e-8  # relative to max(1, |c|_inf); rounding reaches about 1.1e-10
+IDENTITY_POINTS = 1000  # random points the handle identities are checked at
+CERT_RESOLUTION = 50  # grid resolution of each handle certificate
+SLOPE_TOL = 1e-12  # radial slope identity: psi_delta against its closed form
 
 
-def handle_identity_suite(seed: int = 0, points: int = 1000) -> SuiteResult:
+def handle_identity_suite(seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
+    points = IDENTITY_POINTS
     params = HandleParams(n=3, k=2, epsilon=0.1, delta=0.05)
     dim, k = 2 * params.n, params.k
     # per point, in stream order: c, t, v, s2 and the coefficients Cx, Cy, Cz
@@ -288,14 +292,14 @@ def handle_identity_suite(seed: int = 0, points: int = 1000) -> SuiteResult:
     return SuiteResult("handle.identities", points, failures)
 
 
-def handle_certification_suite(resolution: int = 50) -> SuiteResult:
+def handle_certification_suite() -> SuiteResult:
     failures: List[str] = []
     cases = 0
     for eps in (0.1, 0.05):
         for delta in (0.05, 0.01):
             cases += 1
             params = HandleParams(n=2, k=1, epsilon=eps, delta=delta)
-            cert = transversality_certificate(params, GridSpec(resolution=resolution))
+            cert = transversality_certificate(params, GridSpec(resolution=CERT_RESOLUTION))
             if not cert.passed or cert.min_value <= 0:
                 failures.append(
                     f"eps={eps}, delta={delta}: min {cert.min_value} at "
@@ -304,7 +308,7 @@ def handle_certification_suite(resolution: int = 50) -> SuiteResult:
     return SuiteResult("handle.certification", cases, failures)
 
 
-def slope_identity_suite(tol: float = 1e-12) -> SuiteResult:
+def slope_identity_suite() -> SuiteResult:
     failures: List[str] = []
     cases = 0
     for eps in (0.1, 0.05):
@@ -317,7 +321,7 @@ def slope_identity_suite(tol: float = 1e-12) -> SuiteResult:
             q = liouville_flow([0.0, 0.0, math.sqrt(4 * z0), 0.0], ts, params)
             psi = potentials(q, params)["psi_delta"]
             want = eps * np.exp(ts) - (1 + eps)
-            for i in np.nonzero(np.abs(psi - want) > tol)[0]:
+            for i in np.nonzero(np.abs(psi - want) > SLOPE_TOL)[0]:
                 failures.append(f"eps={eps}, delta={delta}, t={ts[i]}: {psi[i]} vs {want[i]}")
     return SuiteResult("handle.radial_slope", cases, failures)
 
@@ -327,10 +331,14 @@ def slope_identity_suite(tol: float = 1e-12) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def profile_ledger_suite(stages: int = 3) -> SuiteResult:
+LEDGER_STAGES = 3  # stages of the transfer family the ledger suite checks
+BETA_GRID = 10_000  # cells of the cutoff grid the envelope suite checks
+
+
+def profile_ledger_suite() -> SuiteResult:
     failures: List[str] = []
     spec = SpectrumSet.of([math.pi, 2 * math.pi, 3 * math.pi])
-    sched = TransferSchedule.seeded(spec, C=2.0, stages=stages)
+    sched = TransferSchedule.seeded(spec, C=2.0, stages=LEDGER_STAGES)
     family = build_transfer_family(spec, 2.0, sched)
     for prof in family:
         rep = verify_action_signs(prof, spectrum_w=spec, spectrum_outer=spec)
@@ -357,9 +365,9 @@ def profile_ledger_suite(stages: int = 3) -> SuiteResult:
     return SuiteResult("profiles.transfer_ledger", len(family), failures)
 
 
-def beta_envelope_suite(grid: int = 10_000) -> SuiteResult:
+def beta_envelope_suite() -> SuiteResult:
     failures: List[str] = []
-    b = build_beta(0.1, 0.01, 1.0, 1.0, grid=grid)
+    b = build_beta(0.1, 0.01, 1.0, 1.0, grid=BETA_GRID)
     checks = b.validate()
     if checks["knot_left"] != 0.0:
         failures.append(f"beta(1-eps) = {checks['knot_left']} != 0")
@@ -371,7 +379,7 @@ def beta_envelope_suite(grid: int = 10_000) -> SuiteResult:
         failures.append("derivative envelope violated")
     if not checks["envelope_margin"] > 1.0:
         failures.append(f"envelope margin {checks['envelope_margin']} not strict")
-    return SuiteResult("profiles.beta_envelope", grid, failures)
+    return SuiteResult("profiles.beta_envelope", BETA_GRID, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +387,11 @@ def beta_envelope_suite(grid: int = 10_000) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def spectrum_agreement_suite(n_max: int = 5, m_max: int = 4) -> SuiteResult:
+def spectrum_agreement_suite() -> SuiteResult:
+    """Both index routes over `agreement_cases`' default (n, k, m) range."""
     failures: List[str] = []
     cases = 0
-    for n, k, m, _, f, (o, diag), ((l1, h1), (l2, h2)) in agreement_cases(n_max, m_max):
+    for n, k, m, _, f, (o, diag), ((l1, h1), (l2, h2)) in agreement_cases():
         cases += 1
         if f != o:
             failures.append(f"(n={n}, k={k}, m={m}): formula {f} != ode {o}")
@@ -502,9 +511,13 @@ def mutate_complex(c: FilteredZ2Complex, rng: np.random.Generator) -> FilteredZ2
     return FilteredZ2Complex.from_matrix(gens, d)
 
 
-def homalg_suite(seed: int = 0, mutations: int = 50) -> SuiteResult:
+MUTATIONS = 50  # random complexes the homalg suite mutates
+
+
+def homalg_suite(seed: int = 0) -> SuiteResult:
     failures: List[str] = []
     rng = np.random.default_rng(seed)
+    mutations = MUTATIONS
 
     caught = 0
     for i in range(mutations):

@@ -220,23 +220,25 @@ class LagrangianPath:
             self.moved[0], self.moved[1].restricted(t0, t1))
         return _DerivedPath(self.n, self.frames, (t0, t1), self.generator(), moved)
 
-    def reparametrized(self, tau: Callable[[float], float],
+    def reparametrized(self, tau: Callable[[np.ndarray], np.ndarray],
                        domain: tuple = (0.0, 1.0)) -> "LagrangianPath":
         """Precompose with a monotone time change ``tau``.
 
-        ``tau`` is called once on the whole array of times, and the result is
-        kept when it is a finite float array of their shape.  A ``tau`` that
-        takes one time only (raising `TypeError` or `ValueError` on an array),
-        or that gives anything else, is called once per time.
+        ``tau`` is called once on the whole array of times.  A result that is
+        not a finite float array of their shape raises
+        `DimensionMismatchError`.
         """
 
         def frames(ts):
+            s = tau(ts)
             try:
-                s = np.asarray(tau(ts), dtype=float)
+                s = np.asarray(s, dtype=float)
             except (TypeError, ValueError):
                 s = None
             if s is None or s.shape != ts.shape or not np.all(np.isfinite(s)):
-                s = [tau(float(t)) for t in ts]
+                raise DimensionMismatchError(
+                    f"a time change must map the {ts.shape} array of times to a finite "
+                    "float array of that shape")
             return self.frames(s)
 
         return _DerivedPath(self.n, frames, domain)
@@ -414,10 +416,6 @@ class GeneratorPath(LagrangianPath):
     def _offsets(self, ts) -> np.ndarray:
         t0, t1 = self.domain
         return np.clip(np.asarray(ts, dtype=float), t0, t1) - t0
-
-    def matrix(self, t: float) -> np.ndarray:
-        """The fundamental solution Psi(t)."""
-        return self.matrices([t])[0]
 
     def matrices(self, ts) -> np.ndarray:
         """Psi(t) at many times in the domain, shape (T, 2n, 2n).

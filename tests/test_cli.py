@@ -22,6 +22,12 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+# a -> b, the one differential of a two-generator complex
+_LINE = {"generators": [{"id": "a", "degree": 1, "action": 2},
+                        {"id": "b", "degree": 0, "action": 1}],
+         "differential": [["b", "a"]]}
+
+
 @pytest.mark.parametrize("argv", [
     # top-level JSON that is not an object
     ["rs-index", "--json", "[]"], ["homology", "--json", "[]"],
@@ -90,6 +96,22 @@ def test_handle_index_without_angle_or_sweep_is_input_error(capsys):
     ["beta-build", "--eps", "0.1", "--delta", "0.05", "--rho", "1", "--reeb-norm", "1",
      "--grid", "1"],
     ["chord-maslov", "--model", "quadratic", "--n", "0", "--k", "0"],
+    # JSON booleans where integers are asked for
+    ["homology", "--json", json.dumps({
+        "generators": [{"id": "a", "degree": True, "action": 1}], "differential": []})],
+    ["direct-limit", "--json", json.dumps({"stages": [{"0": True}], "maps": []})],
+    # a negative stage dimension, negative box sides, an empty sweep range
+    ["direct-limit", "--json", json.dumps({"stages": [{"0": -1}], "maps": []})],
+    ["handle-certify", "--eps", "0.1", "--delta", "0.05", "--z-max", "-1"],
+    ["handle-certify", "--eps", "0.1", "--delta", "0.05", "--x-max", "-1"],
+    ["handle-index", "--sweep", "--m-max", "0"], ["handle-index", "--sweep", "--n-max", "1"],
+    # four copies of a map that does not commute with d
+    ["diagram-check", "--json", json.dumps(dict.fromkeys(
+        ("psi_i", "psi_ip1", "phi_m", "phi_handle"), {
+            "source": _LINE, "target": _LINE, "entries": [["b", "b"]]}))],
+    # stage counts of 39 and up: stage 39's outer blend width rounds to 0
+    ["profile-build", "--stages", "39"], ["profile-build", "--stages", "1025"],
+    ["profile-verify", "--stages", "2000"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert cli.main(argv) == 2

@@ -257,7 +257,7 @@ def model_flow(z0, k: int, t: float) -> np.ndarray:
     """Psi(t) of `quadratic_model_path` applied to the points z0 of C^n."""
     z0 = np.asarray(z0, dtype=complex)
     n = len(z0)
-    v = quadratic_model_path(n, k).matrix(t) @ np.concatenate([z0.real, z0.imag])
+    v = quadratic_model_path(n, k).matrices([t])[0] @ np.concatenate([z0.real, z0.imag])
     return v[:n] + 1j * v[n:]
 
 
@@ -436,8 +436,9 @@ class TestTransversality:
         assert len(obj["witness_point"]) == 3
 
 
-def test_identity_suite_passes():
-    r = handle_identity_suite(seed=0, points=200)
+def test_identity_suite_passes(monkeypatch):
+    monkeypatch.setattr(suites, "IDENTITY_POINTS", 200)
+    r = handle_identity_suite(seed=0)
     assert r.passed, r.failures[:5]
 
 
@@ -456,7 +457,8 @@ def test_identity_suite_names_the_points_of_a_wrong_liouville_form(monkeypatch):
             want.append(f"point {i}: i_X omega != lambda")
         rng.uniform(), rng.normal(size=6), rng.uniform(), rng.uniform(size=3)
     assert len(want) > 5
-    got = handle_identity_suite(seed=4, points=300).failures
+    monkeypatch.setattr(suites, "IDENTITY_POINTS", 300)
+    got = handle_identity_suite(seed=4).failures
     assert [f for f in got if f.endswith("i_X omega != lambda")] == want
     # lines are ordered by point, then by check
     checks = ["i_X omega != lambda", "X != grad phi", "flow does not scale the form by e^t",
@@ -465,8 +467,9 @@ def test_identity_suite_names_the_points_of_a_wrong_liouville_form(monkeypatch):
     assert keys == sorted(keys) and len(set(k for _, k in keys)) > 1
 
 
-def test_certification_suite_passes():
-    r = handle_certification_suite(resolution=30)
+def test_certification_suite_passes(monkeypatch):
+    monkeypatch.setattr(suites, "CERT_RESOLUTION", 30)
+    r = handle_certification_suite()
     assert r.passed, r.failures
 
 

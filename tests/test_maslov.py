@@ -626,7 +626,7 @@ class TestMovedLift:
         for n in (1, 2, 3, 4, 6):
             psi = GeneratorPath(draw_generator_path(rng, n, 1.0).generator(),
                                 LagrangianFrame.horizontal(n))
-            assert np.linalg.cond(psi.matrix(1.0)) < 1e3
+            assert np.linalg.cond(psi.matrices([1.0])[0]) < 1e3
             rot = rotation_path(n, rng.uniform(-3.0, 3.0, n) * np.pi)
             for moved in (rot.transformed(psi),
                           draw_generator_path(rng, n, 2.0).transformed(psi),

@@ -6,12 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from maslovkit import profiles
-from maslovkit.errors import (
-    DimensionMismatchError,
-    KinkEvaluationError,
-    ProfileConstraintError,
-    SpectrumSearchError,
-)
+from maslovkit.errors import DimensionMismatchError, ProfileConstraintError, SpectrumSearchError
 from maslovkit.handle import smoothstep, smoothstep_integral
 from maslovkit.profiles import (
     RadialProfile,
@@ -34,27 +29,31 @@ class TestRadialAction:
         # h(r) = a r + b has constant action -b: the tangent line is the
         # segment itself
         a, b = 2.5, -0.7
-        h = RadialProfile(knots=[0.5], slopes=[a, a], anchor=(0.0, b))
+        h = RadialProfile(knots=[0.5], slopes=[a, a], anchor=(0.0, b), blend_widths=[0.1])
         for r in (0.2, 1.0, 3.0):
             assert radial_action(h, r) == pytest.approx(-b, abs=1e-12)
 
     def test_constant_well(self):
         eps = 0.25
-        h = RadialProfile(knots=[10.0], slopes=[0.0, 1.0], anchor=(0.0, -eps))
+        h = RadialProfile(knots=[10.0], slopes=[0.0, 1.0], anchor=(0.0, -eps), blend_widths=[1.0])
         assert radial_action(h, 3.0) == pytest.approx(eps, abs=1e-15)
 
     def test_shifted_line(self):
         # h(r) = a (r - 1 - eps) has intercept -a(1+eps), so action a(1+eps)
         a, eps = 9.0, 0.1
-        h = RadialProfile(knots=[100.0], slopes=[a, a], anchor=(0.0, -a * (1 + eps)))
+        h = RadialProfile(knots=[100.0], slopes=[a, a], anchor=(0.0, -a * (1 + eps)),
+                          blend_widths=[1.0])
         assert radial_action(h, 5.0) == pytest.approx(a * (1 + eps), abs=1e-10)
 
-    def test_kink_needs_side(self):
-        h = RadialProfile(knots=[1.0], slopes=[0.0, 2.0], anchor=(0.0, 0.0))
-        with pytest.raises(KinkEvaluationError):
-            radial_action(h, 1.0)
-        assert radial_action(h, 1.0, side="left") == pytest.approx(0.0)
-        assert radial_action(h, 1.0, side="right") == pytest.approx(2.0)
+    def test_zero_blend_width_refused(self):
+        # every knot needs a smooth join of positive half-width: a kink (width
+        # 0) and a negative width are refused, and the widths have no default
+        for widths in ([0.0], [-0.1], [0.2, 0.0]):
+            knots, slopes = [1.0, 2.0][:len(widths)], [0.0, 2.0, 1.0][:len(widths) + 1]
+            with pytest.raises(DimensionMismatchError, match="positive"):
+                RadialProfile(knots, slopes, (0.0, 0.0), widths)
+        with pytest.raises(TypeError):
+            RadialProfile([1.0], [0.0, 2.0], (0.0, 0.0))
 
     def test_tangent_line_oracle_straight_segments(self):
         # two-point tangent construction: on a straight segment any two
@@ -103,9 +102,9 @@ def _value_probe_profiles():
     family = build_transfer_family(SPECTRUM, 2.0, sched)
     rng = np.random.default_rng(12)
     mixed = []
-    for _ in range(4):  # kinks and blends, slopes of either sign
+    for _ in range(4):  # narrow and wide blends, slopes of either sign
         knots = np.cumsum(rng.uniform(1.0, 3.0, 4))
-        widths = rng.uniform(0.05, 0.4, 4) * (rng.random(4) < 0.7)
+        widths = rng.uniform(0.05, 0.4, 4)
         mixed.append(RadialProfile(knots, rng.normal(scale=3.0, size=5),
                                    (-1.0, float(rng.normal())), widths))
     return family + mixed
@@ -124,12 +123,12 @@ class TestProfileValue:
         assert np.array_equal(values, [h.value(float(r)) for r in rs])
         scale = max(1.0, float(np.max(np.abs(values))))
         for a, b, va, vb in zip(rs, rs[1:], values, values[1:]):
-            want, _ = quad(lambda r: h.slope(r, side="right"), a, b, epsabs=1e-13, epsrel=1e-13)
+            want, _ = quad(h.slope, a, b, epsabs=1e-13, epsrel=1e-13)
             assert abs((vb - va) - want) <= 1e-11 * scale, (a, b)
         assert h.value(h.anchor[0]) == pytest.approx(h.anchor[1], abs=1e-14 * scale)
 
 
-def _per_knot_slope(h, r, side=None):
+def _per_knot_slope(h, r):
     """The slope by one pass per knot over every radius: the evaluation the
     segment lookup replaced, kept as an independent oracle."""
     rr = np.asarray(r, dtype=float)
@@ -138,18 +137,9 @@ def _per_knot_slope(h, r, side=None):
     out = np.full_like(rr, h.slopes[0])
     for i, (kn, w) in enumerate(zip(h.knots, h.blend_widths)):
         s0, s1 = h.slopes[i], h.slopes[i + 1]
-        if w == 0.0:
-            if side == "left":
-                out = np.where(rr > kn, s1, out)
-            else:
-                out = np.where(rr >= kn, s1, out)
-            at_kink = np.isclose(rr, kn, rtol=0, atol=1e-14)
-            if side is None and np.any(at_kink) and s0 != s1:
-                raise KinkEvaluationError(f"slope evaluated exactly at the kink r={kn}")
-        else:
-            u = (rr - (kn - w)) / (2 * w)
-            out = np.where(rr > kn - w, s0 + (s1 - s0) * smoothstep(u), out)
-            out = np.where(rr >= kn + w, s1, out)
+        u = (rr - (kn - w)) / (2 * w)
+        out = np.where(rr > kn - w, s0 + (s1 - s0) * smoothstep(u), out)
+        out = np.where(rr >= kn + w, s1, out)
     return float(out[0]) if scalar else out
 
 
@@ -163,11 +153,10 @@ def _per_knot_value(h, r):
         out = h.slopes[0] * rr
         for i, (kn, w) in enumerate(zip(h.knots, h.blend_widths)):
             ds = h.slopes[i + 1] - h.slopes[i]
-            if w != 0.0:
-                u = (rr - (kn - w)) / (2 * w)
-                inside = (u > 0.0) & (u < 1.0)
-                out[u >= 1.0] += ds * w
-                out[inside] += ds * 2 * w * smoothstep_integral(u[inside])
+            u = (rr - (kn - w)) / (2 * w)
+            inside = (u > 0.0) & (u < 1.0)
+            out[u >= 1.0] += ds * w
+            out[inside] += ds * 2 * w * smoothstep_integral(u[inside])
             right = rr > kn + w
             out[right] += ds * (rr[right] - kn - w)
         return out
@@ -177,8 +166,9 @@ def _per_knot_value(h, r):
 
 
 def _random_profiles(count=40):
-    """Profiles with 1-5 knots, kinks and blends mixed, slopes of either
-    sign, some knots with no slope change, anchors left of the first knot."""
+    """Profiles with 1-5 knots, blends of 5-95 % of their room, slopes of
+    either sign, some knots with no slope change, anchors left of the first
+    knot."""
     rng = np.random.default_rng(1414)
     out = []
     for _ in range(count):
@@ -186,7 +176,7 @@ def _random_profiles(count=40):
         knots = np.cumsum(rng.uniform(0.2, 2.0, m))
         gaps = np.diff(np.concatenate(([0.0], knots, [knots[-1] + 1.0])))
         room = 0.5 * np.minimum(gaps[:-1], gaps[1:])
-        widths = rng.uniform(0.05, 0.95, m) * room * (rng.random(m) < 0.6)
+        widths = rng.uniform(0.05, 0.95, m) * room
         slopes = rng.normal(scale=3.0, size=m + 1)
         flat = np.flatnonzero(rng.random(m) < 0.15)
         slopes[flat + 1] = slopes[flat]
@@ -195,12 +185,14 @@ def _random_profiles(count=40):
     return out
 
 
-def _lookup_probes(h, rng):
-    """Every knot and window edge, the floats and 1e-14, 3e-14 next to them,
-    window interiors, radii below 0 and beyond the last knot; shuffled."""
+def _lookup_probes(h, rng, side=None):
+    """Every knot and window edge, the floats and 1e-14, 3e-14 next to them
+    (on the given side only, if one is given), window interiors, radii below
+    0 and beyond the last knot; shuffled."""
     edges = np.concatenate([h.knots - h.blend_widths, h.knots, h.knots + h.blend_widths])
-    near = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
-    near += [edges + d for d in (-3e-14, -1e-14, 1e-14, 3e-14)]
+    signs = {"left": (-1.0,), "right": (1.0,), None: (-1.0, 1.0)}[side]
+    near = [np.nextafter(edges, sg * np.inf) for sg in signs]
+    near += [edges + sg * d for sg in signs for d in (1e-14, 3e-14)]
     inside = [h.knots + f * h.blend_widths for f in (-0.999, -0.5, 0.01, 0.7)]
     spread = rng.uniform(-2.0, h.knots[-1] + 3.0, 60)
     far = [-50.0, -1e-300, 0.0, 10.0 * (h.knots[-1] + 1.0)]
@@ -214,11 +206,6 @@ def _term_scale(h, r):
             + np.abs(np.diff(h.slopes) * h.knots).sum() + abs(h.anchor[1]))
 
 
-def _near_kink(h, rs):
-    kinks = h.knots[(h.blend_widths == 0) & (np.diff(h.slopes) != 0)]
-    return np.isclose(rs[:, None], kinks, rtol=0, atol=1e-14).any(axis=1)
-
-
 class TestLookupOracle:
     """The segment lookup against the per-knot passes it replaced."""
 
@@ -226,52 +213,15 @@ class TestLookupOracle:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_sided_slope_is_bitwise_equal(self, side):
+        # every knot and window edge approached from one side: the lookup
+        # must pick the same segment as the per-knot passes on either side
         rng = np.random.default_rng(21)
         for h in self.PROFILES:
-            rs = _lookup_probes(h, rng)
-            assert h.slope(rs, side=side).tobytes() == _per_knot_slope(h, rs, side).tobytes()
+            rs = _lookup_probes(h, rng, side)
+            assert h.slope(rs).tobytes() == _per_knot_slope(h, rs).tobytes()
             for r in rs[:25]:
-                got = h.slope(float(r), side=side)
-                assert isinstance(got, float) and got == _per_knot_slope(h, float(r), side)
-
-    def test_two_sided_slope_and_kink_refusal(self):
-        rng = np.random.default_rng(22)
-        refused = 0
-        for h in self.PROFILES:
-            rs = _lookup_probes(h, rng)
-            near = _near_kink(h, rs)
-            far = rs[~near]
-            assert h.slope(far).tobytes() == _per_knot_slope(h, far).tobytes()
-            for r in rs[near]:
-                for fn in (h.slope, _per_knot_slope):
-                    with pytest.raises(KinkEvaluationError):
-                        fn(h, r) if fn is _per_knot_slope else fn(r)
-                with pytest.raises(KinkEvaluationError):
-                    radial_action(h, np.array([0.5 * r, r]))
-                refused += 1
-            if near.any():
-                with pytest.raises(KinkEvaluationError):
-                    h.slope(rs)
-        assert refused >= 50
-
-    def test_kink_refused_across_a_knot_with_no_slope_change(self):
-        # the knot at 1 + 4e-15 changes no slope; the kink at 1 is the one
-        # within 1e-14 of every probe
-        h = RadialProfile([1.0, 1.0 + 4e-15, 3.0], [0.0, 2.0, 2.0, 1.0], (0.0, 0.0),
-                          [0.0, 0.0, 0.5])
-        for r in (1.0 - 8e-15, 1.0, 1.0 + 4e-15, 1.0 + 8e-15):
-            with pytest.raises(KinkEvaluationError):
-                _per_knot_slope(h, r)
-            with pytest.raises(KinkEvaluationError):
-                h.slope(r)
-        assert h.slope(1.0 + 2e-14) == _per_knot_slope(h, 1.0 + 2e-14) == 2.0
-
-    def test_window_edges_do_not_depend_on_side(self):
-        for h in self.PROFILES:
-            w = h.blend_widths
-            edges = np.concatenate([(h.knots - w)[w > 0], (h.knots + w)[w > 0]])
-            assert np.array_equal(h.slope(edges, side="left"), h.slope(edges, side="right"))
-            assert np.array_equal(h.slope(edges, side="left"), h.slope(edges))
+                got = h.slope(float(r))
+                assert isinstance(got, float) and got == _per_knot_slope(h, float(r))
 
     def test_value_matches_per_knot_passes(self):
         # both routes sum linear terms of the size of |s r| and |sum ds k|
@@ -292,10 +242,9 @@ class TestLookupOracle:
         rng = np.random.default_rng(24)
         for h in self.PROFILES:
             rs = _lookup_probes(h, rng)
-            for side in ("left", "right"):
-                want = rs * _per_knot_slope(h, rs, side) - _per_knot_value(h, rs)
-                got = radial_action(h, rs, side=side)
-                assert np.all(np.abs(got - want) <= 2e-14 * _term_scale(h, rs))
+            want = rs * _per_knot_slope(h, rs) - _per_knot_value(h, rs)
+            got = radial_action(h, rs)
+            assert np.all(np.abs(got - want) <= 2e-14 * _term_scale(h, rs))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_radii_refused(self, bad):
@@ -304,13 +253,11 @@ class TestLookupOracle:
             for call in (h.value, h.slope, lambda r: radial_action(h, r)):
                 with pytest.raises(DimensionMismatchError, match="finite"):
                     call(r)
-            with pytest.raises(DimensionMismatchError, match="finite"):
-                h.slope(r, side="left")
 
     @pytest.mark.parametrize("field", ["knots", "slopes", "widths", "anchor_r", "anchor_value"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_profile_refused(self, field, bad):
-        args = {"knots": [1.0, 2.0], "slopes": [0.0, 1.0, 0.5], "widths": [0.1, 0.0],
+        args = {"knots": [1.0, 2.0], "slopes": [0.0, 1.0, 0.5], "widths": [0.1, 0.2],
                 "anchor_r": 0.0, "anchor_value": -0.1}
         if field in ("knots", "slopes", "widths"):
             args[field] = list(args[field])
@@ -404,6 +351,13 @@ class TestBuildTransferProfile:
                 assert a * (r_n - 1) - eps < A_n < a * (r_n - 1)
                 r_prev = r_n
 
+    def test_seeded_eps_halve_past_the_float_exponent(self):
+        # EPS0 * 0.5^i is EPS0 / 2^i bit for bit while 2^i is a float, and
+        # carries on (down to 0) past 2^1023, where EPS0 / 2^i overflows
+        eps = TransferSchedule.seeded(SPECTRUM, C=2.0, stages=1100).eps
+        assert eps[:1024] == tuple(profiles.EPS0 / 2**i for i in range(1024))
+        assert eps[-1] == 0.0 and all(e2 <= e1 for e1, e2 in zip(eps, eps[1:]))
+
     def test_slope_bounds_by_construction(self):
         sched = TransferSchedule.seeded(SPECTRUM, C=2.0, stages=2)
         for h in build_transfer_family(SPECTRUM, 2.0, sched):
@@ -441,9 +395,9 @@ class TestActionSigns:
         assert [i["item"] for i in obj["items"]] == ["a", "b", "c", "d", "e"]
 
 
-def _scalar_action(h, r, side=None):
+def _scalar_action(h, r):
     """radial_action one radius at a time, through scalar slope and value."""
-    acts = [float(x * h.slope(float(x), side=side) - h.value(float(x)))
+    acts = [float(x * h.slope(float(x)) - h.value(float(x)))
             for x in np.atleast_1d(r)]
     return np.asarray(acts) if np.ndim(r) else acts[0]
 
@@ -548,22 +502,24 @@ class TestMonotone:
         assert rep.witness_r == 0.0  # a tie keeps the first grid point
 
     def test_dip_between_grid_points_is_seen(self):
-        # h2 - h1 is a kinked V of depth 1e-6 and width 2e-6 that starts 1e-7
-        # right of a grid point, so no grid point sees it; its tip is a kink
-        h1 = RadialProfile([1.0], [0.0, 0.0], (0.0, 0.0))
+        # h2 - h1 is a V of depth 1e-6 and width 2e-6, its joins 2e-12 wide,
+        # that starts 1e-7 right of a grid point, so no grid point sees it;
+        # the middle of the window at its tip does
+        h1 = RadialProfile([1.0], [0.0, 0.0], (0.0, 0.0), [0.1])
         grid = np.linspace(0.0, 1.5, 10_000)
         a = grid[3333] + 1e-7
-        h2 = RadialProfile([a, a + 1e-6, a + 2e-6], [0.0, -1.0, 1.0, 0.0], (0.0, 0.0))
+        h2 = RadialProfile([a, a + 1e-6, a + 2e-6], [0.0, -1.0, 1.0, 0.0], (0.0, 0.0),
+                           [1e-12] * 3)
         assert np.min(h2.value(grid)) > -1e-15
         rep = verify_monotone(h1, h2)
         assert not rep.passed
         assert rep.min_gap == pytest.approx(-1e-6, rel=1e-6)
-        assert rep.witness_r == a + 1e-6
+        assert rep.witness_r == pytest.approx(a + 1e-6, abs=1e-12)
 
     def test_dip_inside_a_window_is_seen(self):
         # the same V with its three knots blended over 4e-7: the tip lies in a
         # window, and the window's middle sees it within 2e-7
-        h1 = RadialProfile([1.0], [0.0, 0.0], (0.0, 0.0))
+        h1 = RadialProfile([1.0], [0.0, 0.0], (0.0, 0.0), [0.1])
         a = np.linspace(0.0, 1.5, 10_000)[3333] + 1e-6
         h2 = RadialProfile([a, a + 1e-6, a + 2e-6], [0.0, -1.0, 1.0, 0.0], (0.0, 0.0),
                            [4e-7] * 3)

@@ -336,7 +336,7 @@ class TestBatchedFrames:
         rng = np.random.default_rng(4)
         base, psi = _random_generator_path(2, rng), _random_generator_path(2, rng)
         self.assert_batched(base.transformed(psi))
-        self.assert_batched(base.transformed(lambda t: psi.matrix(t)))
+        self.assert_batched(base.transformed(lambda t: psi.matrices([t])[0]))
 
     def test_transformed_by_a_generator_path_needs_its_domain_and_n(self):
         # Psi(t) = e^{i t} turns the speed-1.5 rotation into speed 2.5 on (0, 2):
@@ -367,27 +367,31 @@ class TestBatchedFrames:
         self.assert_batched(base.restricted(0.25, 0.75), 0.25 + 0.5 * self.TS)
 
     def test_reparametrized_tau_on_the_whole_array(self):
-        # a tau built on math takes one time at a time, and is called per time
-        # after it raises on the array; its NumPy twin takes the whole array in
-        # one call: the same frames and the same index
+        # tau takes the whole array in one call; the frames are the base's at
+        # the times tau gives, one time at a time through math, and the index
+        # is the base's
         base = rotation_path(2, [1.5 * np.pi, -2.5 * np.pi])
-        shapes = {"math": [], "numpy": []}
+        shapes = []
 
-        def math_tau(u):
-            shapes["math"].append(np.shape(u))
-            return math.sinh(u) / math.sinh(1.0)
-
-        def numpy_tau(u):
-            shapes["numpy"].append(np.shape(u))
+        def tau(u):
+            shapes.append(np.shape(u))
             return np.sinh(u) / np.sinh(1.0)
 
-        one, other = base.reparametrized(math_tau), base.reparametrized(numpy_tau)
-        self.assert_close(one.frames(self.TS), other.frames(self.TS))
-        assert shapes == {"math": [self.TS.shape] + [()] * len(self.TS),
-                          "numpy": [self.TS.shape]}
+        moved = base.reparametrized(tau)
+        scalar = np.stack([base.frame_array(math.sinh(t) / math.sinh(1.0)) for t in self.TS])
+        self.assert_close(moved.frames(self.TS), scalar)
+        assert shapes == [self.TS.shape]
         vertical = ConstantPath(LagrangianFrame.vertical(2))
-        assert rs_index((one, vertical)) == rs_index((other, vertical)) == (
-            rs_index((base, vertical)))
+        assert rs_index((moved, vertical)) == rs_index((base, vertical))
+
+    def test_reparametrized_tau_of_the_wrong_shape_refused(self):
+        # a tau that gives one time for the array, drops a time, gives a
+        # ragged or a non-finite result is refused, not called per time
+        base = rotation_path(1, [np.pi])
+        for tau in (lambda u: 0.5, lambda u: u[:-1], lambda u: [u, u[:1]],
+                    lambda u: np.where(u > 0.5, np.nan, u)):
+            with pytest.raises(DimensionMismatchError, match="time change"):
+                base.reparametrized(tau).frames(self.TS)
 
     def test_moved_paths_record_their_parent(self):
         rng = np.random.default_rng(7)
@@ -399,7 +403,7 @@ class TestBatchedFrames:
         ts = 0.3 + 0.2 * self.TS
         self.assert_close(part.moved[1].frames(ts), base.frames(ts))
         for q in (base, base.restricted(0.25, 0.75), base.reparametrized(lambda t: t),
-                  base.transformed(lambda t: psi.matrix(t)), direct_sum_paths(moved, moved)):
+                  base.transformed(lambda t: psi.matrices([t])[0]), direct_sum_paths(moved, moved)):
             assert q.moved is None
 
     def test_generator_matrices(self):
@@ -410,7 +414,7 @@ class TestBatchedFrames:
         paths.append(GeneratorPath(np.diag([0.0, 1.0]), LagrangianFrame.horizontal(1)))
         assert [p._eig is None for p in paths] == [False, False, False, True]
         for p in paths:
-            scalar = np.stack([p.matrix(float(t)) for t in self.TS])
+            scalar = np.stack([p.matrices([float(t)])[0] for t in self.TS])
             batched = p.matrices(self.TS)
             self.assert_close(batched, scalar)
             # Psi(t0) is the identity itself on both routes

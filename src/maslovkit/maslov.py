@@ -107,20 +107,23 @@ is never evaluated for such a pair.  A pair with one moved path, or moved by
 two Psi objects (even of one S), is lifted by the split above.
 
 Each path of an index (for a moved path, its first unmoved ancestor) is
-evaluated once, on its first grid (`_grid`: its nodes, its certified grid or
-`CELLS` cells), in ``frames(ts)`` calls of at most `BATCH` times; its lift and
-its end frames at ts[0] and ts[-1] come from that one evaluation.  So a
-certified or sampled path takes one ``frames`` call per index while its grid
-stays under `BATCH`, and any other path one more per doubling, on the
-midpoints.  One QR orthonormalizes the four end frames and one `_phases` call
-gives W's eigenphases at both ends.  The 4-point end stencil is evaluated, and
-`_crossing` (the graph test for L0 ∩ L1, then the crossing form, a one-sided
-finite difference of the moving frame written as a graph over itself, only to
-refuse a degenerate end) run, only where some eigenphase is within `END_GAP`
-of 0: the graph test's smallest singular value is sqrt 2 sin(d/8), d that
-eigenphase's distance from 0, so it finds no intersection at a farther end.  t0
-is checked first, and an end is refused before the midpoint pass or the closed
-form runs.
+evaluated once per path object, on its first grid (`_grid`: its nodes, its
+certified grid or `CELLS` cells), in ``frames(ts)`` calls of at most `BATCH`
+times; its lift and its end frames at ts[0] and ts[-1] come from that one
+evaluation.  So a certified or sampled path takes one ``frames`` call per
+index while its grid stays under `BATCH`, and any other path one more per
+doubling, on the midpoints.  Once its lift has succeeded, `_path_ends` keeps
+the path's two raw end frames and two lift values, read-only, on the object,
+so a later `rs_index`, `det2_winding` or moved path's lift of it evaluates
+nothing; a refused end or a failed lift keeps nothing.  One QR orthonormalizes
+the four end frames and one `_phases` call gives W's eigenphases at both ends.
+The 4-point end stencil is evaluated, and `_crossing` (the graph test for
+L0 ∩ L1, then the crossing form, a one-sided finite difference of the moving
+frame written as a graph over itself, only to refuse a degenerate end) run,
+only where some eigenphase is within `END_GAP` of 0: the graph test's smallest
+singular value is sqrt 2 sin(d/8), d that eigenphase's distance from 0, so it
+finds no intersection at a farther end.  t0 is checked first, and an end is
+refused before the midpoint pass or the closed form runs.
 
 `rs_crossings` reads the eigenphases of W on one grid: both paths' own grids
 (a certified or node grid as it is, a doubling path's settled one) and the
@@ -340,12 +343,15 @@ def _path_ends(path):
     and is not evaluated itself: Z_G = P Z_F + Q conj(Z_F) at its ends, and its
     lift is F's, plus 2 arg det P lifted on Psi's grid of N_P cells, plus
     2 sum_j Arg lambda_j at the ends.  Any other path is evaluated on its first
-    grid (`_grid`) and lifted by `_path_lift`.
+    grid (`_grid`) and lifted by `_path_lift`.  A path's ends once lifted are `_kept`.
     """
+    if "_lifted_ends" in vars(path):
+        z, ends = vars(path)["_lifted_ends"]
+        return z, lambda: ends
     if path.moved is None:
         ts, settled = _grid(path)
         z = _complex(path, ts)
-        return z[[0, -1]], lambda: _path_lift(path, ts, z, settled)[1][[0, -1]]
+        return _kept(path, z[[0, -1]], lambda: _path_lift(path, ts, z, settled)[1][[0, -1]])
     psi, parent = path.moved
     zf, parent_lift = _path_ends(parent)
     n, (t0, t1), s = path.n, path.domain, psi.generator()
@@ -373,7 +379,18 @@ def _path_ends(path):
         return (parent_lift() + _det2(p[:1]) + np.array([0.0, np.sum(drift + step)])
                 + 2 * np.angle(lam).sum(axis=-1))
 
-    return pe @ zf + qe @ np.conj(zf), lift
+    return _kept(path, pe @ zf + qe @ np.conj(zf), lift)
+
+
+def _kept(path, z, lift):
+    """(z, lift), the lift storing z and its values, read-only, in ``vars(path)``
+    once it succeeds: no closure, grid or reference back to the path."""
+    def lift_and_keep():
+        ends = lift()
+        z.flags.writeable = ends.flags.writeable = False
+        vars(path)["_lifted_ends"] = z, ends
+        return ends
+    return z, lift_and_keep
 
 
 def _domain(pair):
@@ -471,11 +488,12 @@ def rs_index(pair) -> HalfInt:
             det^2 lift did not settle, or a moved path's arg det P step or end
             term failed its certificate.
     """
-    # each path evaluated once, on its first grid (a moved path's parent on
-    # its own); its ends come from there
+    # each path object evaluated once, on its first grid (a moved path's
+    # parent on its own), unless an earlier index kept its ends
     _domain(pair)
     pair = _peel(pair)
-    (z0, lift0), (z1, lift1) = (_path_ends(p) for p in pair)
+    z0, lift0 = _path_ends(pair[0])
+    z1, lift1 = (z0, lift0) if pair[1] is pair[0] else _path_ends(pair[1])
     u0, u1, (pa, pb), (start, end) = _ends(pair, z0, z1)
     # arg det V^2 = arg det(U1)^2 - arg det(U0)^2, each path lifted alone; then
     # both ends anchored to the unitaries that give E there

@@ -128,18 +128,12 @@ def lagrangian_intersection_dim(l1: LagrangianFrame, l2: LagrangianFrame) -> int
         raise DimensionMismatchError(f"frames have n={l1.n} and n={l2.n}")
     l1.validate()
     l2.validate()
-    return _intersection_dim_arrays(l1.columns, l2.columns)
+    m = np.hstack([_normalize_columns(l1.columns), _normalize_columns(l2.columns)])
+    return m.shape[1] - int(np.sum(np.linalg.svd(m, compute_uv=False) > RANK_TOL))
 
 
 def _normalize_columns(f: np.ndarray) -> np.ndarray:
     return f / np.linalg.norm(f, axis=0, keepdims=True)
-
-
-def _intersection_dim_arrays(f1: np.ndarray, f2: np.ndarray) -> int:
-    m = np.hstack([_normalize_columns(f1), _normalize_columns(f2)])
-    sv = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(sv > RANK_TOL))
-    return m.shape[1] - rank
 
 
 def intersection_basis(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -171,21 +165,38 @@ def _domain(domain) -> tuple:
     return t0, t1
 
 
+def _per_t(fn, ts, shape, what) -> np.ndarray:
+    """``fn`` at each time of ts, as a Python float, stacked into one float array
+    of shape (len(ts),) + shape; any other result raises `DimensionMismatchError`."""
+    ts = np.asarray(ts, dtype=float)
+    values, want = [fn(t) for t in ts.tolist()], (len(ts),) + shape
+    try:
+        out = np.array(values or np.empty(want), dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != want or not np.all(np.isfinite(out)):
+        got = "ragged" if out is None else "non-finite" if out.shape == want else out.shape[1:]
+        raise DimensionMismatchError(f"a callable giving {got} {what} must map the {ts.shape} "
+                                     f"array of times to a finite float array of shape {want}")
+    return out
+
+
 class LagrangianPath:
     """A path of Lagrangian frames on a closed interval.
 
     `frames` is the one evaluation primitive: every concrete path evaluates a
     whole array of times in it, and `frame_array` and `validate` are derived
-    from it.  Concrete paths are `GeneratorPath`
-    (the flow expm(J S (t - t0)) of a constant quadratic Hamiltonian applied
-    to an initial frame), `SampledPath` (frames at node times, linear
-    between nodes), `ConstantPath`, or `FunctionPath` (an arbitrary closed
-    form; not serializable).  `generator` reports the constant symmetric S
-    with F' = J S F where the path knows one: a `GeneratorPath`, a
-    `ConstantPath` (S = 0), a path of S = 0 moved by a `GeneratorPath` Psi
-    (S_Psi), and their restrictions and direct sums.  Every other path,
-    including every other transform, reports None.  `moved` is (Psi,
-    parent) on a path built as ``parent.transformed(Psi)`` with Psi a
+    from it.  It is a pure function of t, and a path does not change once
+    built, so `maslov` keeps a path's lifted ends on it.  Concrete paths are
+    `GeneratorPath` (the flow expm(J S (t - t0)) of a constant quadratic
+    Hamiltonian applied to an initial frame), `SampledPath` (frames at node
+    times, linear between nodes), `ConstantPath`, or `FunctionPath` (an
+    arbitrary closed form; not serializable).  `generator` reports the
+    constant symmetric S with F' = J S F where the path knows one: a
+    `GeneratorPath`, a `ConstantPath` (S = 0), a path of S = 0 moved by a
+    `GeneratorPath` Psi (S_Psi), and their restrictions and direct sums.
+    Every other path, including every other transform, reports None.  `moved`
+    is (Psi, parent) on a path built as ``parent.transformed(Psi)`` with Psi a
     `GeneratorPath`, and on its restrictions (the parent restricted, Psi the
     same object), so that `maslov` lifts it from its parent and Psi without
     evaluating its frames, and indexes a pair whose two paths record the same
@@ -248,17 +259,18 @@ class LagrangianPath:
 
         ``mat_path`` is a callable ``t -> 2n x 2n`` matrix or a `GeneratorPath`
         with this path's n and domain (to 1e-12), whose `matrices` give Psi(t)
-        at the same times.  Frames are batched: a callable's matrices are
-        stacked, the path's frames evaluated in one call.  A path whose
-        generator is zero (a constant one) moved by a `GeneratorPath` reports
-        that path's S, since G = Psi(t) F gives G' = J S_Psi G; every other
-        transformed path reports None.  A path moved by a `GeneratorPath`
-        records (Psi, this path) as its `moved`: `maslov.rs_index` and
-        `maslov.det2_winding` lift it from this path's lift and Psi, and never
-        evaluate its frames away from a crossing end.  Two paths moved by the
-        same Psi object are indexed, and their crossings listed, as the pair of
-        their parents, with no evaluation of Psi; moving both by Psi objects
-        built apart, even from one S, keeps the per-path lift.
+        at the same times.  A callable is called once per t and refused as
+        `FunctionPath`'s is; the path's frames are evaluated in one call.  A
+        path whose generator is zero (a constant one) moved by a
+        `GeneratorPath` reports that path's S, since G = Psi(t) F gives
+        G' = J S_Psi G; every other transformed path reports None.  A path
+        moved by a `GeneratorPath` records (Psi, this path) as its `moved`:
+        `maslov.rs_index` and `maslov.det2_winding` lift it from this path's
+        lift and Psi, and never evaluate its frames away from a crossing end.
+        Two paths moved by the same Psi object are indexed, and their
+        crossings listed, as the pair of their parents, with no evaluation of
+        Psi; moving both by Psi objects built apart, even from one S, keeps the
+        per-path lift.
         """
         generator = moved = None
         if isinstance(mat_path, GeneratorPath):
@@ -272,13 +284,8 @@ class LagrangianPath:
             if s is not None and not np.any(s):
                 generator = mat_path.generator()
         else:
-            def mats(ts):
-                m = np.stack([np.asarray(mat_path(float(t)), dtype=float) for t in ts])
-                if m.shape[1:] != (2 * self.n, 2 * self.n):
-                    raise DimensionMismatchError(
-                        f"a callable giving {m.shape[1:]} matrices cannot transform "
-                        f"a path with n = {self.n} on {self.domain}")
-                return m
+            mats = lambda ts: _per_t(mat_path, ts, (2 * self.n,) * 2, "matrices cannot "
+                                     f"transform a path with n = {self.n} on {self.domain}; it")
         return _DerivedPath(self.n, lambda ts: mats(ts) @ self.frames(ts),
                             self.domain, generator, moved)
 
@@ -311,8 +318,8 @@ class _DerivedPath(LagrangianPath):
 class FunctionPath(LagrangianPath):
     """A path given by a scalar frame-valued callable ``t -> (2n, n)`` array.
 
-    In-memory only.  The callable takes one time, so `frames` calls it once
-    per t: this is the one path type that is not evaluated in a batch.
+    In-memory only.  `frames` calls it once per t, with a Python float, and
+    builds one array; a ragged, misshapen or non-finite result is refused.
     """
 
     def __init__(self, n, fn, domain=(0.0, 1.0)):
@@ -321,7 +328,7 @@ class FunctionPath(LagrangianPath):
         self.domain = _domain(domain)
 
     def frames(self, ts):
-        return np.stack([np.asarray(self._fn(float(t)), dtype=float) for t in ts])
+        return _per_t(self._fn, ts, (2 * self.n, self.n), f"frames for n = {self.n}; it")
 
 
 class ConstantPath(LagrangianPath):

@@ -4,6 +4,9 @@ The axiom suites run at full case counts in the acceptance module; here each
 axiom gets a small smoke run plus the closed-form anchor examples.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -187,8 +190,9 @@ class TestBatchedEngine:
         with pytest.raises(IrregularCrossingError) as exc:
             rs_index((p, p))
         assert exc.value.time == 0.0
-        # each factor's first grid, then its t0 stencil, before the lift
-        assert p.calls == 4
+        # one first grid for the one path object, then each factor's t0
+        # stencil, before the lift
+        assert p.calls == 3
 
     def test_degenerate_start_of_a_function_path_refused_before_the_midpoints(self):
         # graph{(x, t^2 x)} meets R x 0 at t0 only, with a zero crossing form:
@@ -667,8 +671,10 @@ class TestMovedLift:
             p.frames = lambda ts, f=p.frames: calls.append(len(ts)) or f(ts)
         assert rs_index(pair) == rs_index((rot, vert))
         assert calls == []
+        # each parent evaluated once across both indices: the second reads the
+        # ends the first kept
         cells = certified_cells(n, 3.3)
-        assert rot.sizes == [cells + 1] * 2 and vert.sizes == [2] * 2
+        assert rot.sizes == [cells + 1] and vert.sizes == [2]
         # Psi(t) = e^{i pi t} turns det^2 once more per factor, and Psi(1) = -1
         # closes the loop
         loop = rotation_path(n, [np.pi, -2 * np.pi, 3 * np.pi])
@@ -895,6 +901,102 @@ class TestDet2Winding:
         monkeypatch.setattr(maslov, "FLOW_TOL", -1.0)
         with pytest.raises(MaslovkitError, match="turns is not within"):
             det2_winding(rotation_path(1, np.pi))
+
+
+class EqualByInner(LagrangianPath):
+    """Passes evaluations through to ``inner``; defines ``__eq__`` and so,
+    with no ``__hash__``, is unhashable."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n, self.domain = inner.n, inner.domain
+
+    def frames(self, ts):
+        return self.inner.frames(ts)
+
+    def __eq__(self, other):
+        return isinstance(other, EqualByInner) and other.inner is self.inner
+
+
+def callable_loop(n=2):
+    """A rotation loop moved by a constant symplectic callable: lifted by the
+    doubling loop, against the moved vertical, transverse at both ends."""
+    psi = random_symplectic(n, np.random.default_rng(71))
+    loop = rotation_path(n, [2 * np.pi, -4 * np.pi][:n]).transformed(lambda t: psi)
+    ref = ConstantPath(LagrangianFrame.from_columns(psi @ LagrangianFrame.vertical(n).columns))
+    return loop, ref
+
+
+class TestKeptEnds:
+    """A path's lifted ends are kept on the object once its lift succeeds."""
+
+    def test_loop_evaluated_as_often_as_by_one_index(self):
+        loop, ref = callable_loop()
+        once = CountingPath(loop)
+        index = rs_index((once, ref))
+        both = CountingPath(loop)
+        assert rs_index((both, ref)) == index
+        assert det2_winding(both) == det2_winding(loop) == -2
+        assert both.calls == once.calls > 1
+
+    def test_refused_index_refused_again(self, monkeypatch):
+        # one path in both slots: an irregular crossing at t0, before the
+        # lift, so that nothing is kept and each index reads the path 3 times
+        same = CountingPath(ConstantPath(LagrangianFrame.horizontal(2)))
+        for _ in range(2):
+            with pytest.raises(IrregularCrossingError):
+                rs_index((same, same))
+        assert same.calls == 6
+        # a det^2 lift that does not settle on 2^11 cells
+        monkeypatch.setattr(maslov, "MAX_CELLS", 2**11)
+        jump = CountingPath(FunctionPath(1, lambda t: np.array([[1.0], [np.tan(0.9 * t)]])
+                                         if t < 0.5 else np.array([[-1.0], [-10.0]])))
+        vertical = ConstantPath(LagrangianFrame.vertical(1))
+        calls = []
+        for _ in range(2):
+            with pytest.raises(MaslovkitError, match="did not settle"):
+                rs_index((jump, vertical))
+            calls.append(jump.calls - sum(calls))
+        assert calls[0] == calls[1] > 1
+
+    def test_kept_ends_go_with_their_path(self):
+        # no reference cycle: deleting the path frees it and its kept
+        # arrays with the garbage collector off
+        gc.disable()
+        try:
+            graph = lambda: (FunctionPath(1, lambda t: np.array([[1.0], [t]])),
+                             ConstantPath(LagrangianFrame.vertical(1)))
+            for make in (callable_loop, graph):
+                path, ref = make()
+                rs_index((path, ref))
+                z, lift = maslov._path_ends(path)
+                alive = [weakref.ref(a) for a in (path, z, lift())]
+                del path, ref, z, lift
+                assert [r() for r in alive] == [None] * 3
+        finally:
+            gc.enable()
+
+    def test_kept_arrays_are_read_only(self):
+        loop, ref = callable_loop()
+        rs_index((loop.transformed(GeneratorPath(np.eye(4), LagrangianFrame.horizontal(2))),
+                  ref))
+        calls = []
+        loop.frames = lambda ts: calls.append(len(ts))
+        z, lift = maslov._path_ends(loop)
+        for a in (z, lift()):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        # kept as the moved path's parent, and read back with no evaluation
+        assert det2_winding(loop) == -2 and calls == []
+
+    def test_unhashable_path_indexes(self):
+        rot = rotation_path(2, [1.5 * np.pi, -0.5 * np.pi])
+        path = EqualByInner(rot)
+        with pytest.raises(TypeError):
+            hash(path)
+        ref = horizontal_ref(2)
+        assert rs_index((path, ref)) == rs_index((path, ref)) == rs_index((rot, ref))
 
 
 class TestChordMaslov:

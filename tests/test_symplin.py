@@ -360,6 +360,42 @@ class TestBatchedFrames:
         with pytest.raises(DimensionMismatchError, match=r"\(4, 4\) matrices cannot transform"):
             rs_index((moved, vertical))
 
+    def test_per_t_frames_equal_the_stacked_route(self):
+        # FunctionPath frames and a callable transform's matrices are built in
+        # one array; each equals, bit for bit, the stack of one float per call
+        rng = np.random.default_rng(8)
+        ts = np.linspace(0.0, 1.0, 513)
+        for n in range(1, 7):
+            gen, psi = _random_generator_path(n, rng), _random_generator_path(n, rng)
+            fn = gen.frame_array
+            mat = lambda t: psi.matrices([t])[0]
+            stacked = np.stack([np.asarray(fn(float(t)), dtype=float) for t in ts])
+            assert np.array_equal(FunctionPath(n, fn).frames(ts), stacked)
+            mats = np.stack([np.asarray(mat(float(t)), dtype=float) for t in ts])
+            moved = gen.transformed(mat)
+            assert np.array_equal(moved.frames(ts), mats @ gen.frames(ts))
+            for path in (FunctionPath(n, fn), moved):
+                assert path.frames(ts[:0]).shape == (0, 2 * n, n)
+
+    def test_bad_callable_output_refused(self):
+        # a wrong shape, a shape that changes with t, non-finite and
+        # non-numeric results give DimensionMismatchError, from frames and
+        # from rs_index
+        horizontal = ConstantPath(LagrangianFrame.horizontal(2))
+        rot = rotation_path(2, 1.0)
+        changing = lambda m: lambda t: m(4) if t < 0.5 else m(3)
+        paths = [FunctionPath(2, lambda t: np.ones((4, 3))),
+                 FunctionPath(2, changing(lambda k: np.eye(k)[:, :2])),
+                 FunctionPath(2, lambda t: np.full((4, 2), np.nan)),
+                 FunctionPath(2, lambda t: None),
+                 rot.transformed(changing(np.eye)),
+                 rot.transformed(lambda t: np.full((4, 4), np.nan))]
+        for path in paths:
+            with pytest.raises(DimensionMismatchError, match="must map the"):
+                path.frames(self.TS)
+            with pytest.raises(DimensionMismatchError, match="must map the"):
+                rs_index((path, horizontal))
+
     def test_reparametrized_and_restricted(self):
         rng = np.random.default_rng(5)
         base = _random_generator_path(3, rng)
